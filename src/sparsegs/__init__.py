@@ -17,7 +17,7 @@ from .builder import (
     save_bundle,
     verify_certificate,
 )
-from .eigensolver import EigResult, dense_lowest, lanczos_lowest
+from .eigensolver import EigResult, dense_lowest, lanczos_lowest, lowest_eigenpair
 from .lattice import (
     LayoutGraph,
     PatchEmbedding,

@@ -1,5 +1,12 @@
-"""Lowest-eigenpair solvers: Lanczos with full reorthogonalization, plus a
-dense LAPACK path for small blocks (which doubles as the oracle)."""
+"""Lowest-eigenpair solvers and the one dispatch every solver calls.
+
+`lowest_eigenpair` sends a block of dimension at most `DENSE_CAP` to dense
+LAPACK (`dense_lowest`, which doubles as the oracle) and anything larger to
+SciPy's ARPACK (`lanczos_lowest`), the implicitly restarted Lanczos method
+of Lehoucq, Sorensen & Yang, *ARPACK Users' Guide* (SIAM, 1998).  The
+cutoff is where `eigsh` overtakes complex `eigh` on flagship projections
+(ROADMAP open item 3 has the timings).
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-DENSE_CAP = 4096
+from .subspace import ProjectedMatrix
+
+DENSE_CAP = 256
 DEGENERACY_REL_TOL = 1e-10
 
 
@@ -22,20 +32,19 @@ class EigResult:
     degenerate: bool = False
 
 
-def _matvec(m):
-    if isinstance(m, np.ndarray):
-        return lambda v: m @ v, m.shape[0]
-    if sp.issparse(m):
-        return lambda v: m @ v, m.shape[0]
-    # ProjectedMatrix and friends
-    mat = m.rows
-    return lambda v: mat @ v, m.dim
+def _matrix(m):
+    """The array or sparse matrix behind m."""
+    return m.rows if isinstance(m, ProjectedMatrix) else m
 
 
 def dense_lowest(m) -> EigResult:
-    """Exact lowest eigenpair by full Hermitian diagonalization."""
-    if hasattr(m, "rows"):
-        m = m.rows
+    """Exact lowest eigenpair by full Hermitian diagonalization.
+
+    Applies no iterative operator, so `iterations` is 0; `degenerate` flags
+    a gap to the second eigenvalue below DEGENERACY_REL_TOL of the spectral
+    scale.
+    """
+    m = _matrix(m)
     if sp.issparse(m):
         m = m.toarray()
     m = np.asarray(m)
@@ -46,7 +55,7 @@ def dense_lowest(m) -> EigResult:
     resid = float(np.linalg.norm(m @ v - vals[0] * v))
     scale = max(1.0, float(np.abs(vals).max()))
     degen = m.shape[0] > 1 and (vals[1] - vals[0]) < DEGENERACY_REL_TOL * scale
-    return EigResult(float(vals[0]), v, 1, resid, True, degen)
+    return EigResult(float(vals[0]), v, 0, resid, True, degen)
 
 
 def lanczos_lowest(
@@ -55,74 +64,53 @@ def lanczos_lowest(
     max_iter: int = 300,
     seed: int = 0,
 ) -> EigResult:
-    """Lowest eigenpair by Lanczos with full reorthogonalization.
+    """Lowest eigenpair by ARPACK (`eigsh`, k=1, smallest algebraic).
 
     The start vector is drawn from the seeded generator, so identical
-    inputs and seed give identical iterates.  Every stored basis vector
-    participates in reorthogonalization (two passes); basis sizes here
-    stay small enough that robustness is worth more than speed.  On
-    non-convergence the best Ritz pair so far is returned flagged.
+    inputs and seed give identical iterates.  `tol` is ARPACK's relative
+    tolerance on the Ritz residual and `max_iter` caps its restarts.
+    `iterations` counts operator applications.  When the pair has not
+    converged, the lowest Rayleigh quotient among the vectors the operator
+    was applied to is returned, flagged; it is still an upper bound on the
+    lowest eigenvalue.  `degenerate` is never set: a single-vector Krylov
+    space holds only one copy of a degenerate eigenvalue.
     """
-    mv, dim = _matvec(m)
+    m = _matrix(m)
+    dim = m.shape[0]
     if dim == 0:
         raise ValueError("empty matrix")
-    if dim == 1:
-        e0 = complex(mv(np.ones(1, dtype=complex))[0])
-        return EigResult(float(e0.real), np.ones(1, dtype=complex), 0, 0.0)
+    if dim < 3:  # ARPACK needs k < dim - 1 for complex operands
+        return dense_lowest(m)
 
+    applied = 0
+    best = (np.inf, None)  # (Rayleigh quotient, vector)
+
+    def matvec(x):
+        nonlocal applied, best
+        x = np.ravel(x)
+        y = m @ x
+        applied += 1
+        rq = float(np.vdot(x, y).real / np.vdot(x, x).real)
+        if rq < best[0]:
+            best = (rq, x.copy())
+        return y
+
+    op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=m.dtype)
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 0j
-    v /= np.linalg.norm(v)
-
-    max_iter = int(min(max_iter, dim))
-    V = np.zeros((max_iter, dim), dtype=complex)
-    alphas: list[float] = []
-    betas: list[float] = []
-    V[0] = v
-    theta = None
-    y = None
-
-    for j in range(max_iter):
-        w = mv(V[j])
-        alpha = float(np.vdot(V[j], w).real)
-        alphas.append(alpha)
-        w = w - alpha * V[j]
-        if j > 0:
-            w = w - betas[-1] * V[j - 1]
-        # full reorthogonalization, two passes
-        for _ in range(2):
-            w = w - V[: j + 1].T @ (V[: j + 1].conj() @ w)
-        beta = float(np.linalg.norm(w))
-
-        T = np.diag(alphas)
-        if len(betas):
-            off = np.array(betas)
-            T += np.diag(off, 1) + np.diag(off, -1)
-        tvals, tvecs = np.linalg.eigh(T)
-        theta = float(tvals[0])
-        y = tvecs[:, 0]
-        resid_est = beta * abs(y[-1])
-
-        if resid_est <= tol * (1.0 + abs(theta)) or beta <= 1e-14 or j == max_iter - 1:
-            vec = (V[: j + 1].T @ y).astype(complex)
-            nrm = np.linalg.norm(vec)
-            if nrm > 0:
-                vec /= nrm
-            true_resid = float(np.linalg.norm(mv(vec) - theta * vec))
-            converged = true_resid <= tol * (1.0 + abs(theta)) or beta <= 1e-14
-            scale = max(1.0, float(np.abs(tvals).max()))
-            degen = len(tvals) > 1 and (tvals[1] - tvals[0]) < DEGENERACY_REL_TOL * scale
-            return EigResult(theta, vec, j + 1, true_resid, converged, degen)
-
-        betas.append(beta)
-        V[j + 1] = w / beta
-
-    raise AssertionError("unreachable")
+    v0 = rng.standard_normal(dim).astype(m.dtype)
+    try:
+        vals, vecs = spla.eigsh(op, k=1, which="SA", v0=v0, tol=tol, maxiter=max_iter)
+        value, vec, converged = float(vals[0]), vecs[:, 0], True
+    except spla.ArpackNoConvergence:
+        value, vec, converged = best[0], best[1], False
+    vec = vec / np.linalg.norm(vec)
+    resid = float(np.linalg.norm(m @ vec - value * vec))
+    return EigResult(value, vec, applied, resid, converged, False)
 
 
 def lowest_eigenpair(m, tol: float = 1e-10, seed: int = 0) -> EigResult:
-    """Dense path for small blocks, Lanczos beyond."""
-    dim = m.dim if hasattr(m, "dim") else m.shape[0]
+    """Dense LAPACK at or below DENSE_CAP, ARPACK beyond."""
+    dim = _matrix(m).shape[0]
     if dim <= DENSE_CAP:
         return dense_lowest(m)
-    return lanczos_lowest(m, tol=tol, seed=seed, max_iter=max(300, 2 * int(np.sqrt(dim))))
+    return lanczos_lowest(m, tol=tol, seed=seed)

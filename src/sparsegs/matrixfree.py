@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import EigResult, dense_lowest, lanczos_lowest
+from .eigensolver import EigResult, lowest_eigenpair
 from .paulis import Configuration, PauliSum, SparseVector, apply_sum_to_vector, diagonal_element
 from .subspace import ConfigurationBasis, connected_bits, project_fast
 from .trace import (
@@ -113,11 +113,8 @@ def run_diag_ranking(
 def _final_energy(h, bits, n, seed, flops: FlopCounter) -> EigResult:
     basis = ConfigurationBasis([int(b) for b in bits], n)
     proj = project_fast(h, basis)
-    flops.add(proj.rows.nnz)
-    if proj.dim <= 4096:
-        return dense_lowest(proj)
-    eig = lanczos_lowest(proj, seed=seed)
-    flops.add(eig.iterations * proj.rows.nnz)
+    eig = lowest_eigenpair(proj, seed=seed)
+    flops.add((1 + eig.iterations) * proj.rows.nnz)
     return eig
 
 

@@ -449,19 +449,6 @@ def pauli_sum_to_dense(h: PauliSum) -> np.ndarray:
     return m
 
 
-def import_external_hamiltonian(path):
-    """Importer for the upstream public release of the 49-qubit instance.
-
-    The release format is not documented anywhere reusable; the JSON and
-    text forms above are this package's own interchange formats.  Wire
-    this up once the upstream schema is pinned down.
-    """
-    raise NotImplementedError(
-        "external release format unknown; convert to the JSON form "
-        "{n_qubits, terms: [{coeff: [re, im], label}]} and use PauliSum.from_json"
-    )
-
-
 def decompose_dense_block(
     m: np.ndarray,
     qubits: list[int],

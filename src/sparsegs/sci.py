@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import EigResult, dense_lowest, lanczos_lowest
+from .eigensolver import EigResult, lowest_eigenpair
 from .paulis import Configuration, PauliSum, SparseVector, apply_sum_to_vector, diagonal_element
 from .subspace import ConfigurationBasis, connected_bits, project_fast
 from .trace import (
@@ -32,7 +32,6 @@ from .trace import (
 )
 
 DENOMINATOR_GUARD = 1e-12
-DENSE_DIAG_CUTOFF = 2048
 VARIANTS = ("cipsi", "hci", "asci", "trimci")
 
 
@@ -291,10 +290,7 @@ def select_trimci(candidates, core_state: SparseVector, prev_energy: float,
 
 
 def _diagonalize(h: PauliSum, basis: ConfigurationBasis, seed: int) -> EigResult:
-    proj = project_fast(h, basis)
-    if proj.dim <= DENSE_DIAG_CUTOFF:
-        return dense_lowest(proj)
-    return lanczos_lowest(proj, seed=seed)
+    return lowest_eigenpair(project_fast(h, basis), seed=seed)
 
 
 def run_sci(

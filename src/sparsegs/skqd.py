@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .builder import GroundStateCertificate
-from .eigensolver import EigResult, dense_lowest, lanczos_lowest
+from .eigensolver import EigResult, lowest_eigenpair
 from .paulis import Configuration, PauliSum, diagonal_element
 from .subspace import ConfigurationBasis, connectivity_filter, project_fast
 from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, SolverTrace
@@ -282,11 +282,7 @@ def run_skqd(
             dim_k = 1
         else:
             basis = ConfigurationBasis(kept, n)
-            proj = project_fast(h, basis)
-            if proj.dim <= 4096:
-                eig = dense_lowest(proj)
-            else:
-                eig = lanczos_lowest(proj, seed=p.eig_seed)
+            eig = lowest_eigenpair(project_fast(h, basis), seed=p.eig_seed)
             dim_k = len(basis)
         trace.add(
             iteration=k,

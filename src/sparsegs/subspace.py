@@ -22,17 +22,13 @@ HERMITICITY_TOL = 1e-12
 class ConfigurationBasis:
     """Ordered, addressable set of configurations.
 
-    addressing="sorted" keeps members in ascending bit order and answers
-    lookups by binary search; addressing="hash" keeps first-seen order and
-    uses a dict.  The two exist because either can win depending on size;
-    both sit behind the same interface.
+    Members are kept in ascending bit order and lookups answered by binary
+    search.
     """
 
-    __slots__ = ("bits", "n_qubits", "addressing", "_index")
+    __slots__ = ("bits", "n_qubits")
 
-    def __init__(self, configs, n_qubits: int | None = None, addressing: str = "sorted"):
-        if addressing not in ("sorted", "hash"):
-            raise ValueError(f"unknown addressing {addressing!r}")
+    def __init__(self, configs, n_qubits: int | None = None):
         items = list(configs)
         if items and isinstance(items[0], Configuration):
             if n_qubits is None:
@@ -44,21 +40,8 @@ class ConfigurationBasis:
             raw = [int(b) for b in items]
         if n_qubits is None:
             raise ValueError("cannot infer qubit count from an empty basis")
-        arr = np.array(raw, dtype=np.uint64)
-        if addressing == "sorted":
-            arr = np.unique(arr)
-            index = None
-        else:
-            seen: dict[int, int] = {}
-            for b in raw:
-                if b not in seen:
-                    seen[b] = len(seen)
-            arr = np.fromiter(seen.keys(), dtype=np.uint64, count=len(seen))
-            index = seen
-        self.bits = arr
+        self.bits = np.unique(np.array(raw, dtype=np.uint64))
         self.n_qubits = n_qubits
-        self.addressing = addressing
-        self._index = index
 
     def __len__(self):
         return int(self.bits.size)
@@ -71,8 +54,6 @@ class ConfigurationBasis:
 
     def address(self, x: Configuration) -> int:
         """Index of x, or -1 when absent."""
-        if self.addressing == "hash":
-            return self._index.get(x.bits, -1)
         i = int(np.searchsorted(self.bits, np.uint64(x.bits)))
         if i < self.bits.size and self.bits[i] == np.uint64(x.bits):
             return i
@@ -80,11 +61,6 @@ class ConfigurationBasis:
 
     def addresses_of(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized lookup; -1 marks configurations outside the basis."""
-        if self.addressing == "hash":
-            idx = self._index
-            return np.fromiter(
-                (idx.get(int(b), -1) for b in bits), dtype=np.int64, count=bits.size
-            )
         if self.bits.size == 0:
             return np.full(bits.size, -1, dtype=np.int64)
         pos = np.searchsorted(self.bits, bits)
@@ -102,14 +78,14 @@ class ConfigurationBasis:
         Path(path).write_text("\n".join(lines) + "\n")
 
     @classmethod
-    def from_file(cls, path: Path | str, addressing: str = "sorted") -> "ConfigurationBasis":
+    def from_file(cls, path: Path | str) -> "ConfigurationBasis":
         lines = Path(path).read_text().splitlines()
         header = lines[0].split()
         if header[0] != "n_qubits":
             raise ValueError("basis file missing n_qubits header")
         n = int(header[1])
         bits = [int(s, 16) for s in lines[1:] if s.strip()]
-        return cls(bits, n, addressing=addressing)
+        return cls(bits, n)
 
 
 @dataclass

@@ -59,8 +59,8 @@ class FlopCounter:
 
     The convention (documented, not canonical): one flop per sparse
     accumulation when applying the Hamiltonian, per term in a dot
-    product, and per matrix entry visited in a Lanczos step of the final
-    diagonalization.
+    product, and per stored entry of the final projection, once for
+    building it and once per operator application of its eigensolve.
     """
 
     def __init__(self):

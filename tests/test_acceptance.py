@@ -278,16 +278,7 @@ def test_criterion_06_projection_equivalence_and_scaling(flagship):
             break
         pool.update(new_bits)
     pool_bits = np.array(sorted(pool), dtype=np.uint64)
-    if pool_bits.size < 100_000:  # top up with random flips of support configs
-        extra = []
-        while pool_bits.size + len(extra) < 100_000:
-            base = cert.support[int(rng.integers(0, len(cert.support)))].bits
-            flip = int(rng.integers(0, 49, size=3) @ [1, 1, 1] * 0 + 0)
-            mask = 0
-            for q in rng.integers(0, 49, size=3):
-                mask |= 1 << int(q)
-            extra.append(base ^ mask)
-        pool_bits = np.unique(np.concatenate([pool_bits, np.array(extra, dtype=np.uint64)]))
+    assert pool_bits.size >= 100_000, f"closure reached only {pool_bits.size} configurations"
     pool_bits = pool_bits[:100_000]
 
     half = ConfigurationBasis([int(b) for b in pool_bits[:50_000]], 49)
