@@ -10,6 +10,7 @@ cutoff is where `eigsh` overtakes complex `eigh` on flagship projections
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ from .subspace import ProjectedMatrix
 
 DENSE_CAP = 256
 DEGENERACY_REL_TOL = 1e-10
+RITZ_PAIRS = 20  # eigsh's default Lanczos basis size for k=1
+RITZ_RANK_TOL = 1e-10
 
 
 @dataclass
@@ -70,10 +73,12 @@ def lanczos_lowest(
     inputs and seed give identical iterates.  `tol` is ARPACK's relative
     tolerance on the Ritz residual and `max_iter` caps its restarts.
     `iterations` counts operator applications.  When the pair has not
-    converged, the lowest Rayleigh quotient among the vectors the operator
-    was applied to is returned, flagged; it is still an upper bound on the
-    lowest eigenvalue.  `degenerate` is never set: a single-vector Krylov
-    space holds only one copy of a degenerate eigenvalue.
+    converged, Rayleigh-Ritz over the last RITZ_PAIRS vectors the operator
+    was applied to (ARPACK's basis size) gives the returned pair, flagged;
+    its value is the Rayleigh quotient of the returned vector, so it is
+    still an upper bound on the lowest eigenvalue.  `degenerate` is never
+    set: a single-vector Krylov space holds only one copy of a degenerate
+    eigenvalue.
     """
     m = _matrix(m)
     dim = m.shape[0]
@@ -83,16 +88,14 @@ def lanczos_lowest(
         return dense_lowest(m)
 
     applied = 0
-    best = (np.inf, None)  # (Rayleigh quotient, vector)
+    pairs = deque(maxlen=RITZ_PAIRS)  # the last (x, Mx) pairs
 
     def matvec(x):
-        nonlocal applied, best
+        nonlocal applied
         x = np.ravel(x)
         y = m @ x
         applied += 1
-        rq = float(np.vdot(x, y).real / np.vdot(x, x).real)
-        if rq < best[0]:
-            best = (rq, x.copy())
+        pairs.append((x.copy(), y))
         return y
 
     op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=m.dtype)
@@ -101,11 +104,26 @@ def lanczos_lowest(
     try:
         vals, vecs = spla.eigsh(op, k=1, which="SA", v0=v0, tol=tol, maxiter=max_iter)
         value, vec, converged = float(vals[0]), vecs[:, 0], True
+        vec = vec / np.linalg.norm(vec)
+        mv = m @ vec
     except spla.ArpackNoConvergence:
-        value, vec, converged = best[0], best[1], False
-    vec = vec / np.linalg.norm(vec)
-    resid = float(np.linalg.norm(m @ vec - value * vec))
+        vec, mv = _rayleigh_ritz(*map(np.column_stack, zip(*pairs)))
+        value, converged = float(np.vdot(vec, mv).real), False
+    resid = float(np.linalg.norm(mv - value * vec))
     return EigResult(value, vec, applied, resid, converged, False)
+
+
+def _rayleigh_ritz(x: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest Ritz vector v of span(x) and Mv, given the columns of x and Mx.
+
+    An SVD orthonormalizes x; directions with singular values below
+    RITZ_RANK_TOL of the largest are dropped as numerically dependent.
+    """
+    u, sv, wh = np.linalg.svd(x, full_matrices=False)
+    keep = sv > RITZ_RANK_TOL * sv[0]
+    q, mq = u[:, keep], mx @ (wh[keep].conj().T / sv[keep])
+    _, c = np.linalg.eigh(q.conj().T @ mq)  # reads one triangle: the Hermitian part
+    return q @ c[:, 0], mq @ c[:, 0]
 
 
 def lowest_eigenpair(m, tol: float = 1e-10, seed: int = 0) -> EigResult:

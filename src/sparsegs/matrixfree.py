@@ -302,10 +302,6 @@ def _rayleigh(h: PauliSum, phi: SparseVector, flops: FlopCounter) -> float:
     return float(phi.dot(hphi).real)
 
 
-def tpm_expectation_curve(trace: SolverTrace) -> np.ndarray:
-    return np.array([r.energy for r in trace.rows])
-
-
 # -- convergence-theory constants --------------------------------------------
 
 

@@ -139,7 +139,8 @@ class PauliSum:
     kernels.
     """
 
-    __slots__ = ("n_qubits", "terms", "_xm", "_zm", "_coeff", "_phase")
+    __slots__ = ("n_qubits", "terms", "_xm", "_zm", "_coeff", "_phase", "_weights",
+                 "_gx", "_gstart", "_gterm")
 
     def __init__(self, terms, n_qubits: int):
         _check_width(n_qubits)
@@ -163,7 +164,13 @@ class PauliSum:
         # i^|Y| is a per-term constant
         ny = np.bitwise_count(self._xm & self._zm).astype(np.int64) % 4
         self._phase = (1j) ** ny
-        for arr in (self._xm, self._zm, self._coeff, self._phase):
+        self._weights = self._coeff * self._phase
+        # terms are sorted by x-mask first, so each x-mask group is a run
+        self._gx, self._gstart = np.unique(self._xm, return_index=True)
+        self._gstart = np.append(self._gstart, self._xm.size)
+        self._gterm = np.repeat(np.arange(self._gx.size), np.diff(self._gstart))
+        for arr in (self._xm, self._zm, self._coeff, self._phase, self._weights,
+                    self._gx, self._gstart, self._gterm):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -181,6 +188,13 @@ class PauliSum:
     def mask_arrays(self):
         """(x_masks, z_masks, coefficients, i^|Y| phases) as numpy arrays."""
         return self._xm, self._zm, self._coeff, self._phase
+
+    @property
+    def x_groups(self):
+        """(x_masks, starts): the distinct x-masks in ascending order and the
+        offsets of their term runs, so group g is terms starts[g]:starts[g+1].
+        Writing H = sum_g X^(x_g) D_g, every kernel walks groups, not terms."""
+        return self._gx, self._gstart
 
     def coeff_one_norm(self) -> float:
         return float(np.abs(self._coeff).sum())
@@ -276,12 +290,6 @@ class SparseVector:
         self.amps.flags.writeable = False
 
     @classmethod
-    def from_dict(cls, entries: dict[Configuration, complex], n_qubits: int) -> "SparseVector":
-        bits = np.fromiter((c.bits for c in entries), dtype=np.uint64, count=len(entries))
-        amps = np.fromiter((entries[c] for c in entries), dtype=complex, count=len(entries))
-        return cls(bits, amps, n_qubits)
-
-    @classmethod
     def basis_state(cls, x: Configuration) -> "SparseVector":
         return cls([x.bits], [1.0 + 0j], x.n_qubits, _sorted=True)
 
@@ -344,82 +352,106 @@ class SparseVector:
 
 
 # -- vectorized action kernels -------------------------------------------
-
-
-def term_action(xm: np.uint64, zm: np.uint64, phase0: complex, bits: np.ndarray):
-    """Apply one Pauli string to an array of configurations.
-
-    Returns (out_bits, phases) with phases = phase0 * (-1)^popcount(bits & zm).
-    """
-    out = bits ^ xm
-    signs = 1.0 - 2.0 * (np.bitwise_count(bits & zm).astype(np.int64) & 1)
-    return out, phase0 * signs
+#
+# H|x> = sum_g D_g(x) |x ^ x_g>, with D_g(x) = sum_{k in g} w_k (-1)^popcount(x & z_k)
+# and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups.
 
 
 _APPLY_BLOCK = 1 << 23  # cap on the (terms x entries) broadcast scratch
 
 
-def _apply_block(v: SparseVector, xm, zm, weights):
-    out_bits = v.bits[None, :] ^ xm[:, None]
-    signs = 1.0 - 2.0 * (
-        np.bitwise_count(v.bits[None, :] & zm[:, None]).astype(np.int64) & 1
-    )
-    amps = weights[:, None] * signs * v.amps[None, :]
-    return out_bits.ravel(), amps.ravel()
+def unique_bits(bits: np.ndarray) -> np.ndarray:
+    """np.unique for configuration arrays by sort and compare; NumPy 2.4's
+    np.unique takes about 15x longer on uint64 arrays of 1e5 entries."""
+    bits = np.sort(bits)
+    return bits[np.concatenate(([True], bits[1:] != bits[:-1]))] if bits.size else bits
+
+
+def pauli_signs(bits: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(bits & z) as floats, shape (len(z_masks), len(bits))."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits[None, :] & z_masks[:, None]) & 1)
+
+
+def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -> np.ndarray:
+    """Net elements D_g(x) = <x ^ x_g|H|x> of the x-mask groups in `groups`
+    on each configuration, shape (groups, len(bits)).
+
+    Each element is summed from zero one term at a time, in term order (a
+    pairwise reduction would round differently).
+    """
+    gx, starts = h.x_groups
+    lo, hi, _ = groups.indices(gx.size)
+    out = np.zeros((max(hi - lo, 0), bits.size), dtype=complex)
+    for g in range(lo, hi):
+        a, b = starts[g], starts[g + 1]
+        for w, signs in zip(h._weights[a:b], pauli_signs(bits, h._zm[a:b])):
+            out[g - lo] += w * signs
+    return out
+
+
+def group_images(h: PauliSum, bits: np.ndarray):
+    """Yield (offset, images, elements) over chunks of the source
+    configurations: images[g, i] = bits[offset + i] ^ x_g and elements the
+    matching D_g.  Chunks keep terms x sources, and so the groups x sources
+    arrays, under _APPLY_BLOCK entries."""
+    gx, _ = h.x_groups
+    chunk = max(1, _APPLY_BLOCK // max(len(h), 1))
+    for lo in range(0, bits.size, chunk):
+        part = bits[lo : lo + chunk]
+        yield lo, part[None, :] ^ gx[:, None], group_elements(h, part)
 
 
 def apply_sum_to_vector(h: PauliSum, v: SparseVector) -> SparseVector:
-    """H|v> computed exactly; output sparsity at most L * len(v).
+    """H|v> computed exactly; output sparsity at most (x-mask groups) * len(v).
 
-    Term blocks are reduced separately when the broadcast scratch would
-    get large, trading one extra merge for bounded memory.
+    Each (term, entry) product (w_k s) a is binned to its image and added
+    into one running sum per image in term-major order, so every image sums
+    the same products in the same order whatever the block size.  Term
+    blocks bound the product scratch by _APPLY_BLOCK.
     """
     if h.n_qubits != v.n_qubits:
         raise ValueError("qubit-count mismatch")
     if len(v) == 0 or len(h) == 0:
         return SparseVector([], [], v.n_qubits)
-    xm, zm, coeff, phase = h.mask_arrays
-    weights = coeff * phase
+    gx, _ = h.x_groups
+    out_bits, inv = np.unique(v.bits[None, :] ^ gx[:, None], return_inverse=True)
+    inv = inv.reshape(gx.size, len(v))
+    re = np.zeros(out_bits.size)
+    im = np.zeros(out_bits.size)
     block = max(1, _APPLY_BLOCK // len(v))
-    if len(h) <= block:
-        bits, amps = _apply_block(v, xm, zm, weights)
-        return SparseVector(bits, amps, v.n_qubits)
-    parts = []
     for lo in range(0, len(h), block):
         hi = lo + block
-        bits, amps = _apply_block(v, xm[lo:hi], zm[lo:hi], weights[lo:hi])
-        parts.append(SparseVector(bits, amps, v.n_qubits))
-    return SparseVector(
-        np.concatenate([p.bits for p in parts]),
-        np.concatenate([p.amps for p in parts]),
-        v.n_qubits,
-    )
+        amps = (h._weights[lo:hi, None] * pauli_signs(v.bits, h._zm[lo:hi])
+                * v.amps[None, :]).ravel()
+        bins = inv[h._gterm[lo:hi]].ravel()
+        np.add.at(re, bins, amps.real)  # in index order, onto the earlier blocks
+        np.add.at(im, bins, amps.imag)
+    amps = np.empty(out_bits.size, dtype=complex)
+    amps.real, amps.imag = re, im
+    return SparseVector(out_bits, amps, v.n_qubits, _sorted=True)
 
 
 def matrix_element(h: PauliSum, x: Configuration, y: Configuration) -> complex:
-    """<x|H|y> summed over all Pauli terms; O(nL)."""
+    """<x|H|y> summed term by term, without the grouping; O(nL)."""
     if h.n_qubits != x.n_qubits or h.n_qubits != y.n_qubits:
         raise ValueError("qubit-count mismatch")
-    xm, zm, coeff, phase = h.mask_arrays
-    if xm.size == 0:
-        return 0j
+    xm, zm, _, _ = h.mask_arrays
     hits = (np.uint64(y.bits) ^ xm) == np.uint64(x.bits)
     if not hits.any():
         return 0j
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.uint64(y.bits) & zm[hits]).astype(np.int64) & 1)
-    return complex(np.sum(coeff[hits] * phase[hits] * signs))
+    signs = pauli_signs(np.array([y.bits], dtype=np.uint64), zm[hits])[:, 0]
+    return complex(np.sum(h._weights[hits] * signs))
 
 
 def diagonal_element(h: PauliSum, bits) -> np.ndarray | float:
-    """<x|H|x> for one packed configuration or an array of them."""
-    xm, zm, coeff, phase = h.mask_arrays
+    """<x|H|x> for one packed configuration or an array of them: D_0."""
     scalar = not isinstance(bits, np.ndarray)
     b = np.atleast_1d(np.asarray(bits, dtype=np.uint64))
-    diag_terms = xm == 0
-    out = np.zeros(b.size, dtype=complex)
-    for zmask, cf in zip(zm[diag_terms], (coeff * phase)[diag_terms]):
-        signs = 1.0 - 2.0 * (np.bitwise_count(b & zmask).astype(np.int64) & 1)
-        out += cf * signs
+    gx, _ = h.x_groups
+    if gx.size and gx[0] == 0:
+        out = group_elements(h, b, slice(0, 1))[0]
+    else:
+        out = np.zeros(b.size, dtype=complex)
     res = out.real if np.abs(out.imag).max(initial=0.0) < 1e-9 else out
     return float(res[0]) if scalar else res
 
@@ -442,10 +474,10 @@ def pauli_sum_to_dense(h: PauliSum) -> np.ndarray:
     dim = 1 << h.n_qubits
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim, dtype=np.uint64)
-    xm, zm, coeff, phase = h.mask_arrays
-    for k in range(len(coeff)):
-        rows, phases = term_action(xm[k], zm[k], coeff[k] * phase[k], cols)
-        m[rows.astype(np.int64), cols.astype(np.int64)] += phases
+    for g, x in enumerate(h.x_groups[0]):
+        m[(cols ^ x).astype(np.int64), cols.astype(np.int64)] = group_elements(
+            h, cols, slice(g, g + 1)
+        )[0]
     return m
 
 

@@ -21,13 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import EigResult, lowest_eigenpair
-from .paulis import Configuration, PauliSum, SparseVector, apply_sum_to_vector, diagonal_element
+from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
+                     diagonal_element, group_images)
 from .subspace import ConfigurationBasis, connected_bits, project_fast
 from .trace import (
     DEFAULT_DIM_CAP,
     STATUS_MAX_ITERS,
     STATUS_STALLED,
     BudgetExceeded,
+    FlopCounter,
     SolverTrace,
 )
 
@@ -90,11 +92,12 @@ def _sort_by_amplitude(bits: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _perturbative_scores(
-    h: PauliSum, psi: SparseVector, e0: float, cand_bits: np.ndarray
+    h: PauliSum, psi: SparseVector, e0: float, cand_bits: np.ndarray, flops: FlopCounter
 ) -> np.ndarray:
     """|<x|H|psi> / (<x|H|x> - e0)| for each candidate, with the small-
     denominator guard mapping near-zero gaps to +inf (always select)."""
     hpsi = apply_sum_to_vector(h, psi)
+    flops.add((len(psi) + cand_bits.size) * len(h))
     pos = np.searchsorted(hpsi.bits, cand_bits)
     pos_c = np.minimum(pos, max(hpsi.bits.size - 1, 0))
     hit = (hpsi.bits.size > 0) & (hpsi.bits[pos_c] == cand_bits)
@@ -108,20 +111,21 @@ def _perturbative_scores(
 
 
 def _hci_scores(
-    h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, cand_bits: np.ndarray
+    h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, cand_bits: np.ndarray,
+    flops: FlopCounter,
 ) -> np.ndarray:
     """max_i |<x|H|x_i> c_i| per candidate (cand_bits must be sorted);
     cancellation applies within a single matrix element but not across
     core members."""
-    from .subspace import _net_images
-
     best = np.zeros(cand_bits.size)
-    src, img, net = _net_images(h, core_bits)
-    pos = np.searchsorted(cand_bits, img)
-    pos_c = np.minimum(pos, max(cand_bits.size - 1, 0))
-    hit = (cand_bits.size > 0) & (cand_bits[pos_c] == img)
-    vals = np.abs(net[hit] * core_amps[src[hit]])
-    np.maximum.at(best, pos_c[hit], vals)
+    if cand_bits.size == 0:
+        return best
+    flops.add(core_bits.size * len(h))
+    for lo, img, d in group_images(h, core_bits):
+        pos = np.minimum(np.searchsorted(cand_bits, img), cand_bits.size - 1)
+        hit = cand_bits[pos] == img
+        vals = np.abs(d * core_amps[None, lo : lo + img.shape[1]])
+        np.maximum.at(best, pos[hit], vals[hit])
     return best
 
 
@@ -137,27 +141,27 @@ def _core_amplitudes(core_bits: np.ndarray, core_state: SparseVector) -> np.ndar
     return np.where(hit, np.abs(core_state.amps[pos_c]), 0.0)
 
 
-def _cipsi_bits(cand_bits, core_bits, core_state, e0, h, epsilon):
+def _cipsi_bits(cand_bits, core_bits, core_state, e0, h, epsilon, flops):
     if cand_bits.size:
-        scores = _perturbative_scores(h, core_state, e0, cand_bits)
+        scores = _perturbative_scores(h, core_state, e0, cand_bits, flops)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
     return np.union1d(core_bits, passed)
 
 
-def _hci_bits(cand_bits, core_bits, core_state, h, epsilon):
+def _hci_bits(cand_bits, core_bits, core_state, h, epsilon, flops):
     if cand_bits.size:
-        scores = _hci_scores(h, core_state.bits, core_state.amps, cand_bits)
+        scores = _hci_scores(h, core_state.bits, core_state.amps, cand_bits, flops)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
     return np.union1d(core_bits, passed)
 
 
-def _asci_bits(cand_bits, core_bits, core_state, e0, h, d_cap):
+def _asci_bits(cand_bits, core_bits, core_state, e0, h, d_cap, flops):
     cand_scores = (
-        _perturbative_scores(h, core_state, e0, cand_bits)
+        _perturbative_scores(h, core_state, e0, cand_bits, flops)
         if cand_bits.size
         else np.zeros(0)
     )
@@ -167,17 +171,17 @@ def _asci_bits(cand_bits, core_bits, core_state, e0, h, d_cap):
     return np.sort(all_bits[order])
 
 
-def _trimci_bits(cand_bits, core_bits, core_state, e0, h, epsilon, trim, eig_seed):
+def _trimci_bits(cand_bits, core_bits, core_state, e0, h, epsilon, trim, eig_seed, flops):
     n = h.n_qubits
     if trim.first_phase == "cipsi":
         scores = (
-            _perturbative_scores(h, core_state, e0, cand_bits)
+            _perturbative_scores(h, core_state, e0, cand_bits, flops)
             if cand_bits.size
             else np.zeros(0)
         )
     else:
         scores = (
-            _hci_scores(h, core_state.bits, core_state.amps, cand_bits)
+            _hci_scores(h, core_state.bits, core_state.amps, cand_bits, flops)
             if cand_bits.size
             else np.zeros(0)
         )
@@ -219,7 +223,7 @@ def _trimci_bits(cand_bits, core_bits, core_state, e0, h, epsilon, trim, eig_see
             kept.append(sub)
             continue
         basis = ConfigurationBasis(sub, n)
-        eig = _diagonalize(h, basis, eig_seed)
+        eig = _diagonalize(h, basis, eig_seed, flops)
         order = _sort_by_amplitude(basis.bits, eig.vector)[: trim.keep_per_subset]
         kept.append(basis.bits[order])
     if not kept:
@@ -244,7 +248,7 @@ def select_cipsi(candidates, prev_state: SparseVector, prev_energy: float,
     support is always retained."""
     return _to_configs(
         _cipsi_bits(_to_bits(candidates), prev_state.bits, prev_state,
-                    prev_energy, h, epsilon),
+                    prev_energy, h, epsilon, FlopCounter()),
         h.n_qubits,
     )
 
@@ -253,7 +257,8 @@ def select_hci(candidates, prev_state: SparseVector, h: PauliSum,
                epsilon: float) -> set[Configuration]:
     """Heat-bath criterion: largest single matrix element times amplitude."""
     return _to_configs(
-        _hci_bits(_to_bits(candidates), prev_state.bits, prev_state, h, epsilon),
+        _hci_bits(_to_bits(candidates), prev_state.bits, prev_state, h, epsilon,
+                  FlopCounter()),
         h.n_qubits,
     )
 
@@ -264,7 +269,7 @@ def select_asci(candidates, core_state: SparseVector, prev_energy: float,
     footing; keep the top d_cap."""
     return _to_configs(
         _asci_bits(_to_bits(candidates), core_state.bits, core_state,
-                   prev_energy, h, d_cap),
+                   prev_energy, h, d_cap, FlopCounter()),
         h.n_qubits,
     )
 
@@ -283,14 +288,19 @@ def select_trimci(candidates, core_state: SparseVector, prev_energy: float,
     return _to_configs(
         _trimci_bits(
             _to_bits(candidates), core_state.bits, core_state, prev_energy, h,
-            epsilon, trim, eig_seed
+            epsilon, trim, eig_seed, FlopCounter()
         ),
         h.n_qubits,
     )
 
 
-def _diagonalize(h: PauliSum, basis: ConfigurationBasis, seed: int) -> EigResult:
-    return lowest_eigenpair(project_fast(h, basis), seed=seed)
+def _diagonalize(
+    h: PauliSum, basis: ConfigurationBasis, seed: int, flops: FlopCounter
+) -> EigResult:
+    proj = project_fast(h, basis)
+    eig = lowest_eigenpair(proj, seed=seed)
+    flops.add((1 + eig.iterations) * proj.rows.nnz)
+    return eig
 
 
 def run_sci(
@@ -301,7 +311,8 @@ def run_sci(
     """The generic diagonalization-based iterative loop.
 
     Terminates early when an iteration adds and removes nothing; the
-    reported eigenpair comes from diagonalizing in the final basis.
+    reported eigenpair comes from diagonalizing in the final basis.  Flops
+    follow the matrix-free solvers' FlopCounter convention.
     """
     if isinstance(x0, Configuration):
         initial = [x0]
@@ -312,6 +323,7 @@ def run_sci(
 
     n = h.n_qubits
     current = np.unique(np.array([c.bits for c in initial], dtype=np.uint64))
+    flops = FlopCounter()
     trace = SolverTrace(solver=p.variant)
     trace.status = STATUS_MAX_ITERS
     eig = None
@@ -321,7 +333,7 @@ def run_sci(
         if current.size > p.dim_cap:
             raise BudgetExceeded(f"basis of {current.size} exceeds cap {p.dim_cap}")
         basis = ConfigurationBasis(current, n)
-        eig = _diagonalize(h, basis, p.eig_seed)
+        eig = _diagonalize(h, basis, p.eig_seed, flops)
         amps = eig.vector
 
         order = _sort_by_amplitude(basis.bits, amps)
@@ -331,17 +343,18 @@ def run_sci(
         core_state = SparseVector(basis.bits[core_idx], amps[core_idx], n)
 
         cands = connected_bits(h, core_bits)
+        flops.add(core_bits.size * len(h))
 
         if p.variant == "cipsi":
-            nxt = _cipsi_bits(cands, core_bits, core_state, eig.value, h, p.epsilon)
+            nxt = _cipsi_bits(cands, core_bits, core_state, eig.value, h, p.epsilon, flops)
         elif p.variant == "hci":
-            nxt = _hci_bits(cands, core_bits, core_state, h, p.epsilon)
+            nxt = _hci_bits(cands, core_bits, core_state, h, p.epsilon, flops)
         elif p.variant == "asci":
-            nxt = _asci_bits(cands, core_bits, core_state, eig.value, h, p.d_cap)
+            nxt = _asci_bits(cands, core_bits, core_state, eig.value, h, p.d_cap, flops)
         else:
             nxt = _trimci_bits(
                 cands, core_bits, core_state, eig.value, h, p.epsilon, p.trim,
-                p.eig_seed
+                p.eig_seed, flops
             )
 
         new_count = int(nxt.size - np.isin(nxt, current).sum())
@@ -351,6 +364,7 @@ def run_sci(
             energy=eig.value,
             wall_ms=(time.perf_counter() - t0) * 1e3,
             new_configs=new_count,
+            flops=flops.count,
         )
         if np.array_equal(nxt, current):
             trace.status = STATUS_STALLED
@@ -360,7 +374,8 @@ def run_sci(
     basis = ConfigurationBasis(current, n)
     if len(basis) > p.dim_cap:
         raise BudgetExceeded(f"basis of {len(basis)} exceeds cap {p.dim_cap}")
-    eig = _diagonalize(h, basis, p.eig_seed)
+    eig = _diagonalize(h, basis, p.eig_seed, flops)
     trace.final_energy = eig.value
     trace.final_dim = len(basis)
+    trace.total_flops = flops.count
     return eig, trace, basis

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .builder import GroundStateCertificate
 from .eigensolver import EigResult, lowest_eigenpair
-from .paulis import Configuration, PauliSum, diagonal_element
+from .paulis import Configuration, PauliSum, diagonal_element, group_elements, pauli_signs
 from .subspace import ConfigurationBasis, connectivity_filter, project_fast
 from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, SolverTrace
 
@@ -67,9 +67,6 @@ class ShotRecord:
     state_seeds: list[int] = field(default_factory=list)
     n_qubits: int = 0
 
-    def total_shots(self) -> int:
-        return sum(sum(h.values()) for h in self.histograms)
-
     def to_json_dict(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
@@ -107,28 +104,18 @@ def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
         raise ValueError("explicit sparse matrix beyond 18 qubits; use the operator form")
     dim = 1 << h.n_qubits
     cols = np.arange(dim, dtype=np.uint64)
-    xm, zm, coeff, phase = h.mask_arrays
-    rows_l, cols_l, vals_l = [], [], []
-    for k in range(len(coeff)):
-        rows_l.append((cols ^ xm[k]).astype(np.int64))
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & zm[k]).astype(np.int64) & 1)
-        vals_l.append(coeff[k] * phase[k] * signs)
-        cols_l.append(cols.astype(np.int64))
-    m = sp.csr_matrix(
-        (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-        shape=(dim, dim),
-    )
-    m.sum_duplicates()
-    return m
+    gx, _ = h.x_groups
+    rows = np.concatenate([(cols ^ x).astype(np.int64) for x in gx])
+    vals = np.concatenate([group_elements(h, cols, slice(g, g + 1))[0] for g in range(gx.size)])
+    return sp.csr_matrix((vals, (rows, np.tile(cols.astype(np.int64), gx.size))),
+                         shape=(dim, dim))
 
 
 def _dense_apply(h: PauliSum, v: np.ndarray) -> np.ndarray:
     out = np.zeros_like(v)
     idx = np.arange(v.size, dtype=np.uint64)
-    xm, zm, coeff, phase = h.mask_arrays
-    for k in range(len(coeff)):
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm[k]).astype(np.int64) & 1)
-        out[(idx ^ xm[k]).astype(np.int64)] += coeff[k] * phase[k] * signs * v
+    for g, x in enumerate(h.x_groups[0]):
+        out[(idx ^ x).astype(np.int64)] += group_elements(h, idx, slice(g, g + 1))[0] * v
     return out
 
 
@@ -147,32 +134,24 @@ def _identity_coefficient(h: PauliSum) -> complex:
     return complex(coeff[hit].sum()) if hit.any() else 0j
 
 
-def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} |v> on a dense statevector; exact to solver precision."""
+def evolve_exact(h: PauliSum, v: np.ndarray, t: float, op=None) -> np.ndarray:
+    """e^{-iHt} |v> on a dense statevector; exact to solver precision.  `op`
+    is H as built by _operator, reused across calls when given."""
     if h.n_qubits > STATEVECTOR_QUBIT_BUDGET:
         raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
     if v.size != (1 << h.n_qubits):
         raise ValueError("statevector size mismatch")
     if t == 0.0:
         return v.copy()
-    dim = v.size
-    op = _operator(h)
-    trace = -1j * t * _identity_coefficient(h) * dim
-    return spla.expm_multiply(-1j * t * op if sp.issparse(op) else _scaled_op(h, -1j * t),
-                              v.astype(complex), traceA=trace)
-
-
-def _scaled_op(h: PauliSum, factor: complex):
-    dim = 1 << h.n_qubits
-    return spla.LinearOperator(
-        (dim, dim), matvec=lambda v: factor * _dense_apply(h, v), dtype=complex
-    )
+    op = _operator(h) if op is None else op
+    trace = -1j * t * _identity_coefficient(h) * v.size
+    return spla.expm_multiply(-1j * t * op, v.astype(complex), traceA=trace)
 
 
 def _apply_term_exponential(v, xm, zm, phase, theta):
     """exp(-i theta P) v = cos(theta) v - i sin(theta) P v."""
     idx = np.arange(v.size, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm).astype(np.int64) & 1)
+    signs = pauli_signs(idx, np.array([zm]))[0]
     pv = np.empty_like(v)
     pv[(idx ^ xm).astype(np.int64)] = phase * signs * v
     return np.cos(theta) * v - 1j * np.sin(theta) * pv
@@ -253,9 +232,7 @@ def run_skqd(
         t0 = time.perf_counter()
         if k > 0:
             if p.evolution == "exact":
-                trace_a = -1j * dt * _identity_coefficient(h) * dim
-                opk = -1j * dt * explicit if sp.issparse(explicit) else _scaled_op(h, -1j * dt)
-                phi = spla.expm_multiply(opk, phi, traceA=trace_a)
+                phi = evolve_exact(h, phi, dt, explicit)
             else:
                 order = 1 if p.evolution == "trotter1" else 2
                 phi = evolve_trotter(h, phi, dt, order=order, steps=p.trotter_steps_per_dt)

@@ -1,8 +1,9 @@
 """Configuration-basis management and Hamiltonian projection.
 
 Implements both the quadratic-cost all-pairs projection (the oracle) and
-the linear-cost scatter projection that loops over Pauli terms, applies
-each to every basis member, and accumulates into the addressed entry.
+the linear-cost scatter projection that loops over the Hamiltonian's
+x-mask groups, looks up every basis member's image under each, and stores
+the group's net element at the addressed entry.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .paulis import Configuration, PauliSum, matrix_element
+from .paulis import (Configuration, PauliSum, group_elements, group_images, matrix_element,
+                     unique_bits)
 
 ZERO_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
@@ -67,9 +69,6 @@ class ConfigurationBasis:
         pos_c = np.minimum(pos, self.bits.size - 1)
         return np.where(self.bits[pos_c] == bits, pos_c, -1).astype(np.int64)
 
-    def contains_bits(self, bits: np.ndarray) -> np.ndarray:
-        return self.addresses_of(bits) >= 0
-
     # -- basis files: n_qubits header + one bit-hex configuration per line --
 
     def to_file(self, path: Path | str) -> None:
@@ -119,31 +118,23 @@ def _assemble(rows, cols, vals, dim, basis) -> ProjectedMatrix:
 
 
 def project_fast(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
-    """Scatter projection: one term application per (term, member) pair."""
+    """Scatter projection: one address lookup per x-mask group, and the
+    group's net element on every member whose image lies in the basis."""
     if h.n_qubits != b.n_qubits:
         raise ValueError("qubit-count mismatch")
     dim = len(b)
-    xm, zm, coeff, phase = h.mask_arrays
-    cols_base = np.arange(dim, dtype=np.int64)
-    rows_l, cols_l, vals_l = [], [], []
-    for k in range(len(coeff)):
-        y = b.bits ^ xm[k]
-        addr = b.addresses_of(y)
-        hit = addr >= 0
-        if not hit.any():
+    rows_l, cols_l = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    vals_l = [np.zeros(0, dtype=complex)]
+    for g, x in enumerate(h.x_groups[0]):
+        addr = b.addresses_of(b.bits ^ x)
+        hit = np.flatnonzero(addr >= 0)
+        if hit.size == 0:
             continue
-        signs = 1.0 - 2.0 * (np.bitwise_count(b.bits[hit] & zm[k]).astype(np.int64) & 1)
         rows_l.append(addr[hit])
-        cols_l.append(cols_base[hit])
-        vals_l.append(coeff[k] * phase[k] * signs)
-    if rows_l:
-        rows = np.concatenate(rows_l)
-        cols = np.concatenate(cols_l)
-        vals = np.concatenate(vals_l)
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0, dtype=complex)
-    return _assemble(rows, cols, vals, dim, b)
+        cols_l.append(hit)
+        vals_l.append(group_elements(h, b.bits[hit], slice(g, g + 1))[0])
+    return _assemble(np.concatenate(rows_l), np.concatenate(cols_l), np.concatenate(vals_l),
+                     dim, b)
 
 
 def project_naive(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
@@ -169,46 +160,18 @@ def project_naive(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
     )
 
 
-def _net_images(h: PauliSum, bits: np.ndarray):
-    """All (source index, image bits, net amplitude) triples for H applied
-    to each of the given configurations, with per-pair term cancellation
-    already carried out."""
-    xm, zm, coeff, phase = h.mask_arrays
-    n_src = bits.size
-    src_l, img_l, amp_l = [], [], []
-    idx = np.arange(n_src, dtype=np.int64)
-    for k in range(len(coeff)):
-        img_l.append(bits ^ xm[k])
-        signs = 1.0 - 2.0 * (np.bitwise_count(bits & zm[k]).astype(np.int64) & 1)
-        amp_l.append(coeff[k] * phase[k] * signs)
-        src_l.append(idx)
-    if not src_l:
-        return (np.zeros(0, np.int64), np.zeros(0, np.uint64), np.zeros(0, complex))
-    src = np.concatenate(src_l)
-    img = np.concatenate(img_l)
-    amp = np.concatenate(amp_l)
-    # reduce over terms per (source, image) pair
-    order = np.lexsort((img, src))
-    src, img, amp = src[order], img[order], amp[order]
-    boundary = np.ones(src.size, dtype=bool)
-    boundary[1:] = (src[1:] != src[:-1]) | (img[1:] != img[:-1])
-    group = np.cumsum(boundary) - 1
-    net = np.zeros(int(group[-1]) + 1, dtype=complex)
-    np.add.at(net, group, amp)
-    keep_first = np.flatnonzero(boundary)
-    return src[keep_first], img[keep_first], net
-
-
 def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     """Array form of connected_configurations: sorted image bits with a
     nonzero net element to some source, sources excluded."""
-    if bits.size == 0:
+    found = [
+        unique_bits(img[np.abs(d) >= ZERO_TOL]) for _, img, d in group_images(h, bits)
+    ]
+    if not found:
         return np.zeros(0, dtype=np.uint64)
-    _, img, net = _net_images(h, bits)
-    good = np.abs(net) >= ZERO_TOL
-    out_bits = np.unique(img[good])
-    inside = np.isin(out_bits, bits)
-    return out_bits[~inside]
+    out_bits = unique_bits(np.concatenate(found))
+    sources = np.sort(bits)
+    pos = np.minimum(np.searchsorted(sources, out_bits), sources.size - 1)
+    return out_bits[sources[pos] != out_bits]
 
 
 def connected_configurations(h: PauliSum, seed) -> set[Configuration]:
@@ -237,18 +200,14 @@ def connectivity_filter(h: PauliSum, pool) -> set[Configuration]:
     n = h.n_qubits
     bits = np.array(sorted(c.bits for c in pool), dtype=np.uint64)
     keep = np.zeros(bits.size, dtype=bool)
-    chunk = max(1, 2_000_000 // max(len(h), 1))
-    for lo in range(0, bits.size, chunk):
-        part = bits[lo : lo + chunk]
-        src, img, net = _net_images(h, part)
-        good = np.abs(net) >= ZERO_TOL
+    moves = h.x_groups[0][:, None] != 0  # the x-mask 0 group maps x to itself
+    for lo, img, d in group_images(h, bits):
+        src = np.broadcast_to(np.arange(lo, lo + img.shape[1]), img.shape)
+        good = moves & (np.abs(d) >= ZERO_TOL)
         src, img = src[good], img[good]
-        pos = np.searchsorted(bits, img)
-        pos_c = np.minimum(pos, bits.size - 1)
-        in_pool = bits[pos_c] == img
-        different = img != part[src]
-        hits = in_pool & different
+        pos = np.minimum(np.searchsorted(bits, img), bits.size - 1)
+        hits = bits[pos] == img
         # x connects out, and the partner connects back (H is Hermitian)
-        keep[lo + src[hits]] = True
-        keep[pos_c[hits]] = True
+        keep[src[hits]] = True
+        keep[pos[hits]] = True
     return {Configuration(int(b), n) for b in bits[keep]}

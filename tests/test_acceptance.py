@@ -161,6 +161,7 @@ def test_criterion_03_perturbative_stall():
 # -- criterion 4: construction certificates -----------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_04_construction_certificates(patch_instance):
     t0 = time.perf_counter()
     # warmup instance on <= 12 qubits, full dense verification
@@ -395,6 +396,7 @@ def test_criterion_08_tpm_properties(patch_instance):
 # -- criterion 9: variational floor --------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_09_variational_floor(patch_instance):
     h, cert = patch_instance
     x0 = cert.initial_config

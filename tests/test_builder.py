@@ -235,6 +235,26 @@ def test_assemble_49q_shape_and_certificate():
     )
 
 
+@pytest.mark.parametrize(
+    "layout, terms, groups",
+    [("flagship", 366, 149), ("path16", 97, 41), ("path16-coupled", 120, 49)],
+)
+def test_x_mask_group_counts(layout, terms, groups):
+    if layout == "flagship":
+        g = build_heavy_hex(3, 2)
+        h, _ = assemble_global(g, embed_patches(g, 3, 16, seed=9),
+                               ConstructionParams(obfuscation_seed=9))
+    else:
+        emb = PatchEmbedding((tuple(range(16)),), ())
+        h, _ = assemble_global(build_path(16), emb, ConstructionParams(obfuscation_seed=9),
+                               couple=layout == "path16-coupled")
+    gx, starts = h.x_groups
+    assert (len(h), gx.size) == (terms, groups)
+    xm = h.mask_arrays[0]
+    for g, x in enumerate(gx):  # each group is one contiguous run of its x-mask
+        assert np.all(xm[starts[g] : starts[g + 1]] == x)
+
+
 def test_single_patch_reduction_equals_patch_certificate():
     g = build_path(16)
     emb = PatchEmbedding((tuple(range(16)),), ())

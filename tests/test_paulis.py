@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_dense, random_pauli_sum
+import sparsegs.paulis as pl
+from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
 from sparsegs.paulis import (
     Configuration,
     PauliString,
@@ -13,6 +14,8 @@ from sparsegs.paulis import (
     apply_sum_to_vector,
     conjugate_by_x_layer,
     decompose_dense_block,
+    diagonal_element,
+    group_elements,
     matrix_element,
     pauli_sum_to_dense,
 )
@@ -248,8 +251,6 @@ def test_immutability_of_cached_arrays():
 
 def test_apply_sum_chunked_matches_direct():
     # force the blocked path by shrinking the scratch cap
-    import sparsegs.paulis as pl
-
     rng = np.random.default_rng(22)
     h = random_pauli_sum(rng, 6, 20)
     v = SparseVector(rng.choice(64, size=30, replace=False),
@@ -262,4 +263,88 @@ def test_apply_sum_chunked_matches_direct():
     finally:
         pl._APPLY_BLOCK = old
     assert np.array_equal(direct.bits, chunked.bits)
-    assert np.abs(direct.amps - chunked.amps).max() < 1e-14
+    assert np.array_equal(direct.amps, chunked.amps)
+
+
+def _apply_per_term(h, v):
+    """The per-term action: broadcast every term over every entry, then let
+    SparseVector merge the images, as apply_sum_to_vector did before the
+    x-mask grouping."""
+    xm, zm, coeff, phase = h.mask_arrays
+    bits = v.bits[None, :] ^ xm[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(v.bits[None, :] & zm[:, None]).astype(np.int64) & 1)
+    amps = (coeff * phase)[:, None] * signs * v.amps[None, :]
+    return SparseVector(bits.ravel(), amps.ravel(), v.n_qubits)
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_apply_sum_bit_identical_to_per_term(seed, cap):
+    rng = np.random.default_rng(100 + seed)
+    n = 8
+    h = grouped_pauli_sum(rng, n, 6, 5)
+    size = 16
+    src = rng.choice(1 << n, size=size, replace=False)
+    vectors = [
+        # small-integer amplitudes: images of different sources cancel exactly
+        SparseVector(src, rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) + 0j, n),
+        SparseVector(src, rng.standard_normal(size) + 1j * rng.standard_normal(size), n),
+    ]
+    old = pl._APPLY_BLOCK
+    try:
+        if cap is not None:
+            pl._APPLY_BLOCK = cap  # four terms per block
+        for v in vectors:
+            got, want = apply_sum_to_vector(h, v), _apply_per_term(h, v)
+            assert np.array_equal(got.bits, want.bits)
+            assert np.array_equal(got.amps, want.amps)
+    finally:
+        pl._APPLY_BLOCK = old
+    hv = apply_sum_to_vector(h, vectors[0])
+    images = np.unique(src.astype(np.uint64)[None, :] ^ h.x_groups[0][:, None])
+    assert len(hv) < images.size  # exact cancellations were pruned
+
+
+def test_group_elements_match_matrix_element():
+    rng = np.random.default_rng(23)
+    n = 5
+    h = grouped_pauli_sum(rng, n, 4, 6)
+    gx, starts = h.x_groups
+    assert gx.size == 4 and np.diff(starts).min() > 1
+    bits = np.arange(1 << n, dtype=np.uint64)
+    d = group_elements(h, bits)
+    assert d.shape == (4, 1 << n)
+    for g, x in enumerate(gx):
+        assert np.array_equal(d[g], group_elements(h, bits, slice(g, g + 1))[0])
+        for b in bits:
+            want = matrix_element(h, Configuration(int(b ^ x), n), Configuration(int(b), n))
+            assert d[g, b] == pytest.approx(want, abs=1e-14)
+    assert (d == 0).any()  # the sums above include exact cancellations
+
+
+def test_group_elements_fold_terms_in_order():
+    # random float weights, so a reduction in another order would round
+    # differently; the reference adds one term at a time from zero
+    rng = np.random.default_rng(25)
+    n = 6
+    base = grouped_pauli_sum(rng, n, 4, 12)
+    h = PauliSum([(c * rng.uniform(0.5, 2.0), s) for c, s in base.terms], n)
+    bits = np.arange(1 << n, dtype=np.uint64)
+    xm, zm, coeff, phase = h.mask_arrays
+    gx = h.x_groups[0]
+    want = np.zeros((gx.size, bits.size), dtype=complex)
+    for k in range(len(h)):
+        signs = 1.0 - 2.0 * (np.bitwise_count(bits & zm[k]).astype(np.int64) & 1)
+        want[np.searchsorted(gx, xm[k])] += coeff[k] * phase[k] * signs
+    assert np.array_equal(group_elements(h, bits), want)
+
+
+def test_diagonal_element_is_dense_diagonal():
+    rng = np.random.default_rng(24)
+    h = random_pauli_sum(rng, 4, 30)
+    want = np.diag(kron_dense(h)).real
+    got = diagonal_element(h, np.arange(16, dtype=np.uint64))
+    assert np.abs(got - want).max() < 1e-12
+    assert diagonal_element(h, 5) == pytest.approx(want[5], abs=1e-12)
+    off = PauliSum([(1.0, PauliString.from_label("XX"))], 2)
+    assert diagonal_element(off, 3) == 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import kron_dense, random_pauli_sum
+from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
@@ -12,6 +12,7 @@ from sparsegs.paulis import (
 )
 from sparsegs.sci import (
     SciParams,
+    _hci_scores,
     TrimParams,
     run_sci,
     select_asci,
@@ -20,6 +21,7 @@ from sparsegs.sci import (
     select_trimci,
 )
 from sparsegs.subspace import connected_configurations
+from sparsegs.trace import FlopCounter
 
 
 def core_block_as_pauli_sum():
@@ -40,6 +42,17 @@ def test_cipsi_stalls_on_patch(patch_instance):
         assert trace.status == "stalled"
         support_found = sum(1 for c in cert.support if basis.address(c) >= 0)
         assert support_found < 8  # never exhausts the support
+
+
+def test_run_sci_counts_flops(patch_instance):
+    h, cert = patch_instance
+    for p in (SciParams("cipsi", epsilon=1e-6, max_iters=4),
+              SciParams("asci", d_cap=8, core_cap=4, max_iters=4)):
+        _, trace, _ = run_sci(h, cert.initial_config, p)
+        flops = [r.flops for r in trace.rows]
+        assert trace.total_flops > 0
+        assert flops[0] > 0 and all(b >= a for a, b in zip(flops, flops[1:]))
+        assert trace.total_flops >= flops[-1]
 
 
 def test_cipsi_infinite_threshold_stops_at_reference(patch_instance):
@@ -178,6 +191,25 @@ def test_select_hci_matches_brute_force():
             abs(dense[cand.bits, b] * a) for b, a in zip(core_bits, psi.amps)
         )
         assert (cand in kept) == (brute > eps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hci_scores_match_matrix_elements(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = 5
+    h = grouped_pauli_sum(rng, n, 5, 4)
+    core = np.sort(rng.choice(1 << n, size=6, replace=False)).astype(np.uint64)
+    amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    cands = np.setdiff1d(np.arange(1 << n, dtype=np.uint64), core)
+    flops = FlopCounter()
+    got = _hci_scores(h, core, amps, cands, flops)
+    want = [
+        max(abs(matrix_element(h, Configuration(int(x), n), Configuration(int(b), n)) * a)
+            for b, a in zip(core, amps))
+        for x in cands
+    ]
+    assert np.abs(got - want).max() < 1e-13
+    assert flops.count == core.size * len(h)
 
 
 def test_select_asci_keeps_everything_with_large_cap():

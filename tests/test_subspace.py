@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import kron_dense, random_pauli_sum
+import sparsegs.paulis as pl
+from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
-from sparsegs.paulis import Configuration, PauliSum, PauliString, matrix_element
+from sparsegs.paulis import Configuration, PauliSum, PauliString, group_elements, matrix_element
 from sparsegs.subspace import (
     ConfigurationBasis,
+    connected_bits,
     connected_configurations,
     connectivity_filter,
     project_fast,
@@ -148,6 +150,37 @@ def test_connected_respects_cancellation():
     )
     # <1|X|0> = 1, <1|(i)Y|0> = i * i = -1 -> exact zero, no connection
     assert connected_configurations(h2, {Configuration(0, 1)}) == set()
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+@pytest.mark.parametrize("seed", range(4))
+def test_grouped_expansion_matches_dense_oracle(seed, cap):
+    # several terms per x-mask with exact cancellations; cap=64 forces
+    # chunks of two sources
+    rng = np.random.default_rng(200 + seed)
+    n = 6
+    h = grouped_pauli_sum(rng, n, 5, 6)
+    dense = kron_dense(h)
+    link = np.abs(dense) >= 1e-14
+    np.fill_diagonal(link, False)
+    assert (group_elements(h, np.arange(1 << n, dtype=np.uint64)) == 0).any()  # cancellations
+    old = pl._APPLY_BLOCK
+    try:
+        if cap is not None:
+            pl._APPLY_BLOCK = cap
+        for size in (1, 5, 20):
+            src = np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.uint64)
+            inside = np.zeros(1 << n, dtype=bool)
+            inside[src.astype(np.int64)] = True
+            want = np.flatnonzero(link[:, src.astype(np.int64)].any(axis=1) & ~inside)
+            assert np.array_equal(connected_bits(h, src), want.astype(np.uint64))
+
+            pool = {Configuration(int(b), n) for b in src}
+            sub = link[np.ix_(src.astype(np.int64), src.astype(np.int64))]
+            kept = {Configuration(int(b), n) for b in src[sub.any(axis=0)]}
+            assert connectivity_filter(h, pool) == kept
+    finally:
+        pl._APPLY_BLOCK = old
 
 
 def test_filter_keeps_connected_support(patch_instance):
