@@ -42,7 +42,7 @@ from .matrixfree import (
 )
 from .sci import SciParams, TrimParams, run_sci
 from .skqd import SkqdParams, run_skqd, support_coverage
-from .trace import DEFAULT_DIM_CAP, BudgetExceeded
+from .trace import DEFAULT_DIM_CAP, STATUS_UNCONVERGED, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
@@ -130,7 +130,9 @@ def _verify(args) -> int:
 
 
 def _solver_run(h, cert, solver: str, opts: dict, dim_cap: int):
-    """Dispatch one solver run; returns a result dict."""
+    """Dispatch one solver run; returns a result dict.  `converged` is the
+    final eigenpair's flag (None for the power method, which returns none),
+    and an unconverged final pair sets the status to `unconverged`."""
     x0 = cert.initial_config
     t0 = time.perf_counter()
     coverage = None
@@ -188,9 +190,12 @@ def _solver_run(h, cert, solver: str, opts: dict, dim_cap: int):
         "final_energy": trace.final_energy,
         "final_dim": trace.final_dim,
         "status": trace.status,
+        "converged": None if eig is None else bool(eig.converged),
         "flops": trace.total_flops,
         "wall_s": wall,
     }
+    if eig is not None and not eig.converged:
+        out["status"] = STATUS_UNCONVERGED
     if coverage is not None:
         out["support_coverage"] = int(coverage[-1])
         out["support_size"] = len(cert.support)

@@ -111,7 +111,7 @@ def run_diag_ranking(
 
 
 def _final_energy(h, bits, n, seed, flops: FlopCounter) -> EigResult:
-    basis = ConfigurationBasis([int(b) for b in bits], n)
+    basis = ConfigurationBasis(bits, n)
     proj = project_fast(h, basis)
     eig = lowest_eigenpair(proj, seed=seed)
     flops.add((1 + eig.iterations) * proj.rows.nnz)
@@ -200,7 +200,7 @@ def run_truncated_arnoldi(
             flops=flops.count,
         )
 
-    basis = ConfigurationBasis([int(b) for b in union], n)
+    basis = ConfigurationBasis(union, n)
     eig = _final_energy(h, union, n, p.eig_seed, flops)
     trace.final_energy = eig.value
     trace.final_dim = len(basis)
@@ -284,7 +284,7 @@ def run_tpm(
             flops=flops.count,
         )
 
-    support = ConfigurationBasis([int(b) for b in phi.bits], n)
+    support = ConfigurationBasis(phi.bits, n)
     if p.mode == "diagonalize_support":
         eig = _final_energy(h, phi.bits, n, p.eig_seed, flops)
         final = eig.value

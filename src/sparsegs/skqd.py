@@ -1,8 +1,13 @@
-"""Classical emulation of sample-based Krylov diagonalization.
+"""Classical emulation of sample-based Krylov diagonalization (Yu et al.,
+"Quantum-centric algorithm for sample-based Krylov diagonalization").
 
-Krylov states are generated by exact time evolution of a dense statevector
-(Trotterized variants are available to study approximation effects), shots
-are drawn per state from the Born distribution with a splittable seeded
+Exact Krylov states e^{-iHk dt}|x0> live in the reachable subspace R(x0),
+the closure of x0 under H's nonzero matrix elements, which H maps into
+itself.  They are computed there, on a |R|-vector, by Al-Mohy & Higham's
+`expm_multiply` (SIAM J. Sci. Comput. 33, 2011) applied to H projected onto
+R.  Trotterized variants, kept to study approximation effects, evolve the
+full 2^n statevector, because a single Pauli term can leave R.  Shots are
+drawn per state from the Born distribution with a splittable seeded
 generator, and the pooled configurations are filtered, projected, and
 diagonalized classically.
 """
@@ -20,11 +25,11 @@ import scipy.sparse.linalg as spla
 from .builder import GroundStateCertificate
 from .eigensolver import EigResult, lowest_eigenpair
 from .paulis import Configuration, PauliSum, diagonal_element, group_elements, pauli_signs
-from .subspace import ConfigurationBasis, connectivity_filter, project_fast
+from .subspace import ConfigurationBasis, connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, SolverTrace
 
-STATEVECTOR_QUBIT_BUDGET = 24
-_EXPLICIT_MATRIX_QUBITS = 18  # beyond this, evolve through a LinearOperator
+STATEVECTOR_QUBIT_BUDGET = 24  # Trotter evolution's full statevector
+_EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ def default_dt(h: PauliSum, multiplier: float = 25.0) -> float:
 def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
     """Explicit 2^n sparse matrix; use only at moderate widths."""
     if h.n_qubits > _EXPLICIT_MATRIX_QUBITS:
-        raise ValueError("explicit sparse matrix beyond 18 qubits; use the operator form")
+        raise ValueError(f"explicit sparse matrix capped at {_EXPLICIT_MATRIX_QUBITS} qubits")
     dim = 1 << h.n_qubits
     cols = np.arange(dim, dtype=np.uint64)
     gx, _ = h.x_groups
@@ -111,41 +116,14 @@ def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
                          shape=(dim, dim))
 
 
-def _dense_apply(h: PauliSum, v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v)
-    idx = np.arange(v.size, dtype=np.uint64)
-    for g, x in enumerate(h.x_groups[0]):
-        out[(idx ^ x).astype(np.int64)] += group_elements(h, idx, slice(g, g + 1))[0] * v
-    return out
-
-
-def _operator(h: PauliSum):
-    dim = 1 << h.n_qubits
-    if h.n_qubits <= _EXPLICIT_MATRIX_QUBITS:
-        return pauli_sum_to_sparse(h)
-    return spla.LinearOperator(
-        (dim, dim), matvec=lambda v: _dense_apply(h, v), dtype=complex
-    )
-
-
-def _identity_coefficient(h: PauliSum) -> complex:
-    xm, zm, coeff, _ = h.mask_arrays
-    hit = (xm == 0) & (zm == 0)
-    return complex(coeff[hit].sum()) if hit.any() else 0j
-
-
-def evolve_exact(h: PauliSum, v: np.ndarray, t: float, op=None) -> np.ndarray:
-    """e^{-iHt} |v> on a dense statevector; exact to solver precision.  `op`
-    is H as built by _operator, reused across calls when given."""
-    if h.n_qubits > STATEVECTOR_QUBIT_BUDGET:
-        raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
+def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} |v> on the full 2^n statevector through the explicit sparse
+    matrix: the oracle for run_skqd's reachable-subspace evolution."""
     if v.size != (1 << h.n_qubits):
         raise ValueError("statevector size mismatch")
     if t == 0.0:
         return v.copy()
-    op = _operator(h) if op is None else op
-    trace = -1j * t * _identity_coefficient(h) * v.size
-    return spla.expm_multiply(-1j * t * op, v.astype(complex), traceA=trace)
+    return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))
 
 
 def _apply_term_exponential(v, xm, zm, phase, theta):
@@ -191,12 +169,30 @@ def evolve_trotter(
     return out
 
 
-def _sample_configurations(v: np.ndarray, shots: int, rng) -> np.ndarray:
+def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Born-rule draws of indices into v.  A draw above the rounded cdf[-1]
+    goes to the last index with nonzero probability, not past the end."""
     probs = np.abs(v) ** 2
     probs /= probs.sum()
     cdf = np.cumsum(probs)
     draws = rng.random(shots)
-    return np.searchsorted(cdf, draws).astype(np.uint64)
+    return np.minimum(np.searchsorted(cdf, draws), np.flatnonzero(probs)[-1])
+
+
+def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
+    """(states, step): the sorted configurations that index the evolved
+    vector, and one time step dt on such a vector.  Exact evolution runs in
+    the reachable subspace of x0; Trotter evolution on the full register."""
+    n = h.n_qubits
+    if p.evolution == "exact":
+        states = reachable_bits(h, np.array([x0.bits], dtype=np.uint64), p.dim_cap)
+        a = -1j * dt * project_fast(h, ConfigurationBasis(states, n)).rows
+        return states, lambda v: spla.expm_multiply(a, v)  # SciPy sums a's diagonal for traceA
+    if n > STATEVECTOR_QUBIT_BUDGET:
+        raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
+    order = 1 if p.evolution == "trotter1" else 2
+    return (np.arange(1 << n, dtype=np.uint64),
+            lambda v: evolve_trotter(h, v, dt, order=order, steps=p.trotter_steps_per_dt))
 
 
 def run_skqd(
@@ -209,35 +205,27 @@ def run_skqd(
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
-    if h.n_qubits > STATEVECTOR_QUBIT_BUDGET:
-        raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
     n = h.n_qubits
-    dim = 1 << n
     sched = p.schedule()
     dt = p.dt if p.dt is not None else default_dt(h, p.dt_multiplier)
 
+    states, step = _propagator(h, x0, p, dt)
     seed_seq = np.random.SeedSequence(p.rng_seed)
     children = seed_seq.spawn(p.krylov_dim)
     record = ShotRecord(n_qubits=n)
     trace = SolverTrace(solver="skqd")
     trace.status = STATUS_MAX_ITERS
 
-    phi = np.zeros(dim, dtype=complex)
-    phi[x0.bits] = 1.0
+    phi = (states == np.uint64(x0.bits)).astype(complex)
     pool_bits: set[int] = {x0.bits}
     eig = None
-    explicit = _operator(h) if p.evolution == "exact" else None
 
     for k in range(p.krylov_dim):
         t0 = time.perf_counter()
         if k > 0:
-            if p.evolution == "exact":
-                phi = evolve_exact(h, phi, dt, explicit)
-            else:
-                order = 1 if p.evolution == "trotter1" else 2
-                phi = evolve_trotter(h, phi, dt, order=order, steps=p.trotter_steps_per_dt)
+            phi = step(phi)
         rng = np.random.default_rng(children[k])
-        samples = _sample_configurations(phi, sched[k], rng)
+        samples = states[_sample_indices(phi, sched[k], rng)]
         if p.bitflip_probability > 0.0:
             flips = rng.random((samples.size, n)) < p.bitflip_probability
             masks = (flips * (1 << np.arange(n, dtype=np.uint64))).sum(axis=1)

@@ -16,6 +16,7 @@ import scipy.sparse as sp
 
 from .paulis import (Configuration, PauliSum, group_elements, group_images, matrix_element,
                      unique_bits)
+from .trace import BudgetExceeded
 
 ZERO_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
@@ -31,18 +32,20 @@ class ConfigurationBasis:
     __slots__ = ("bits", "n_qubits")
 
     def __init__(self, configs, n_qubits: int | None = None):
-        items = list(configs)
-        if items and isinstance(items[0], Configuration):
-            if n_qubits is None:
-                n_qubits = items[0].n_qubits
-            raw = [c.bits for c in items]
+        """`configs` is an iterable of Configurations, of raw bit integers,
+        or a uint64 array of bits; the last two need `n_qubits`."""
+        if isinstance(configs, np.ndarray):
+            raw = configs.astype(np.uint64, copy=False)
         else:
-            if n_qubits is None:
-                raise ValueError("n_qubits required for raw bit input")
-            raw = [int(b) for b in items]
+            items = list(configs)
+            if items and isinstance(items[0], Configuration):
+                if n_qubits is None:
+                    n_qubits = items[0].n_qubits
+                items = [c.bits for c in items]
+            raw = np.array(items, dtype=np.uint64)
         if n_qubits is None:
-            raise ValueError("cannot infer qubit count from an empty basis")
-        self.bits = np.unique(np.array(raw, dtype=np.uint64))
+            raise ValueError("n_qubits required for raw bit input or an empty basis")
+        self.bits = unique_bits(raw)
         self.n_qubits = n_qubits
 
     def __len__(self):
@@ -109,17 +112,18 @@ class ProjectedMatrix:
 
 
 def _assemble(rows, cols, vals, dim, basis) -> ProjectedMatrix:
+    """CSR from (row, col, value) triples that are distinct and already
+    free of elements below ZERO_TOL."""
     m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    m.sum_duplicates()
-    if m.nnz:
-        m.data[np.abs(m.data) < ZERO_TOL] = 0.0
-        m.eliminate_zeros()
     return ProjectedMatrix(dim, m, basis)
 
 
 def project_fast(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
     """Scatter projection: one address lookup per x-mask group, and the
-    group's net element on every member whose image lies in the basis."""
+    group's net element on every member whose image lies in the basis.
+    A group maps each column to its own row, and distinct groups to
+    distinct rows, so no entry is written twice; elements below ZERO_TOL
+    are dropped group by group, before anything is concatenated."""
     if h.n_qubits != b.n_qubits:
         raise ValueError("qubit-count mismatch")
     dim = len(b)
@@ -130,9 +134,11 @@ def project_fast(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
         hit = np.flatnonzero(addr >= 0)
         if hit.size == 0:
             continue
-        rows_l.append(addr[hit])
-        cols_l.append(hit)
-        vals_l.append(group_elements(h, b.bits[hit], slice(g, g + 1))[0])
+        d = group_elements(h, b.bits[hit], slice(g, g + 1))[0]
+        keep = np.abs(d) >= ZERO_TOL
+        rows_l.append(addr[hit[keep]])
+        cols_l.append(hit[keep])
+        vals_l.append(d[keep])
     return _assemble(np.concatenate(rows_l), np.concatenate(cols_l), np.concatenate(vals_l),
                      dim, b)
 
@@ -169,9 +175,29 @@ def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     if not found:
         return np.zeros(0, dtype=np.uint64)
     out_bits = unique_bits(np.concatenate(found))
-    sources = np.sort(bits)
-    pos = np.minimum(np.searchsorted(sources, out_bits), sources.size - 1)
-    return out_bits[sources[pos] != out_bits]
+    return out_bits[_absent(np.sort(bits), out_bits)]
+
+
+def _absent(members: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Mask of the entries of `bits` not in the sorted, nonempty `members`."""
+    pos = np.minimum(np.searchsorted(members, bits), members.size - 1)
+    return members[pos] != bits
+
+
+def reachable_bits(h: PauliSum, bits: np.ndarray, cap: int) -> np.ndarray:
+    """Sorted closure of `bits` under H's net elements of magnitude at
+    least ZERO_TOL (the rule of projection), found breadth first.  H maps
+    the span of the closure into itself.  Raises BudgetExceeded as soon as
+    the closure holds more than `cap` configurations."""
+    reached = unique_bits(bits)
+    frontier = reached
+    while frontier.size:
+        frontier = connected_bits(h, frontier)
+        frontier = frontier[_absent(reached, frontier)]
+        reached = np.sort(np.concatenate((reached, frontier)))
+        if reached.size > cap:
+            raise BudgetExceeded(f"reachable subspace of {reached.size} exceeds cap {cap}")
+    return reached
 
 
 def connected_configurations(h: PauliSum, seed) -> set[Configuration]:

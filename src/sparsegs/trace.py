@@ -16,6 +16,7 @@ DEFAULT_DIM_CAP = 10**7
 STATUS_CONVERGED = "converged"
 STATUS_STALLED = "stalled"
 STATUS_MAX_ITERS = "max_iters"
+STATUS_UNCONVERGED = "unconverged"  # the final eigenpair missed its tolerance
 
 
 @dataclass

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+import sparsegs.sci
 from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
 
 
@@ -150,3 +152,28 @@ def test_sweep_reproducible_energy(tmp_path, patch_bundle):
         rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
         outs.append(float(rows[0]["final_energy"]))
     assert outs[0] == outs[1]
+
+
+def test_unconverged_final_eigenpair_is_surfaced(patch_bundle, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
+                 "cipsi", "--eps", "1e-6"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["status"] != "unconverged"
+
+    real = sparsegs.sci.lowest_eigenpair
+    monkeypatch.setattr(sparsegs.sci, "lowest_eigenpair",
+                        lambda m, **kw: dataclasses.replace(real(m, **kw), converged=False))
+    assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
+                 "cipsi", "--eps", "1e-6"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["status"] == "unconverged"
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"bundle": str(patch_bundle),
+                                "runs": [{"solver": "cipsi", "grid": {"eps": [1e-6]}}]}))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "sweep" / "results.csv").read_text().splitlines()))
+    assert [r["status"] for r in rows] == ["unconverged"]

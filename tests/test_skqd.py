@@ -3,19 +3,47 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from scipy.stats import chisquare
 
 from conftest import kron_dense, random_pauli_sum
+from sparsegs.builder import ConstructionParams, assemble_global
+from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
 from sparsegs.paulis import Configuration, PauliString, PauliSum
 from sparsegs.skqd import (
     ShotRecord,
     SkqdParams,
+    _propagator,
+    _sample_indices,
     default_dt,
     evolve_exact,
     evolve_trotter,
+    pauli_sum_to_sparse,
     run_skqd,
     support_coverage,
 )
+from sparsegs.trace import BudgetExceeded
+
+
+@pytest.fixture(scope="module", params=[(False, 16), (True, 65_535)],
+                ids=["path16", "path16-coupled"])
+def cli_patch(request):
+    """The `path16` and `path16-coupled` bundles of `sparsegs generate --seed 9`:
+    (hamiltonian, certificate, size of the reachable subspace of x0)."""
+    couple, reach = request.param
+    g = build_path(16)
+    emb = PatchEmbedding((tuple(range(16)),), ())
+    params = ConstructionParams(mode="main", obfuscation_seed=9)
+    return (*assemble_global(g, emb, params, couple=couple), reach)
+
+
+@pytest.fixture(scope="module")
+def bare_three_patch():
+    """49-qubit heavy-hex instance with three uncoupled patches."""
+    g = build_heavy_hex(3, 2)
+    emb = embed_patches(g, 3, 16, seed=9)
+    return assemble_global(g, emb, ConstructionParams(mode="main", obfuscation_seed=9),
+                           couple=False)
 
 
 def test_default_dt_single_pauli():
@@ -227,3 +255,93 @@ def test_shot_schedule_per_state(patch_instance):
     p = SkqdParams(krylov_dim=3, shots_per_state=(100, 200, 300), rng_seed=1)
     _, _, rec = run_skqd(h, cert.initial_config, p)
     assert [sum(hh.values()) for hh in rec.histograms] == [100, 200, 300]
+
+
+def test_sampler_draw_above_rounded_cdf_stays_in_support():
+    v = np.random.default_rng(2).standard_normal(64).astype(complex)
+    probs = np.abs(v) ** 2
+    assert np.cumsum(probs / probs.sum())[-1] < np.nextafter(1.0, 0.0)
+
+    class TopDraw:
+        def random(self, shots):
+            return np.full(shots, np.nextafter(1.0, 0.0))
+
+    assert list(_sample_indices(v, 2, TopDraw())) == [63, 63]
+    # trailing zero amplitudes are never drawn
+    padded = np.concatenate([v, np.zeros(8, dtype=complex)])
+    assert list(_sample_indices(padded, 2, TopDraw())) == [63, 63]
+    # every other draw is the plain inverse-cdf lookup
+    cdf = np.cumsum(probs / probs.sum())
+    draws = np.random.default_rng(5).random(10_000)
+    got = _sample_indices(v, 10_000, np.random.default_rng(5))
+    assert np.array_equal(got, np.searchsorted(cdf, draws))
+
+
+def test_reachable_krylov_states_match_full_statevector(cli_patch):
+    h, cert, reach = cli_patch
+    x0 = cert.initial_config
+    dt = default_dt(h)
+    states, step = _propagator(h, x0, SkqdParams(krylov_dim=3, shots_per_state=1), dt)
+    assert states.size == reach
+    idx = states.astype(np.int64)
+    outside = np.ones(1 << 16, dtype=bool)
+    outside[idx] = False
+    phi = (states == x0.bits).astype(complex)
+    full = np.zeros(1 << 16, dtype=complex)
+    full[x0.bits] = 1.0
+    for _ in range(2):
+        phi, full = step(phi), evolve_exact(h, full, dt)
+        assert np.abs(full[idx] - phi).max() < 1e-12
+        assert not full[outside].any()  # exact zeros outside R(x0)
+
+
+def _full_statevector_histograms(h, x0, p):
+    """Exact SKQD sampling as it ran on the full 2^n statevector: H as the
+    explicit sparse matrix, traceA from the identity coefficient, and the
+    unclamped inverse-cdf lookup."""
+    dt = default_dt(h, p.dt_multiplier)
+    op = pauli_sum_to_sparse(h)
+    xm, zm, coeff, _ = h.mask_arrays
+    ident = complex(coeff[(xm == 0) & (zm == 0)].sum())
+    phi = np.zeros(1 << h.n_qubits, dtype=complex)
+    phi[x0.bits] = 1.0
+    hists = []
+    for k, child in enumerate(np.random.SeedSequence(p.rng_seed).spawn(p.krylov_dim)):
+        if k > 0:
+            phi = spla.expm_multiply(-1j * dt * op, phi, traceA=-1j * dt * ident * phi.size)
+        probs = np.abs(phi) ** 2
+        probs /= probs.sum()
+        draws = np.random.default_rng(child).random(p.shots_per_state)
+        uniq, counts = np.unique(np.searchsorted(np.cumsum(probs), draws), return_counts=True)
+        hists.append({int(b): int(c) for b, c in zip(uniq, counts)})
+    return hists
+
+
+def test_run_skqd_histograms_match_full_statevector_loop(cli_patch):
+    h, cert, _ = cli_patch
+    p = SkqdParams(krylov_dim=3, shots_per_state=50_000, rng_seed=9)
+    with pytest.warns(UserWarning):  # the lone x0 of the first state is filtered out
+        _, _, record = run_skqd(h, cert.initial_config, p)
+    assert record.histograms == _full_statevector_histograms(h, cert.initial_config, p)
+
+
+def test_exact_skqd_closure_budget(bare_three_patch):
+    h, cert = bare_three_patch
+    p = SkqdParams(krylov_dim=2, shots_per_state=10, dim_cap=1000)
+    with pytest.raises(BudgetExceeded, match="1196 exceeds cap 1000"):
+        run_skqd(h, cert.initial_config, p)
+
+
+def test_exact_skqd_on_bare_three_patch(bare_three_patch):
+    h, cert = bare_three_patch
+    x0 = cert.initial_config
+    assert h.n_qubits == 49
+    states, _ = _propagator(h, x0, SkqdParams(krylov_dim=1, shots_per_state=1), default_dt(h))
+    assert states.size == 4096
+    p = SkqdParams(krylov_dim=10, shots_per_state=20_000, rng_seed=9)
+    eig, _, record = run_skqd(h, x0, p)
+    assert cert.energy - 1e-9 <= eig.value < cert.energy + 1e-9
+    assert support_coverage(record, cert)[-1] == len(cert.support) == 512
+    # the Trotter modes still evolve the full register, which 49 qubits exceed
+    with pytest.raises(ValueError):
+        run_skqd(h, x0, SkqdParams(krylov_dim=2, shots_per_state=10, evolution="trotter2"))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,10 +12,13 @@ from sparsegs.subspace import (
     ConfigurationBasis,
     connected_bits,
     connected_configurations,
+    ZERO_TOL,
     connectivity_filter,
     project_fast,
     project_naive,
+    reachable_bits,
 )
+from sparsegs.trace import BudgetExceeded
 
 
 def test_singleton_basis_projects_to_diagonal():
@@ -244,3 +248,82 @@ def test_empty_basis_lookup():
     b = ConfigurationBasis([], 4)
     out = b.addresses_of(np.array([0, 3], dtype=np.uint64))
     assert list(out) == [-1, -1]
+
+
+def test_basis_from_uint64_array():
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 1 << 62, size=300, dtype=np.uint64) | np.uint64(1 << 63)
+    bits = np.concatenate([bits, bits[::7], np.array([0, 5], dtype=np.uint64)])
+    kept = bits.copy()
+    b = ConfigurationBasis(bits, 64)
+    assert np.array_equal(bits, kept)  # the input is left alone
+    assert b.bits.dtype == np.uint64
+    assert np.array_equal(b.bits, np.unique(bits))  # sorted and unique
+    assert np.array_equal(ConfigurationBasis([int(x) for x in bits], 64).bits, b.bits)
+    assert np.array_equal(ConfigurationBasis([Configuration(int(x), 64) for x in bits]).bits,
+                          b.bits)
+    assert len(ConfigurationBasis(np.zeros(0, dtype=np.uint64), 4)) == 0
+    with pytest.raises(ValueError):
+        ConfigurationBasis(bits)
+
+
+def _project_unfiltered(h, b):
+    """project_fast as it was before elements were filtered per group: every
+    addressed element concatenated, then summed and filtered in CSR."""
+    rows, cols, vals = [], [], []
+    for g, x in enumerate(h.x_groups[0]):
+        addr = b.addresses_of(b.bits ^ x)
+        hit = np.flatnonzero(addr >= 0)
+        rows.append(addr[hit])
+        cols.append(hit)
+        vals.append(group_elements(h, b.bits[hit], slice(g, g + 1))[0])
+    m = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(b), len(b)), dtype=complex)
+    m.sum_duplicates()
+    m.data[np.abs(m.data) < ZERO_TOL] = 0.0
+    m.eliminate_zeros()
+    return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_group_filtered_projection_is_bit_identical(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = 7
+    h = grouped_pauli_sum(rng, n, 6, 6)
+    for size in (1, 40, 1 << n):
+        bits = rng.choice(1 << n, size=size, replace=False).astype(np.uint64)
+        b = ConfigurationBasis(bits, n)
+        got, want = project_fast(h, b).rows, _project_unfiltered(h, b)
+        assert got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    assert (group_elements(h, np.arange(1 << n, dtype=np.uint64)) == 0).any()  # cancellations
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reachable_bits_is_the_dense_closure(seed):
+    rng = np.random.default_rng(400 + seed)
+    n = 7
+    h = grouped_pauli_sum(rng, n, 3, 4)
+    link = np.abs(kron_dense(h)) >= ZERO_TOL
+    start = int(rng.integers(0, 1 << n))
+    want = np.zeros(1 << n, dtype=bool)
+    want[start] = True
+    while True:
+        grown = want | link[:, want].any(axis=1)
+        if (grown == want).all():
+            break
+        want = grown
+    got = reachable_bits(h, np.array([start], dtype=np.uint64), 1 << n)
+    assert np.array_equal(got, np.flatnonzero(want).astype(np.uint64))
+    assert connected_bits(h, got).size == 0  # closed under H
+    if got.size > 1:
+        with pytest.raises(BudgetExceeded):
+            reachable_bits(h, np.array([start], dtype=np.uint64), got.size - 1)
+
+
+def test_reachable_bits_of_patch_support(patch_instance):
+    h, cert = patch_instance
+    r = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 10**7)
+    assert r.size == 16
+    assert {c.bits for c in cert.support} <= set(r.tolist())
