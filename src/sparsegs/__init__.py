@@ -53,7 +53,6 @@ from .skqd import ShotRecord, SkqdParams, default_dt, evolve_exact, evolve_trott
 from .subspace import (
     ConfigurationBasis,
     ProjectedMatrix,
-    connected_configurations,
     connectivity_filter,
     project_fast,
     project_naive,

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import EigResult, lowest_eigenpair
-from .paulis import Configuration, PauliSum, SparseVector, apply_sum_to_vector, diagonal_element
+from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
+                     diagonal_element, index_in, unique_bits)
 from .subspace import ConfigurationBasis, connected_bits, project_fast
 from .trace import (
     DEFAULT_DIM_CAP,
@@ -73,7 +74,7 @@ def run_diag_ranking(
         t0 = time.perf_counter()
         reachable = connected_bits(h, np.sort(work_bits))
         flops.add(work_bits.size * len(h))
-        new_bits = reachable[~np.isin(reachable, res_bits)]
+        new_bits = reachable[index_in(np.sort(res_bits), reachable) < 0]
         if new_bits.size:
             new_energy = np.asarray(diagonal_element(h, new_bits), dtype=float)
             flops.add(new_bits.size * len(h))
@@ -185,7 +186,7 @@ def run_truncated_arnoldi(
         v_next = u.scaled(1.0 / nrm)
         vecs.append(v_next)
         before = union.size
-        union = np.union1d(union, v_next.bits)
+        union = unique_bits(np.concatenate((union, v_next.bits)))
         if union.size > p.dim_cap:
             raise BudgetExceeded(f"support union {union.size} exceeds cap {p.dim_cap}")
         energy = float("nan")

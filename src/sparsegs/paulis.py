@@ -367,6 +367,17 @@ def unique_bits(bits: np.ndarray) -> np.ndarray:
     return bits[np.concatenate(([True], bits[1:] != bits[:-1]))] if bits.size else bits
 
 
+def index_in(members: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Index of each of `bits` in the sorted, duplicate-free `members`, or
+    -1 when absent; by binary search, as NumPy's isin takes about 3x longer."""
+    if members.size == 0:
+        return np.full(bits.shape, -1, dtype=np.int64)
+    pos = np.searchsorted(members, bits).astype(np.int64, copy=False)
+    np.minimum(pos, members.size - 1, out=pos)  # in place: `bits` can hold millions of images
+    pos[members[pos] != bits] = -1
+    return pos
+
+
 def pauli_signs(bits: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
     """(-1)^popcount(bits & z) as floats, shape (len(z_masks), len(bits))."""
     return 1.0 - 2.0 * (np.bitwise_count(bits[None, :] & z_masks[:, None]) & 1)

@@ -7,9 +7,9 @@ variant's selection function which candidates survive.  CIPSI and HCI
 grow without bound and terminate when the basis stops changing; ASCI and
 TrimCI hold the diagonalization dimension fixed.
 
-The public selection functions speak configuration sets; the loop itself
-runs on packed uint64 arrays so large pools avoid per-configuration
-object churn.
+Configurations are packed uint64 bits throughout: the selection functions
+take and return sorted, duplicate-free arrays, so large pools avoid
+per-configuration object churn.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigensolver import EigResult, lowest_eigenpair
 from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
-                     diagonal_element, group_images)
+                     diagonal_element, group_images, index_in, unique_bits)
 from .subspace import ConfigurationBasis, connected_bits, project_fast
 from .trace import (
     DEFAULT_DIM_CAP,
@@ -98,10 +98,8 @@ def _perturbative_scores(
     denominator guard mapping near-zero gaps to +inf (always select)."""
     hpsi = apply_sum_to_vector(h, psi)
     flops.add((len(psi) + cand_bits.size) * len(h))
-    pos = np.searchsorted(hpsi.bits, cand_bits)
-    pos_c = np.minimum(pos, max(hpsi.bits.size - 1, 0))
-    hit = (hpsi.bits.size > 0) & (hpsi.bits[pos_c] == cand_bits)
-    num = np.where(hit, np.abs(hpsi.amps[pos_c]), 0.0)
+    idx = index_in(hpsi.bits, cand_bits)
+    num = np.where(idx >= 0, np.abs(hpsi.amps[idx]), 0.0)
     den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)
     out = np.empty(cand_bits.size)
     guarded = den < DENOMINATOR_GUARD
@@ -122,44 +120,56 @@ def _hci_scores(
         return best
     flops.add(core_bits.size * len(h))
     for lo, img, d in group_images(h, core_bits):
-        pos = np.minimum(np.searchsorted(cand_bits, img), cand_bits.size - 1)
-        hit = cand_bits[pos] == img
+        pos = index_in(cand_bits, img)
+        hit = pos >= 0
         vals = np.abs(d * core_amps[None, lo : lo + img.shape[1]])
         np.maximum.at(best, pos[hit], vals[hit])
     return best
 
 
-# -- array-level selection kernels --------------------------------------------
+# -- selection rules -----------------------------------------------------------
+#
+# Each rule takes the sorted candidates, the sorted core and the core's
+# eigenvector restricted to it, and returns the next basis as a sorted,
+# duplicate-free array.  core_bits travels beside core_state because
+# SparseVector drops exact-zero amplitudes that still belong to the core.
 
 
 def _core_amplitudes(core_bits: np.ndarray, core_state: SparseVector) -> np.ndarray:
     """|c_i| per core member; members the eigenvector left at exactly zero
     still belong to the core, they just score zero."""
-    pos = np.searchsorted(core_state.bits, core_bits)
-    pos_c = np.minimum(pos, max(core_state.bits.size - 1, 0))
-    hit = (core_state.bits.size > 0) & (core_state.bits[pos_c] == core_bits)
-    return np.where(hit, np.abs(core_state.amps[pos_c]), 0.0)
+    idx = index_in(core_state.bits, core_bits)
+    return np.where(idx >= 0, np.abs(core_state.amps[idx]), 0.0)
 
 
-def _cipsi_bits(cand_bits, core_bits, core_state, e0, h, epsilon, flops):
+def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+                 e0: float, h: PauliSum, epsilon: float, flops: FlopCounter) -> np.ndarray:
+    """First-order perturbation-theory thresholding; the core is always
+    retained."""
     if cand_bits.size:
         scores = _perturbative_scores(h, core_state, e0, cand_bits, flops)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
-    return np.union1d(core_bits, passed)
+    return unique_bits(np.concatenate((core_bits, passed)))
 
 
-def _hci_bits(cand_bits, core_bits, core_state, h, epsilon, flops):
+def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+               h: PauliSum, epsilon: float, flops: FlopCounter) -> np.ndarray:
+    """Heat-bath criterion: largest single matrix element times amplitude;
+    the core is always retained."""
     if cand_bits.size:
         scores = _hci_scores(h, core_state.bits, core_state.amps, cand_bits, flops)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
-    return np.union1d(core_bits, passed)
+    return unique_bits(np.concatenate((core_bits, passed)))
 
 
-def _asci_bits(cand_bits, core_bits, core_state, e0, h, d_cap, flops):
+def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+                e0: float, h: PauliSum, d_cap: int, flops: FlopCounter) -> np.ndarray:
+    """Rank core amplitudes and candidate perturbative estimates on equal
+    footing; keep the top d_cap."""
     cand_scores = (
         _perturbative_scores(h, core_state, e0, cand_bits, flops)
         if cand_bits.size
@@ -171,7 +181,17 @@ def _asci_bits(cand_bits, core_bits, core_state, e0, h, d_cap, flops):
     return np.sort(all_bits[order])
 
 
-def _trimci_bits(cand_bits, core_bits, core_state, e0, h, epsilon, trim, eig_seed, flops):
+def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+                  e0: float, h: PauliSum, epsilon: float, trim: TrimParams, eig_seed: int,
+                  flops: FlopCounter) -> np.ndarray:
+    """Two-phase TrimCI selection.
+
+    Phase 1 filters candidates with the CIPSI-form rule (or HCI-form),
+    either at the fixed threshold or at a dynamically bisected one
+    targeting |core| + |filtered| = F |core| within 5%.  Phase 2 randomly
+    partitions core + filtered into n_subsets equal subsets, diagonalizes
+    each, and keeps the keep_per_subset largest amplitudes from each.
+    """
     n = h.n_qubits
     if trim.first_phase == "cipsi":
         scores = (
@@ -206,7 +226,7 @@ def _trimci_bits(cand_bits, core_bits, core_state, e0, h, epsilon, trim, eig_see
             eps_dyn = mid
         filtered = cand_bits[scores > eps_dyn]
 
-    pool = np.union1d(core_bits, filtered)
+    pool = unique_bits(np.concatenate((core_bits, filtered)))
     rng = np.random.default_rng(trim.seed)
     perm = rng.permutation(pool.size)
     subsets = np.array_split(pool[perm], trim.n_subsets)
@@ -228,70 +248,7 @@ def _trimci_bits(cand_bits, core_bits, core_state, e0, h, epsilon, trim, eig_see
         kept.append(basis.bits[order])
     if not kept:
         return np.zeros(0, dtype=np.uint64)
-    return np.unique(np.concatenate(kept))
-
-
-# -- public selection functions ------------------------------------------------
-
-
-def _to_bits(candidates) -> np.ndarray:
-    return np.array(sorted(c.bits for c in candidates), dtype=np.uint64)
-
-
-def _to_configs(bits: np.ndarray, n: int) -> set[Configuration]:
-    return {Configuration(int(b), n) for b in bits}
-
-
-def select_cipsi(candidates, prev_state: SparseVector, prev_energy: float,
-                 h: PauliSum, epsilon: float) -> set[Configuration]:
-    """First-order perturbation-theory thresholding; the previous state's
-    support is always retained."""
-    return _to_configs(
-        _cipsi_bits(_to_bits(candidates), prev_state.bits, prev_state,
-                    prev_energy, h, epsilon, FlopCounter()),
-        h.n_qubits,
-    )
-
-
-def select_hci(candidates, prev_state: SparseVector, h: PauliSum,
-               epsilon: float) -> set[Configuration]:
-    """Heat-bath criterion: largest single matrix element times amplitude."""
-    return _to_configs(
-        _hci_bits(_to_bits(candidates), prev_state.bits, prev_state, h, epsilon,
-                  FlopCounter()),
-        h.n_qubits,
-    )
-
-
-def select_asci(candidates, core_state: SparseVector, prev_energy: float,
-                h: PauliSum, d_cap: int) -> set[Configuration]:
-    """Rank core amplitudes and candidate perturbative estimates on equal
-    footing; keep the top d_cap."""
-    return _to_configs(
-        _asci_bits(_to_bits(candidates), core_state.bits, core_state,
-                   prev_energy, h, d_cap, FlopCounter()),
-        h.n_qubits,
-    )
-
-
-def select_trimci(candidates, core_state: SparseVector, prev_energy: float,
-                  h: PauliSum, epsilon: float, trim: TrimParams,
-                  eig_seed: int = 0) -> set[Configuration]:
-    """Two-phase TrimCI selection.
-
-    Phase 1 filters candidates with the CIPSI-form rule (or HCI-form),
-    either at the fixed threshold or at a dynamically bisected one
-    targeting |core| + |filtered| = F |core| within 5%.  Phase 2 randomly
-    partitions core + filtered into n_subsets equal subsets, diagonalizes
-    each, and keeps the keep_per_subset largest amplitudes from each.
-    """
-    return _to_configs(
-        _trimci_bits(
-            _to_bits(candidates), core_state.bits, core_state, prev_energy, h,
-            epsilon, trim, eig_seed, FlopCounter()
-        ),
-        h.n_qubits,
-    )
+    return unique_bits(np.concatenate(kept))
 
 
 def _diagonalize(
@@ -322,7 +279,7 @@ def run_sci(
         raise ValueError("qubit-count mismatch")
 
     n = h.n_qubits
-    current = np.unique(np.array([c.bits for c in initial], dtype=np.uint64))
+    current = unique_bits(np.array([c.bits for c in initial], dtype=np.uint64))
     flops = FlopCounter()
     trace = SolverTrace(solver=p.variant)
     trace.status = STATUS_MAX_ITERS
@@ -346,18 +303,18 @@ def run_sci(
         flops.add(core_bits.size * len(h))
 
         if p.variant == "cipsi":
-            nxt = _cipsi_bits(cands, core_bits, core_state, eig.value, h, p.epsilon, flops)
+            nxt = select_cipsi(cands, core_bits, core_state, eig.value, h, p.epsilon, flops)
         elif p.variant == "hci":
-            nxt = _hci_bits(cands, core_bits, core_state, h, p.epsilon, flops)
+            nxt = select_hci(cands, core_bits, core_state, h, p.epsilon, flops)
         elif p.variant == "asci":
-            nxt = _asci_bits(cands, core_bits, core_state, eig.value, h, p.d_cap, flops)
+            nxt = select_asci(cands, core_bits, core_state, eig.value, h, p.d_cap, flops)
         else:
-            nxt = _trimci_bits(
+            nxt = select_trimci(
                 cands, core_bits, core_state, eig.value, h, p.epsilon, p.trim,
                 p.eig_seed, flops
             )
 
-        new_count = int(nxt.size - np.isin(nxt, current).sum())
+        new_count = int((index_in(current, nxt) < 0).sum())
         trace.add(
             iteration=mu,
             subspace_dim=len(basis),

@@ -24,7 +24,8 @@ import scipy.sparse.linalg as spla
 
 from .builder import GroundStateCertificate
 from .eigensolver import EigResult, lowest_eigenpair
-from .paulis import Configuration, PauliSum, diagonal_element, group_elements, pauli_signs
+from .paulis import (Configuration, PauliSum, diagonal_element, group_elements, pauli_signs,
+                     unique_bits)
 from .subspace import ConfigurationBasis, connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, SolverTrace
 
@@ -217,7 +218,7 @@ def run_skqd(
     trace.status = STATUS_MAX_ITERS
 
     phi = (states == np.uint64(x0.bits)).astype(complex)
-    pool_bits: set[int] = {x0.bits}
+    pool = np.array([x0.bits], dtype=np.uint64)
     eig = None
 
     for k in range(p.krylov_dim):
@@ -233,13 +234,12 @@ def run_skqd(
         uniq, counts = np.unique(samples, return_counts=True)
         record.histograms.append({int(b): int(c) for b, c in zip(uniq, counts)})
         record.state_seeds.append(int(children[k].entropy))
-        pool_bits.update(int(b) for b in uniq)
-        if len(pool_bits) > p.dim_cap:
-            raise BudgetExceeded(f"pool of {len(pool_bits)} exceeds cap {p.dim_cap}")
+        pool = unique_bits(np.concatenate((pool, uniq)))
+        if pool.size > p.dim_cap:
+            raise BudgetExceeded(f"pool of {pool.size} exceeds cap {p.dim_cap}")
 
-        pool_cfg = {Configuration(b, n) for b in pool_bits}
-        kept = connectivity_filter(h, pool_cfg)
-        if not kept:
+        kept = connectivity_filter(h, pool)
+        if not kept.size:
             warnings.warn("connectivity filter removed the whole pool; "
                           "falling back to the initial configuration's diagonal energy")
             e0 = float(diagonal_element(h, np.uint64(x0.bits)))

@@ -3,7 +3,7 @@ import pytest
 
 from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.lattice import PatchEmbedding, build_path
-from sparsegs.paulis import PauliString, PauliSum
+from sparsegs.paulis import PauliString, PauliSum, index_in
 
 
 def random_pauli_sum(rng, n, n_terms, real=True):
@@ -39,6 +39,12 @@ def kron_dense(h):
     for coeff, s in h.terms:
         m += coeff * s.dense()
     return m
+
+
+def support_covered(basis, cert):
+    """How many certificate-support configurations the basis holds."""
+    support = np.array([c.bits for c in cert.support], dtype=np.uint64)
+    return int((index_in(basis.bits, support) >= 0).sum())
 
 
 @pytest.fixture(scope="session")

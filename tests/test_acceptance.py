@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import kron_dense, random_pauli_sum
+from conftest import kron_dense, random_pauli_sum, support_covered
 from sparsegs.builder import (
     ConstructionParams,
     CoreBlockParams,
@@ -36,10 +36,10 @@ from sparsegs.matrixfree import (
     run_truncated_arnoldi,
     tpm_theory,
 )
-from sparsegs.paulis import Configuration, decompose_dense_block
+from sparsegs.paulis import Configuration, decompose_dense_block, index_in, unique_bits
 from sparsegs.sci import SciParams, run_sci
 from sparsegs.skqd import SkqdParams, pauli_sum_to_sparse, run_skqd, support_coverage
-from sparsegs.subspace import ConfigurationBasis, connected_configurations, project_fast, project_naive
+from sparsegs.subspace import ConfigurationBasis, connected_bits, project_fast, project_naive
 
 PRINTED_PSI0 = np.array([-0.018, -0.014, -0.049, 0.119, -0.298, 0.449, -0.559, 0.616])
 
@@ -189,11 +189,12 @@ def test_criterion_04_construction_certificates(patch_instance):
         psi16[c.bits] = a
     support_ok = np.linalg.norm(m @ psi16) < 1e-7
 
-    basis = ConfigurationBasis(cert.support, 16)
+    support = np.array([c.bits for c in cert.support], dtype=np.uint64)
+    basis = ConfigurationBasis(support, 16)
     proj = project_fast(h, basis).rows.toarray()
     # the bit-sorted basis permutes the obfuscated support; compare in the
     # certificate's logical order
-    perm = np.array([basis.address(c) for c in cert.support])
+    perm = index_in(basis.bits, support)
     block = proj[np.ix_(perm, perm)]
     block_ok = np.abs(block.real - build_core_block(CoreBlockParams())).max() < 1e-10
 
@@ -262,7 +263,7 @@ def test_criterion_06_projection_equivalence_and_scaling(flagship):
         h = random_pauli_sum(rng, n, int(rng.integers(1, 14)))
         size = int(rng.integers(1, min(64, 1 << n) + 1))
         bits = rng.choice(1 << n, size=size, replace=False)
-        b = ConfigurationBasis([int(x) for x in bits], n)
+        b = ConfigurationBasis(bits, n)
         diff = project_fast(h, b).rows - project_naive(h, b).rows
         if diff.nnz and np.abs(diff.data).max() > 1e-12:
             agree = False
@@ -270,20 +271,19 @@ def test_criterion_06_projection_equivalence_and_scaling(flagship):
 
     # 1e5-configuration pool from the flagship instance
     h49, cert = flagship
-    pool = {c.bits for c in cert.support}
-    frontier = set(cert.support)
-    while len(pool) < 100_000:
-        frontier = connected_configurations(h49, frontier)
-        new_bits = {c.bits for c in frontier} - pool
-        if not new_bits:
+    pool_bits = unique_bits(np.array([c.bits for c in cert.support], dtype=np.uint64))
+    frontier = pool_bits
+    while pool_bits.size < 100_000:
+        frontier = connected_bits(h49, frontier)
+        new_bits = frontier[index_in(pool_bits, frontier) < 0]
+        if not new_bits.size:
             break
-        pool.update(new_bits)
-    pool_bits = np.array(sorted(pool), dtype=np.uint64)
+        pool_bits = unique_bits(np.concatenate((pool_bits, new_bits)))
     assert pool_bits.size >= 100_000, f"closure reached only {pool_bits.size} configurations"
     pool_bits = pool_bits[:100_000]
 
-    half = ConfigurationBasis([int(b) for b in pool_bits[:50_000]], 49)
-    full = ConfigurationBasis([int(b) for b in pool_bits], 49)
+    half = ConfigurationBasis(pool_bits[:50_000], 49)
+    full = ConfigurationBasis(pool_bits, 49)
     t0 = time.perf_counter()
     project_fast(h49, half)
     t_half = time.perf_counter() - t0
@@ -315,13 +315,10 @@ def test_criterion_07_solver_contrast(patch_instance):
                 stalled = False
                 break
 
-    def covered(basis):
-        return sum(1 for c in cert.support if basis.address(c) >= 0)
-
     tarnoldi_m = None
     for m in (2, 8, 64, 1024, 4096):
         eig, _, basis = run_truncated_arnoldi(h, x0, TruncArnoldiParams(m, 64))
-        if abs(eig.value) <= 1e-7 and covered(basis) == 8:
+        if abs(eig.value) <= 1e-7 and support_covered(basis, cert) == 8:
             tarnoldi_m = m
             break
 

@@ -180,6 +180,7 @@ def test_main_patch_certificate_energy_zero():
     assert apply_sum_to_vector(h, v).norm() < 1e-10
 
 
+@pytest.mark.slow
 def test_main_patch_full_spectrum_psd_and_support():
     # 2^16 verification: lowest eigenvalue 0, kernel = vacuum + certificate
     pr = build_main_patch(list(range(16)), CoreBlockParams(), 0.1, 0.01, 16)

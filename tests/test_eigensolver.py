@@ -8,6 +8,7 @@ import scipy.sparse as sp
 
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.eigensolver import DENSE_CAP, dense_lowest, lanczos_lowest, lowest_eigenpair
+import sparsegs.subspace as subspace
 from sparsegs.subspace import ConfigurationBasis, project_fast
 
 
@@ -29,7 +30,7 @@ def test_lanczos_matches_dense_on_random_symmetric():
 
 def test_lanczos_on_projected_core_block(patch_instance):
     h, cert = patch_instance
-    basis = ConfigurationBasis(cert.support, 16)
+    basis = ConfigurationBasis([c.bits for c in cert.support], 16)
     proj = project_fast(h, basis)
     r = lanczos_lowest(proj, seed=0)
     assert abs(r.value) < 1e-7
@@ -143,3 +144,21 @@ def test_perfbench_traced_names_resolve():
         rec.uninstall()
     names = [s[0] for s in rec.spans]
     assert names == ["eigensolver.dense_lowest", "eigensolver.lanczos_lowest"]
+
+
+def test_perfbench_filter_counts_kept_configurations(patch_instance):
+    # the tracer reads len(out) as the kept count, so the filter must return
+    # the kept configurations; a mask over the pool would read 9/9
+    h, cert = patch_instance
+    support = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
+    spans = _perfbench_spans()
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        subspace.connectivity_filter(h, support)
+        subspace.connectivity_filter(h, np.array([cert.support[0].bits], dtype=np.uint64))
+    finally:
+        rec.uninstall()
+    stats = spans.layer_stats(rec.spans, rec.phase)
+    assert stats["subspace.connectivity_filter.calls"] == 2
+    assert stats["subspace.connectivity_filter.kept_ratio"] == 8 / 9

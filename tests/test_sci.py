@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
+from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum, support_covered
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
@@ -20,12 +20,16 @@ from sparsegs.sci import (
     select_hci,
     select_trimci,
 )
-from sparsegs.subspace import connected_configurations
+from sparsegs.subspace import connected_bits
 from sparsegs.trace import FlopCounter
 
 
 def core_block_as_pauli_sum():
     return decompose_dense_block(build_core_block(CoreBlockParams()), [0, 1, 2], 3)
+
+
+def bits(*xs):
+    return np.array(xs, dtype=np.uint64)
 
 
 # -- run_sci ------------------------------------------------------------------
@@ -40,7 +44,7 @@ def test_cipsi_stalls_on_patch(patch_instance):
         eig, trace, basis = run_sci(h, cert.initial_config, SciParams("cipsi", epsilon=eps))
         assert eig.value > 0.1
         assert trace.status == "stalled"
-        support_found = sum(1 for c in cert.support if basis.address(c) >= 0)
+        support_found = support_covered(basis, cert)
         assert support_found < 8  # never exhausts the support
 
 
@@ -129,19 +133,20 @@ def test_select_cipsi_rejects_zero_numerator():
     amp = np.array([-p.c, p.b])
     amp /= np.linalg.norm(amp)
     psi = SparseVector([0, 1], amp, 3)
-    cands = {Configuration(2, 3)}
+    cands = bits(2)
     for eps in (1e-12, 1e-6, 1e-2):
-        kept = select_cipsi(cands, psi, 0.1261663, h, eps)
-        assert Configuration(2, 3) not in kept
-        assert Configuration(0, 3) in kept and Configuration(1, 3) in kept
+        kept = select_cipsi(cands, psi.bits, psi, 0.1261663, h, eps, FlopCounter())
+        assert 2 not in kept
+        assert 0 in kept and 1 in kept
 
 
 def test_select_cipsi_zero_threshold_keeps_all_connected():
     h = core_block_as_pauli_sum()
     psi = SparseVector([0], [1.0], 3)
-    cands = connected_configurations(h, {Configuration(0, 3)})
-    kept = select_cipsi(cands, psi, float(matrix_element(h, Configuration(0, 3), Configuration(0, 3)).real), h, 0.0)
-    assert cands <= kept  # the documented full-CI limit
+    cands = connected_bits(h, bits(0))
+    e00 = float(matrix_element(h, Configuration(0, 3), Configuration(0, 3)).real)
+    kept = select_cipsi(cands, psi.bits, psi, e00, h, 0.0, FlopCounter())
+    assert np.isin(cands, kept).all()  # the documented full-CI limit
 
 
 def test_select_cipsi_hand_computed_three_qubits():
@@ -149,7 +154,7 @@ def test_select_cipsi_hand_computed_three_qubits():
     dense = build_core_block(CoreBlockParams())
     psi = SparseVector([0], [1.0], 3)
     e0 = dense[0, 0]
-    cands = connected_configurations(h, {Configuration(0, 3)})
+    cands = connected_bits(h, bits(0))
     # by hand: |1> has score |1 / (a - (a+1/2))| = 2, |2> has |b / (a+2 - (a+1/2))| = |b|/1.5
     scores = {
         1: abs(dense[1, 0] / (dense[1, 1] - e0)),
@@ -157,22 +162,22 @@ def test_select_cipsi_hand_computed_three_qubits():
     }
     eps = 0.53  # between the two hand-computed scores
     assert scores[2] < eps < scores[1]
-    kept = select_cipsi(cands, psi, e0, h, eps)
-    assert Configuration(1, 3) in kept
-    assert Configuration(2, 3) not in kept
+    kept = select_cipsi(cands, psi.bits, psi, e0, h, eps, FlopCounter())
+    assert 1 in kept
+    assert 2 not in kept
 
 
 def test_select_hci_zero_amplitude_core_rejected():
     h = core_block_as_pauli_sum()
     psi = SparseVector([0, 1], [1.0, 0.0], 3)  # amplitude on |1> is zero -> pruned
-    kept = select_hci({Configuration(2, 3)}, psi, h, 1e-10)
+    kept = select_hci(bits(2), psi.bits, psi, h, 1e-10, FlopCounter())
     # |2> couples to |0> (element b) and |1> (element c); with c_0 = 1 the
     # max is |b| so it IS kept; now zero out the only coupled amplitude
-    assert Configuration(2, 3) in kept
+    assert 2 in kept
     psi0 = SparseVector([1], [1.0], 3)  # only |1| in core
-    kept2 = select_hci({Configuration(3, 3)}, psi0, h, 1e-10)
+    kept2 = select_hci(bits(3), psi0.bits, psi0, h, 1e-10, FlopCounter())
     # <3|H|1> = 0, so nothing drives |3>
-    assert Configuration(3, 3) not in kept2
+    assert 3 not in kept2
 
 
 def test_select_hci_matches_brute_force():
@@ -183,12 +188,12 @@ def test_select_hci_matches_brute_force():
     amps /= np.linalg.norm(amps)
     core_bits = [0, 3, 5, 6]
     psi = SparseVector(core_bits, amps, 3)
-    cands = {Configuration(b, 3) for b in (1, 2, 4, 7)}
+    cands = bits(1, 2, 4, 7)
     eps = 0.2
-    kept = select_hci(cands, psi, h, eps)
-    for cand in cands:
+    kept = select_hci(cands, psi.bits, psi, h, eps, FlopCounter())
+    for cand in cands.tolist():
         brute = max(
-            abs(dense[cand.bits, b] * a) for b, a in zip(core_bits, psi.amps)
+            abs(dense[cand, b] * a) for b, a in zip(core_bits, psi.amps)
         )
         assert (cand in kept) == (brute > eps)
 
@@ -216,17 +221,17 @@ def test_select_asci_keeps_everything_with_large_cap():
     rng = np.random.default_rng(9)
     h = random_pauli_sum(rng, 4, 8)
     psi = SparseVector([0, 1], [0.8, 0.6], 4)
-    cands = {Configuration(b, 4) for b in (2, 3, 4)}
-    kept = select_asci(cands, psi, 0.0, h, d_cap=100)
-    assert kept == cands | {Configuration(0, 4), Configuration(1, 4)}
+    cands = bits(2, 3, 4)
+    kept = select_asci(cands, psi.bits, psi, 0.0, h, 100, FlopCounter())
+    assert np.array_equal(kept, bits(0, 1, 2, 3, 4))
 
 
 def test_select_asci_magnitude_order():
     h = core_block_as_pauli_sum()
     psi = SparseVector([0], [0.9], 3)
     # candidate |1> gets a first-order estimate well below 0.9
-    kept = select_asci({Configuration(1, 3)}, psi, 2.0, h, d_cap=1)
-    assert kept == {Configuration(0, 3)}
+    kept = select_asci(bits(1), psi.bits, psi, 2.0, h, 1, FlopCounter())
+    assert np.array_equal(kept, bits(0))
 
 
 def test_select_asci_matches_brute_force_ranking():
@@ -238,9 +243,8 @@ def test_select_asci_matches_brute_force_ranking():
     psi = SparseVector(core_bits, amps, 4)
     e0 = -1.3
     cands = sorted(set(range(16)) - set(core_bits))
-    cand_cfgs = {Configuration(b, 4) for b in cands}
     d = 5
-    kept = select_asci(cand_cfgs, psi, e0, h, d_cap=d)
+    kept = select_asci(bits(*cands), psi.bits, psi, e0, h, d, FlopCounter())
     scores = {}
     for b in core_bits:
         scores[b] = abs(dict(zip(core_bits, amps))[b])
@@ -249,28 +253,28 @@ def test_select_asci_matches_brute_force_ranking():
         den = dense[b, b].real - e0
         scores[b] = abs(num / den) if abs(den) > 1e-12 else np.inf
     want = sorted(scores, key=lambda b: (-scores[b], b))[:d]
-    assert {c.bits for c in kept} == set(want)
+    assert set(kept.tolist()) == set(want)
 
 
 def test_select_trimci_degenerate_partition_is_global_keep_all():
     rng = np.random.default_rng(11)
     h = random_pauli_sum(rng, 4, 10)
     psi = SparseVector([0, 1, 2], [0.7, 0.5, 0.5091], 4).normalized()
-    cands = connected_configurations(h, {Configuration(b, 4) for b in (0, 1, 2)})
+    cands = connected_bits(h, bits(0, 1, 2))
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 4, seed=0)
-    kept = select_trimci(cands, psi, -0.5, h, 0.0, trim)
-    assert kept == cands | {Configuration(b, 4) for b in (0, 1, 2)}
+    kept = select_trimci(cands, psi.bits, psi, -0.5, h, 0.0, trim, 0, FlopCounter())
+    assert set(kept.tolist()) == set(cands.tolist()) | {0, 1, 2}
 
 
 def test_select_trimci_reproducible():
     rng = np.random.default_rng(12)
     h = random_pauli_sum(rng, 5, 12)
     psi = SparseVector([0, 1], [0.8, -0.6], 5)
-    cands = connected_configurations(h, {Configuration(0, 5), Configuration(1, 5)})
+    cands = connected_bits(h, bits(0, 1))
     trim = TrimParams(n_subsets=3, keep_per_subset=2, seed=21)
-    a = select_trimci(cands, psi, -1.0, h, 1e-8, trim)
-    b = select_trimci(cands, psi, -1.0, h, 1e-8, trim)
-    assert a == b
+    a = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, 0, FlopCounter())
+    b = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, 0, FlopCounter())
+    assert np.array_equal(a, b)
 
 
 def test_select_trimci_against_independent_reimplementation():
@@ -285,19 +289,19 @@ def test_select_trimci_against_independent_reimplementation():
     psi = SparseVector(core_bits, amps, n)
     e0 = -0.7
     eps = 1e-3
-    cands = connected_configurations(h, {Configuration(b, n) for b in core_bits})
+    cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=3, seed=5)
-    got = select_trimci(cands, psi, e0, h, eps, trim)
+    got = select_trimci(cands, psi.bits, psi, e0, h, eps, trim, 0, FlopCounter())
 
     # oracle
     amp_map = dict(zip(core_bits, amps))
     filtered = []
-    for c in sorted(cands, key=lambda c: c.bits):
-        num = sum(dense[c.bits, b] * a for b, a in amp_map.items())
-        den = dense[c.bits, c.bits].real - e0
+    for c in cands.tolist():
+        num = sum(dense[c, b] * a for b, a in amp_map.items())
+        den = dense[c, c].real - e0
         score = np.inf if abs(den) < 1e-12 else abs(num / den)
         if score > eps:
-            filtered.append(c.bits)
+            filtered.append(c)
     pool = np.unique(np.array(sorted(set(core_bits) | set(filtered)), dtype=np.uint64))
     perm = np.random.default_rng(5).permutation(pool.size)
     subsets = np.array_split(pool[perm], 2)
@@ -309,7 +313,7 @@ def test_select_trimci_against_independent_reimplementation():
         v = vecs[:, 0]
         order = np.lexsort((sub_sorted, -np.abs(v)))[:3]
         want.update(int(sub_sorted[i]) for i in order)
-    assert {c.bits for c in got} == want
+    assert set(got.tolist()) == want
 
 
 def test_trimci_dynamic_epsilon_targets_count():
@@ -319,10 +323,10 @@ def test_trimci_dynamic_epsilon_targets_count():
     amps = rng.standard_normal(8)
     amps /= np.linalg.norm(amps)
     psi = SparseVector(core_bits, amps, 6)
-    cands = connected_configurations(h, {Configuration(b, 6) for b in core_bits})
+    cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=20, expansion_factor=3.0, seed=1)
-    kept = select_trimci(cands, psi, -1.0, h, 0.0, trim)
-    assert kept  # smoke: the bisection found a workable threshold
+    kept = select_trimci(cands, psi.bits, psi, -1.0, h, 0.0, trim, 0, FlopCounter())
+    assert kept.size  # smoke: the bisection found a workable threshold
 
 
 def test_params_validation():

@@ -9,7 +9,7 @@ from scipy.stats import chisquare
 from conftest import kron_dense, random_pauli_sum
 from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
-from sparsegs.paulis import Configuration, PauliString, PauliSum
+from sparsegs.paulis import Configuration, PauliString, PauliSum, unique_bits
 from sparsegs.skqd import (
     ShotRecord,
     SkqdParams,
@@ -22,6 +22,7 @@ from sparsegs.skqd import (
     run_skqd,
     support_coverage,
 )
+from sparsegs.subspace import connectivity_filter
 from sparsegs.trace import BudgetExceeded
 
 
@@ -211,6 +212,25 @@ def test_noise_channel_exercises_filter(patch_instance):
     eig, trace, record = run_skqd(h, cert.initial_config, p)
     assert np.isfinite(eig.value)
     assert eig.value >= -1e-9
+
+
+@pytest.mark.parametrize("flip", [0.0, 0.05])
+def test_pool_accumulates_every_state(patch_instance, flip):
+    # state k is diagonalized on the filtered union of x0 and every sample
+    # drawn from states 0..k; a filter that removes everything falls back
+    # to x0's diagonal energy, a dimension of 1
+    h, cert = patch_instance
+    x0 = cert.initial_config
+    p = SkqdParams(krylov_dim=4, shots_per_state=500, rng_seed=8, bitflip_probability=flip)
+    _, trace, record = run_skqd(h, x0, p)
+    pool = [x0.bits]
+    dims = []
+    for hist in record.histograms:
+        pool += list(hist)
+        dims.append(connectivity_filter(h, unique_bits(np.array(pool, dtype=np.uint64))).size)
+    assert [r.subspace_dim for r in trace.rows] == [d or 1 for d in dims]
+    if flip == 0.0:
+        assert dims[0] == 0  # state 0 is x0 alone: the fallback row
 
 
 def test_support_coverage_edge_cases(patch_instance):

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 import sparsegs.paulis as pl
 from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
-from sparsegs.paulis import Configuration, PauliSum, PauliString, group_elements, matrix_element
+from sparsegs.paulis import (Configuration, PauliSum, PauliString, group_elements, index_in,
+                             matrix_element)
 from sparsegs.subspace import (
     ConfigurationBasis,
     connected_bits,
-    connected_configurations,
     ZERO_TOL,
     connectivity_filter,
     project_fast,
@@ -25,7 +25,7 @@ def test_singleton_basis_projects_to_diagonal():
     rng = np.random.default_rng(0)
     h = random_pauli_sum(rng, 4, 10)
     x = Configuration(5, 4)
-    b = ConfigurationBasis([x])
+    b = ConfigurationBasis([x.bits], 4)
     m = project_fast(h, b).rows.toarray()
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(matrix_element(h, x, x), abs=1e-14)
@@ -66,7 +66,8 @@ def test_projection_diagonal_matches_matrix_element():
     bits = rng.choice(32, size=12, replace=False)
     b = ConfigurationBasis([int(x) for x in bits], 5)
     m = project_fast(h, b).rows.toarray()
-    for i, cfg in enumerate(b.members()):
+    for i, x in enumerate(b.bits.tolist()):
+        cfg = Configuration(x, 5)
         assert m[i, i] == pytest.approx(matrix_element(h, cfg, cfg), abs=1e-12)
 
 
@@ -96,48 +97,42 @@ def test_addressing_modes_agree():
     bits = [int(b) for b in rng.choice(256, size=40, replace=False)]
     bs = ConfigurationBasis(bits, 8)
     assert len(bs) == 40
-    for cfg in bs.members():
-        assert bs.member(bs.address(cfg)) == cfg
-    absent = Configuration(int((set(range(256)) - set(bits)).pop()), 8)
-    assert bs.address(absent) == -1
+    assert np.array_equal(index_in(bs.bits, bs.bits), np.arange(40))
+    query = rng.permutation(bs.bits)
+    assert np.array_equal(bs.bits[index_in(bs.bits, query)], query)
+    absent = np.array([(set(range(256)) - set(bits)).pop()], dtype=np.uint64)
+    assert index_in(bs.bits, absent).tolist() == [-1]
 
 
 def test_connected_banded_neighbors(patch_instance):
     h, cert = patch_instance
-    elem3 = cert.support[3] if False else None
     # support is stored bit-sorted; recover logical order via amplitudes
     # instead use the unobfuscated patch directly
     p = CoreBlockParams()
     pr = build_main_patch(list(range(16)), p, 0.1, 0.01, 16)
     hp = PauliSum(pr.terms, 16)
-    seed = {Configuration(int(pr.support_bits[3]), 16)}
-    conn = connected_configurations(hp, seed)
-    support = [Configuration(int(b), 16) for b in pr.support_bits]
+    conn = connected_bits(hp, np.array([pr.support_bits[3]], dtype=np.uint64)).tolist()
+    support = [int(b) for b in pr.support_bits]
     inside = sorted(support.index(c) for c in conn if c in set(support))
     assert inside == [2, 4]  # the banded core row has neighbors only
     odd = [c for c in conn if c not in set(support)]
-    assert all(c.bits & 0x5555 == 0 for c in odd)  # the rest are S1 images
+    assert all(c & 0x5555 == 0 for c in odd)  # the rest are S1 images
 
 
 def test_connected_empty_seed():
     rng = np.random.default_rng(11)
     h = random_pauli_sum(rng, 4, 6)
-    assert connected_configurations(h, set()) == set()
+    assert connected_bits(h, np.zeros(0, dtype=np.uint64)).size == 0
 
 
 def test_connected_matches_dense_pattern():
     rng = np.random.default_rng(12)
     h = random_pauli_sum(rng, 4, 8)
     dense = kron_dense(h)
-    every = {Configuration(b, 4) for b in range(16)}
     for xb in range(16):
-        got = connected_configurations(h, {Configuration(xb, 4)})
-        want = {
-            Configuration(yb, 4)
-            for yb in range(16)
-            if yb != xb and abs(dense[yb, xb]) >= 1e-14
-        }
-        assert got == want
+        got = connected_bits(h, np.array([xb], dtype=np.uint64))
+        want = [yb for yb in range(16) if yb != xb and abs(dense[yb, xb]) >= 1e-14]
+        assert got.tolist() == want
 
 
 def test_connected_respects_cancellation():
@@ -148,12 +143,12 @@ def test_connected_respects_cancellation():
         [(1.0, PauliString.from_label("X")), (-1j, PauliString.from_label("Y"))], n
     )
     # <1|X|0> = 1, <1|(-i)Y|0> = -i * i = 1 -> net 2 (no cancellation here)
-    assert connected_configurations(h, {Configuration(0, 1)})
+    assert connected_bits(h, np.array([0], dtype=np.uint64)).size
     h2 = PauliSum(
         [(1.0, PauliString.from_label("X")), (1j, PauliString.from_label("Y"))], n
     )
     # <1|X|0> = 1, <1|(i)Y|0> = i * i = -1 -> exact zero, no connection
-    assert connected_configurations(h2, {Configuration(0, 1)}) == set()
+    assert connected_bits(h2, np.array([0], dtype=np.uint64)).size == 0
 
 
 @pytest.mark.parametrize("cap", [None, 64])
@@ -179,61 +174,34 @@ def test_grouped_expansion_matches_dense_oracle(seed, cap):
             want = np.flatnonzero(link[:, src.astype(np.int64)].any(axis=1) & ~inside)
             assert np.array_equal(connected_bits(h, src), want.astype(np.uint64))
 
-            pool = {Configuration(int(b), n) for b in src}
             sub = link[np.ix_(src.astype(np.int64), src.astype(np.int64))]
-            kept = {Configuration(int(b), n) for b in src[sub.any(axis=0)]}
-            assert connectivity_filter(h, pool) == kept
+            assert np.array_equal(connectivity_filter(h, src), src[sub.any(axis=0)])
     finally:
         pl._APPLY_BLOCK = old
 
 
 def test_filter_keeps_connected_support(patch_instance):
     h, cert = patch_instance
-    pool = set(cert.support)
-    assert connectivity_filter(h, pool) == pool
+    pool = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
+    assert np.array_equal(connectivity_filter(h, pool), pool)
 
 
 def test_filter_drops_singleton(patch_instance):
     h, cert = patch_instance
-    assert connectivity_filter(h, {cert.support[0]}) == set()
+    assert connectivity_filter(h, np.array([cert.support[0].bits], dtype=np.uint64)).size == 0
 
 
 def test_filter_drops_far_config(patch_instance):
     h, cert = patch_instance
     far = Configuration(cert.support[0].bits ^ 0b101010101, 16)
-    pool = set(cert.support) | {far}
-    if far not in set(cert.support):
+    support = {c.bits for c in cert.support}
+    pool = np.array(sorted(support | {far.bits}), dtype=np.uint64)
+    if far.bits not in support:
         kept = connectivity_filter(h, pool)
         connected_to_pool = any(
             abs(matrix_element(h, far, c)) >= 1e-14 for c in cert.support
         )
-        assert (far in kept) == connected_to_pool
-
-
-def test_basis_file_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    bits = [int(b) for b in rng.choice(1 << 20, size=25, replace=False)]
-    b = ConfigurationBasis(bits, 20)
-    b.to_file(tmp_path / "basis.txt")
-    b2 = ConfigurationBasis.from_file(tmp_path / "basis.txt")
-    assert np.array_equal(b.bits, b2.bits) and b2.n_qubits == 20
-
-
-def test_coo_export(tmp_path):
-    rng = np.random.default_rng(14)
-    h = random_pauli_sum(rng, 4, 8)
-    b = ConfigurationBasis(list(range(10)), 4)
-    pm = project_fast(h, b)
-    pm.to_coo_text(tmp_path / "m.txt")
-    rows = []
-    for line in (tmp_path / "m.txt").read_text().splitlines():
-        r, c, re, im = line.split()
-        rows.append((int(r), int(c), float(re), float(im)))
-    dense = pm.rows.toarray()
-    rebuilt = np.zeros_like(dense)
-    for r, c, re, im in rows:
-        rebuilt[r, c] = re + 1j * im
-    assert np.abs(rebuilt - dense).max() < 1e-15
+        assert (far.bits in kept) == connected_to_pool
 
 
 def test_width_mismatch_raises():
@@ -246,7 +214,7 @@ def test_width_mismatch_raises():
 
 def test_empty_basis_lookup():
     b = ConfigurationBasis([], 4)
-    out = b.addresses_of(np.array([0, 3], dtype=np.uint64))
+    out = index_in(b.bits, np.array([0, 3], dtype=np.uint64))
     assert list(out) == [-1, -1]
 
 
@@ -260,10 +228,8 @@ def test_basis_from_uint64_array():
     assert b.bits.dtype == np.uint64
     assert np.array_equal(b.bits, np.unique(bits))  # sorted and unique
     assert np.array_equal(ConfigurationBasis([int(x) for x in bits], 64).bits, b.bits)
-    assert np.array_equal(ConfigurationBasis([Configuration(int(x), 64) for x in bits]).bits,
-                          b.bits)
     assert len(ConfigurationBasis(np.zeros(0, dtype=np.uint64), 4)) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ConfigurationBasis(bits)
 
 
@@ -272,7 +238,7 @@ def _project_unfiltered(h, b):
     addressed element concatenated, then summed and filtered in CSR."""
     rows, cols, vals = [], [], []
     for g, x in enumerate(h.x_groups[0]):
-        addr = b.addresses_of(b.bits ^ x)
+        addr = index_in(b.bits, b.bits ^ x)
         hit = np.flatnonzero(addr >= 0)
         rows.append(addr[hit])
         cols.append(hit)
