@@ -3,13 +3,19 @@
 
 Exact Krylov states e^{-iHk dt}|x0> live in the reachable subspace R(x0),
 the closure of x0 under H's nonzero matrix elements, which H maps into
-itself.  They are computed there, on a |R|-vector, by Al-Mohy & Higham's
-`expm_multiply` (SIAM J. Sci. Comput. 33, 2011) applied to H projected onto
-R.  Trotterized variants, kept to study approximation effects, evolve the
-full 2^n statevector, because a single Pauli term can leave R.  Shots are
-drawn per state from the Born distribution with a splittable seeded
-generator, and the pooled configurations are filtered, projected, and
-diagonalized classically.
+itself.  They are computed there, on a |R|-vector, by the Chebyshev
+propagator of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)) for H_R,
+H projected onto R.  H_R is Hermitian, so its spectrum lies in the interval
+[c - r, c + r] spanned by its Gershgorin discs; with a = r dt, the series in
+the Chebyshev polynomials of (H_R - c)/r has coefficients 2 (-i)^k J_k(a)
+and is cut at the first K terms whose tail bound 2 sum_{k >= K} (a/2)^k / k!
+is at most 2^-53, so a step costs K - 1 = a + O(a^{1/3}) sparse products.
+`evolve_exact` keeps SciPy's `expm_multiply` on the full 2^n statevector as
+the tests' independent oracle.  Trotterized variants, kept to study
+approximation effects, evolve the full 2^n statevector, because a single
+Pauli term can leave R.  Shots are drawn per state from the Born
+distribution with a splittable seeded generator, and the pooled
+configurations are filtered, projected, and diagonalized classically.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .eigensolver import EigResult, lowest_eigenpair
 from .paulis import (Configuration, PauliSum, diagonal_element, group_elements, pauli_signs,
                      unique_bits)
 from .subspace import ConfigurationBasis, connectivity_filter, project_fast, reachable_bits
-from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, SolverTrace
+from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, FlopCounter, SolverTrace
 
 STATEVECTOR_QUBIT_BUDGET = 24  # Trotter evolution's full statevector
 _EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
@@ -127,47 +133,136 @@ def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
     return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))
 
 
-def _apply_term_exponential(v, xm, zm, phase, theta):
-    """exp(-i theta P) v = cos(theta) v - i sin(theta) P v."""
-    idx = np.arange(v.size, dtype=np.uint64)
-    signs = pauli_signs(idx, np.array([zm]))[0]
-    pv = np.empty_like(v)
-    pv[(idx ^ xm).astype(np.int64)] = phase * signs * v
-    return np.cos(theta) * v - 1j * np.sin(theta) * pv
+def _bessel_j(a: float, count: int) -> np.ndarray:
+    """J_0(a), ..., J_{count-1}(a) as Fourier coefficients of the
+    Jacobi-Anger expansion e^{ia sin tau} = sum_k J_k(a) e^{ik tau}, from
+    2 count samples, so each value aliases only orders count and above."""
+    n = 2 * count
+    return np.fft.fft(np.exp(1j * a * np.sin(2 * np.pi * np.arange(n) / n))).real[:count] / n
+
+
+def _chebyshev_order(a: float) -> int:
+    """Smallest K with 2 sum_{k >= K} (a/2)^k / k! <= 2^-53, for a > 0.
+
+    |J_k(a)| <= (a/2)^k / k! (DLMF 10.14.4), so this bounds the tail
+    2 sum_{k >= K} |J_k(a)| of the Chebyshev series.  The sum runs to
+    e a + 64, past which the terms add less than 2^-63; terms above 1 are
+    clipped, since the tail there is far above 2^-53 anyway."""
+    k = np.arange(int(np.e * a) + 64)
+    log_term = k * np.log(a / 2) - np.cumsum(np.log(np.maximum(k, 1)))
+    tail = 2 * np.cumsum(np.exp(np.minimum(log_term, 0.0))[::-1])[::-1]
+    return int(np.argmax(tail <= 2.0**-53))
+
+
+class ChebyshevPropagator:
+    """e^{-iH dt} on vectors, for a Hermitian sparse matrix H, by the
+    Chebyshev expansion of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967
+    (1984)), set up once and applied to any number of vectors.
+
+    Every eigenvalue of H lies in its Gershgorin interval [c - r, c + r],
+    so H~ = (H - c)/r has its spectrum in [-1, 1], and with a = r dt,
+    e^{-iH dt} = e^{-ic dt} (J_0(a) + 2 sum_{k >= 1} (-i)^k J_k(a) T_k(H~)).
+    The series is cut at the first K terms whose tail is at most 2^-53
+    (`_chebyshev_order`), and a step runs the recurrence
+    T_{k+1} = 2 H~ T_k - T_{k-1}: K - 1 sparse products.  When r dt = 0 the
+    step is the phase e^{-ic dt} alone.  H is scaled in place to 2H/r, so
+    the caller hands it over.
+    """
+
+    def __init__(self, h: sp.csr_matrix, dt: float):
+        diag = h.diagonal()
+        row_abs = sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape).sum(axis=1)
+        radius = np.asarray(row_abs).ravel() - np.abs(diag)
+        lo, hi = float((diag.real - radius).min()), float((diag.real + radius).max())
+        self.center, self.radius = (hi + lo) / 2, (hi - lo) / 2
+        a = self.radius * dt
+        j = _bessel_j(a, _chebyshev_order(abs(a))) if a else np.ones(1)
+        coef = 2 * j * np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4]
+        coef[0] = j[0]
+        self.coef = np.exp(-1j * self.center * dt) * coef
+        self.products = j.size - 1
+        self.flops = float(self.products * h.nnz)
+        if self.products:
+            h.data *= 2 / self.radius
+            self._shift = 2 * self.center / self.radius
+        self._h = h
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        c, h = self.coef, self._h
+        if not self.products:
+            return c[0] * v
+        prev, cur = v, (h @ v - self._shift * v) / 2
+        out = c[0] * prev + c[1] * cur
+        for ck in c[2:]:
+            prev, cur = cur, h @ cur - self._shift * cur - prev
+            out += ck * cur
+        return out
+
+
+class TrotterPropagator:
+    """Trotterized e^{-iHt} with the canonical term ordering, set up once
+    and applied to any number of statevectors.
+
+    Order 1 applies one forward sweep of term exponentials per step; order
+    2 applies a forward then a reversed sweep at half angles (the
+    forward-then-reversed-adjoint composition), giving one extra order in
+    the step size.  A term exponential is cos(theta) v - i sin(theta) P v,
+    with (P v)[j] = i^|Y| (-1)^|x & z| (-1)^|j & z| v[j ^ x].  On the
+    statevector viewed as a 2^(n - m) x 2^m matrix (m = n // 2), the flip
+    j ^ x and the sign (-1)^|j & z| split into a row part and a column part,
+    so each term keeps two index vectors and two factor vectors of about
+    2^(n/2) entries, with -i sin(theta) i^|Y| (-1)^|x & z| folded into the
+    column factors.
+    """
+
+    def __init__(self, h: PauliSum, t: float, order: int = 2, steps: int = 1):
+        if h.n_qubits > STATEVECTOR_QUBIT_BUDGET:
+            raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
+        if order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+        if steps < 1:
+            raise ValueError("steps must be >= 1")
+        xm, zm, coeff, phase = h.mask_arrays
+        if np.abs(coeff.imag).max(initial=0.0) > 1e-12:
+            raise ValueError("Trotter evolution needs real coefficients")
+        n = h.n_qubits
+        m = n // 2
+        low = np.uint64((1 << m) - 1)
+        rows = np.arange(1 << (n - m), dtype=np.uint64)
+        cols = np.arange(1 << m, dtype=np.uint64)
+        theta = coeff.real * (t / steps / order)
+        scalar = -1j * np.sin(theta) * np.conj(phase)  # i^|Y| (-1)^|x & z| = (-i)^|Y|
+        terms = list(zip(
+            np.cos(theta),
+            (rows[None, :, None] ^ (xm >> m)[:, None, None]).astype(np.intp),
+            pauli_signs(rows, zm >> m)[:, :, None],
+            (cols[None, :] ^ (xm & low)[:, None]).astype(np.intp),
+            scalar[:, None] * pauli_signs(cols, zm & low),
+        ))
+        self._shape = (rows.size, cols.size)
+        self._steps = steps
+        self._sweep = terms if order == 1 else terms + terms[::-1]
+        self.flops = float(steps * len(self._sweep) << n)  # one update per entry per term
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        if v.size != self._shape[0] * self._shape[1]:
+            raise ValueError("statevector size mismatch")
+        out = v.astype(complex).reshape(self._shape)
+        for _ in range(self._steps):
+            for cos_theta, row_image, row_sign, col_image, col_factor in self._sweep:
+                pv = out[row_image, col_image]
+                pv *= row_sign
+                pv *= col_factor
+                out *= cos_theta
+                out += pv
+        return out.reshape(-1)
 
 
 def evolve_trotter(
     h: PauliSum, v: np.ndarray, t: float, order: int = 2, steps: int = 1
 ) -> np.ndarray:
-    """Trotterized e^{-iHt} with the canonical term ordering.
-
-    Order 1 applies one forward sweep of term exponentials per step; order
-    2 applies a forward then a reversed sweep at half angles (the
-    forward-then-reversed-adjoint composition), giving one extra order in
-    the step size.
-    """
-    if h.n_qubits > STATEVECTOR_QUBIT_BUDGET:
-        raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    xm, zm, coeff, phase = h.mask_arrays
-    if np.abs(coeff.imag).max(initial=0.0) > 1e-12:
-        raise ValueError("Trotter evolution needs real coefficients")
-    out = v.astype(complex)
-    tau = t / steps
-    order_fwd = range(len(coeff))
-    for _ in range(steps):
-        if order == 1:
-            for k in order_fwd:
-                out = _apply_term_exponential(out, xm[k], zm[k], phase[k], coeff[k].real * tau)
-        else:
-            for k in order_fwd:
-                out = _apply_term_exponential(out, xm[k], zm[k], phase[k], coeff[k].real * tau / 2)
-            for k in reversed(order_fwd):
-                out = _apply_term_exponential(out, xm[k], zm[k], phase[k], coeff[k].real * tau / 2)
-    return out
+    """Trotterized e^{-iHt} |v> (see TrotterPropagator)."""
+    return TrotterPropagator(h, t, order, steps)(v)
 
 
 def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
@@ -182,18 +277,18 @@ def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
 
 def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
     """(states, step): the sorted configurations that index the evolved
-    vector, and one time step dt on such a vector.  Exact evolution runs in
-    the reachable subspace of x0; Trotter evolution on the full register."""
+    vector, and one time step dt on such a vector, whose `flops` is its cost
+    by the FlopCounter convention.  Exact evolution runs in the reachable
+    subspace of x0; Trotter evolution on the full register."""
     n = h.n_qubits
     if p.evolution == "exact":
+        if not h.is_hermitian():
+            raise ValueError("exact evolution needs a Hermitian H (real coefficients)")
         states = reachable_bits(h, np.array([x0.bits], dtype=np.uint64), p.dim_cap)
-        a = -1j * dt * project_fast(h, ConfigurationBasis(states, n)).rows
-        return states, lambda v: spla.expm_multiply(a, v)  # SciPy sums a's diagonal for traceA
-    if n > STATEVECTOR_QUBIT_BUDGET:
-        raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
+        return states, ChebyshevPropagator(project_fast(h, ConfigurationBasis(states, n)).rows, dt)
     order = 1 if p.evolution == "trotter1" else 2
-    return (np.arange(1 << n, dtype=np.uint64),
-            lambda v: evolve_trotter(h, v, dt, order=order, steps=p.trotter_steps_per_dt))
+    step = TrotterPropagator(h, dt, order, p.trotter_steps_per_dt)
+    return np.arange(1 << n, dtype=np.uint64), step
 
 
 def run_skqd(
@@ -202,7 +297,9 @@ def run_skqd(
     """Emulated SKQD: evolve, sample, pool, filter, project, diagonalize.
 
     The trace reports the energy after each Krylov state's samples join
-    the cumulative pool; the returned eigenpair is the final entry.
+    the cumulative pool; the returned eigenpair is the final entry.  Flops
+    follow the FlopCounter convention: each time step's `flops`, and each
+    projection's nonzeros once plus once per eigensolver application.
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
@@ -216,6 +313,7 @@ def run_skqd(
     record = ShotRecord(n_qubits=n)
     trace = SolverTrace(solver="skqd")
     trace.status = STATUS_MAX_ITERS
+    flops = FlopCounter()
 
     phi = (states == np.uint64(x0.bits)).astype(complex)
     pool = np.array([x0.bits], dtype=np.uint64)
@@ -225,6 +323,7 @@ def run_skqd(
         t0 = time.perf_counter()
         if k > 0:
             phi = step(phi)
+            flops.add(step.flops)
         rng = np.random.default_rng(children[k])
         samples = states[_sample_indices(phi, sched[k], rng)]
         if p.bitflip_probability > 0.0:
@@ -247,7 +346,9 @@ def run_skqd(
             dim_k = 1
         else:
             basis = ConfigurationBasis(kept, n)
-            eig = lowest_eigenpair(project_fast(h, basis), seed=p.eig_seed)
+            proj = project_fast(h, basis)
+            eig = lowest_eigenpair(proj, seed=p.eig_seed)
+            flops.add((1 + eig.iterations) * proj.rows.nnz)
             dim_k = len(basis)
         trace.add(
             iteration=k,
@@ -255,10 +356,12 @@ def run_skqd(
             energy=eig.value,
             wall_ms=(time.perf_counter() - t0) * 1e3,
             new_configs=int(uniq.size),
+            flops=flops.count,
         )
 
     trace.final_energy = eig.value
     trace.final_dim = trace.rows[-1].subspace_dim
+    trace.total_flops = flops.count
     return eig, trace, record
 
 

@@ -1,9 +1,14 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparsegs
 import sparsegs.sci
 from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
 
@@ -177,3 +182,15 @@ def test_unconverged_final_eigenpair_is_surfaced(patch_bundle, tmp_path, monkeyp
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == EXIT_OK
     rows = list(csv.DictReader((tmp_path / "sweep" / "results.csv").read_text().splitlines()))
     assert [r["status"] for r in rows] == ["unconverged"]
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # every command pays the package import; scipy.special would add tens
+    # of milliseconds and a few MB to it
+    src = str(Path(sparsegs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, sparsegs.cli; print(sorted(m for m in sys.modules"
+                          " if m.startswith('scipy.special')))"],
+                         capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

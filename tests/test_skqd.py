@@ -1,18 +1,26 @@
 import json
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import chisquare
 
 from conftest import kron_dense, random_pauli_sum
 from sparsegs.builder import ConstructionParams, assemble_global
+from sparsegs.eigensolver import lowest_eigenpair
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
-from sparsegs.paulis import Configuration, PauliString, PauliSum, unique_bits
+from sparsegs.paulis import (Configuration, PauliString, PauliSum, diagonal_element, pauli_signs,
+                             unique_bits)
 from sparsegs.skqd import (
+    ChebyshevPropagator,
     ShotRecord,
     SkqdParams,
+    TrotterPropagator,
+    _bessel_j,
+    _chebyshev_order,
     _propagator,
     _sample_indices,
     default_dt,
@@ -22,7 +30,7 @@ from sparsegs.skqd import (
     run_skqd,
     support_coverage,
 )
-from sparsegs.subspace import connectivity_filter
+from sparsegs.subspace import ConfigurationBasis, connectivity_filter, project_fast
 from sparsegs.trace import BudgetExceeded
 
 
@@ -83,6 +91,13 @@ def test_trotter_rejects_complex_coefficients():
     v = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError):
         evolve_trotter(h, v, 0.1)
+
+
+def test_exact_evolution_rejects_non_hermitian():
+    # the Chebyshev propagator's Gershgorin interval bounds a real spectrum only
+    h = PauliSum([(1.0, PauliString.from_label("X")), (0.5j, PauliString.from_label("Z"))], 1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        run_skqd(h, Configuration(0, 1), SkqdParams(krylov_dim=2, shots_per_state=10))
 
 
 def test_evolve_exact_time_zero():
@@ -365,3 +380,120 @@ def test_exact_skqd_on_bare_three_patch(bare_three_patch):
     # the Trotter modes still evolve the full register, which 49 qubits exceed
     with pytest.raises(ValueError):
         run_skqd(h, x0, SkqdParams(krylov_dim=2, shots_per_state=10, evolution="trotter2"))
+
+
+def _per_term_trotter(h, v, t, order, steps):
+    """Trotter evolution as one statevector pass per term: the arange, the
+    signs and the image index rebuilt for every term exponential."""
+    xm, zm, coeff, phase = h.mask_arrays
+    out = v.astype(complex)
+    tau = t / steps
+    sweep = list(range(len(coeff)))
+    if order == 2:
+        sweep += sweep[::-1]
+    for _ in range(steps):
+        for k in sweep:
+            theta = coeff[k].real * tau / order
+            idx = np.arange(out.size, dtype=np.uint64)
+            pv = np.empty_like(out)
+            pv[(idx ^ xm[k]).astype(np.int64)] = phase[k] * pauli_signs(idx, zm[k:k + 1])[0] * out
+            out = np.cos(theta) * out - 1j * np.sin(theta) * pv
+    return out
+
+
+def test_trotter_propagator_matches_per_term_loop():
+    # the row/column split changes no product or sum, so results are equal
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        h = random_pauli_sum(rng, n, 15)
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        for order in (1, 2):
+            want = _per_term_trotter(h, v, 0.37, order, 3)
+            assert np.array_equal(evolve_trotter(h, v, 0.37, order, 3), want)
+    with pytest.raises(ValueError):
+        TrotterPropagator(h, 0.1)(np.ones(3, dtype=complex))
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 32.67, 100.0])
+def test_chebyshev_propagator_matches_dense_exponential(a):
+    # complex Hermitian sums (Y terms give imaginary entries), a = r dt
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        dense = kron_dense(random_pauli_sum(rng, n, 12))
+        assert np.abs(dense.imag).max() > 0
+        dt = a / ChebyshevPropagator(sp.csr_matrix(dense), 1.0).radius
+        prop = ChebyshevPropagator(sp.csr_matrix(dense), dt)
+        assert prop.radius * dt == pytest.approx(a)
+        vals = np.linalg.eigvalsh(dense)  # inside the Gershgorin interval
+        assert prop.center - prop.radius <= vals[0] and vals[-1] <= prop.center + prop.radius
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        v /= np.linalg.norm(v)
+        want = sla.expm(-1j * dt * dense) @ v
+        assert np.linalg.norm(prop(v) - want) < 1e-13
+
+
+def test_chebyshev_scalar_operator_is_the_phase():
+    # a Z-only Hamiltonian keeps x0 in place: |R| = 1, r = 0
+    h = PauliSum([(0.7, PauliString.from_label("ZZI")), (-0.3, PauliString.from_label("IIZ")),
+                  (0.2, PauliString.from_label("III"))], 3)
+    x0 = Configuration(0b101, 3)
+    dt = 0.41
+    states, step = _propagator(h, x0, SkqdParams(krylov_dim=2, shots_per_state=1), dt)
+    assert states.tolist() == [x0.bits]
+    assert step.radius == 0.0 and step.products == 0 and step.flops == 0.0
+    assert step.center == float(diagonal_element(h, np.uint64(x0.bits)))
+    v = np.array([0.6 - 0.8j])
+    assert np.array_equal(step(v), np.exp(-1j * step.center * dt) * v)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 32.67, 100.0])
+def test_bessel_values_and_truncation_order(a):
+    jv = pytest.importorskip("scipy.special").jv
+    order = _chebyshev_order(a)
+    exact = jv(np.arange(order + 400), a)
+    # the samples' phase a sin(tau) is rounded to about a eps
+    assert np.abs(_bessel_j(a, order) - exact[:order]).max() <= max(a, 1.0) * 2.0**-52
+    bound = np.array([math.exp(k * math.log(a / 2) - math.lgamma(k + 1))
+                      for k in range(order + 400)])
+    assert np.all(np.abs(exact) <= bound)  # DLMF 10.14.4
+    # the order is the first whose bounded tail is at most 2^-53
+    assert 2 * bound[order:].sum() <= 2.0**-53 < 2 * bound[order - 1:].sum()
+
+
+def test_chebyshev_keeps_the_norm_on_bare_three_patch(bare_three_patch):
+    h, cert = bare_three_patch
+    x0 = cert.initial_config
+    states, step = _propagator(h, x0, SkqdParams(krylov_dim=10, shots_per_state=1), default_dt(h))
+    phi = (states == x0.bits).astype(complex)
+    for _ in range(10):
+        phi = step(phi)
+        assert abs(np.linalg.norm(phi) - 1.0) < 1e-13
+
+
+def test_run_skqd_flops_formula(cli_patch):
+    # each step costs its sparse products times nnz(H_R); each state's
+    # projection costs its nonzeros once plus once per eigensolver application
+    h, cert, _ = cli_patch
+    x0 = cert.initial_config
+    p = SkqdParams(krylov_dim=4, shots_per_state=2000, rng_seed=3)
+    with pytest.warns(UserWarning):  # the lone x0 of the first state is filtered out
+        eig, trace, record = run_skqd(h, x0, p)
+    states, step = _propagator(h, x0, p, default_dt(h))
+    hr = project_fast(h, ConfigurationBasis(states, 16)).rows
+    assert step.products * hr.nnz == step.flops > 0
+    pool = np.array([x0.bits], dtype=np.uint64)
+    want = []
+    for k, hist in enumerate(record.histograms):
+        pool = unique_bits(np.concatenate([pool, np.array(list(hist), dtype=np.uint64)]))
+        kept = connectivity_filter(h, pool)
+        solve = 0
+        if kept.size:
+            proj = project_fast(h, ConfigurationBasis(kept, 16))
+            solve = (1 + lowest_eigenpair(proj, seed=p.eig_seed).iterations) * proj.rows.nnz
+        want.append((want[-1] if want else 0.0) + (k > 0) * step.flops + solve)
+    assert [r.flops for r in trace.rows] == want
+    assert trace.total_flops == want[-1]
+    trotter = TrotterPropagator(h, 0.1, order=2, steps=3)
+    assert trotter.flops == 3 * 2 * len(h) * 2**16
