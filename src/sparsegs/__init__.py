@@ -46,15 +46,8 @@ from .paulis import (
     conjugate_by_x_layer,
     decompose_dense_block,
     matrix_element,
-    pauli_sum_to_dense,
 )
 from .sci import SciParams, TrimParams, run_sci, select_asci, select_cipsi, select_hci, select_trimci
 from .skqd import ShotRecord, SkqdParams, default_dt, evolve_exact, evolve_trotter, run_skqd, support_coverage
-from .subspace import (
-    ConfigurationBasis,
-    ProjectedMatrix,
-    connectivity_filter,
-    project_fast,
-    project_naive,
-)
+from .subspace import ProjectedMatrix, connectivity_filter, project_fast, project_naive
 from .trace import BudgetExceeded, SolverTrace

@@ -246,7 +246,7 @@ def _solve(args) -> int:
     summary["seed"] = opts.get("seed", 0)
     (outdir / "summary.json").write_text(json.dumps(summary, indent=1, default=float))
     if trace is not None:
-        trace.write_csv(outdir / "trace.csv", with_flops=True)
+        trace.write_csv(outdir / "trace.csv")
     if shots is not None:
         (outdir / "shots.json").write_text(json.dumps(shots.to_json_dict(), indent=1))
     print(json.dumps(summary, indent=1, default=float))

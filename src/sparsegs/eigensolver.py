@@ -1,4 +1,5 @@
-"""Lowest-eigenpair solvers and the one dispatch every solver calls.
+"""Lowest-eigenpair solvers and `basis_eigenpair`, the one project-and-solve
+step every solver calls.
 
 `lowest_eigenpair` sends a block of dimension at most `DENSE_CAP` to dense
 LAPACK (`dense_lowest`, which doubles as the oracle) and anything larger to
@@ -17,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .subspace import ProjectedMatrix
+from .subspace import project_fast
+from .trace import DEFAULT_DIM_CAP, BudgetExceeded, FlopCounter
 
 DENSE_CAP = 256
 DEGENERACY_REL_TOL = 1e-10
@@ -35,11 +37,6 @@ class EigResult:
     degenerate: bool = False
 
 
-def _matrix(m):
-    """The array or sparse matrix behind m."""
-    return m.rows if isinstance(m, ProjectedMatrix) else m
-
-
 def dense_lowest(m) -> EigResult:
     """Exact lowest eigenpair by full Hermitian diagonalization.
 
@@ -47,7 +44,6 @@ def dense_lowest(m) -> EigResult:
     a gap to the second eigenvalue below DEGENERACY_REL_TOL of the spectral
     scale.
     """
-    m = _matrix(m)
     if sp.issparse(m):
         m = m.toarray()
     m = np.asarray(m)
@@ -80,7 +76,6 @@ def lanczos_lowest(
     set: a single-vector Krylov space holds only one copy of a degenerate
     eigenvalue.
     """
-    m = _matrix(m)
     dim = m.shape[0]
     if dim == 0:
         raise ValueError("empty matrix")
@@ -128,7 +123,21 @@ def _rayleigh_ritz(x: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def lowest_eigenpair(m, tol: float = 1e-10, seed: int = 0) -> EigResult:
     """Dense LAPACK at or below DENSE_CAP, ARPACK beyond."""
-    dim = _matrix(m).shape[0]
-    if dim <= DENSE_CAP:
+    if m.shape[0] <= DENSE_CAP:
         return dense_lowest(m)
     return lanczos_lowest(m, tol=tol, seed=seed)
+
+
+def basis_eigenpair(h, bits: np.ndarray, flops: FlopCounter,
+                    cap: int = DEFAULT_DIM_CAP) -> EigResult:
+    """Lowest eigenpair of H projected onto the basis `bits`, the one
+    project-and-solve step of every solver; the vector is indexed like
+    `bits`.  Raises BudgetExceeded before projecting more than `cap`
+    configurations, and adds the FlopCounter cost (the projection's
+    nonzeros, once plus once per operator application) to `flops`."""
+    if bits.size > cap:
+        raise BudgetExceeded(f"basis of {bits.size} exceeds cap {cap}")
+    proj = project_fast(h, bits)
+    eig = lowest_eigenpair(proj.rows)
+    flops.add((1 + eig.iterations) * proj.rows.nnz)
+    return eig

@@ -10,10 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import EigResult, lowest_eigenpair
+from .eigensolver import EigResult, basis_eigenpair
 from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
                      diagonal_element, index_in, unique_bits)
-from .subspace import ConfigurationBasis, connected_bits, project_fast
+from .subspace import connected_bits
 from .trace import (
     DEFAULT_DIM_CAP,
     STATUS_CONVERGED,
@@ -23,6 +23,8 @@ from .trace import (
     FlopCounter,
     SolverTrace,
 )
+
+BREAKDOWN_TOL = 1e-12  # truncated Arnoldi stops when the new vector's norm is this small
 
 
 # -- diagonal ranking --------------------------------------------------------
@@ -35,7 +37,6 @@ class DiagRankParams:
     iters: int  # T
     per_iteration_energies: bool = False  # diagnostic diagonalizations
     dim_cap: int = DEFAULT_DIM_CAP
-    eig_seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.working_cap <= self.reservoir_cap:
@@ -56,12 +57,12 @@ def run_diag_ranking(
 
     A working set drives the expansion, a larger reservoir remembers every
     configuration seen with its energy, and both are trimmed to their caps
-    each iteration.  Only the final working set is diagonalized (the
-    per-iteration energies are an optional diagnostic).
+    each iteration; the working set is kept sorted.  Only the final working
+    set is diagonalized (the per-iteration energies are an optional
+    diagnostic).
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
-    n = h.n_qubits
     flops = FlopCounter()
     trace = SolverTrace(solver="diag-ranking")
     trace.status = STATUS_MAX_ITERS
@@ -72,7 +73,7 @@ def run_diag_ranking(
 
     for mu in range(p.iters):
         t0 = time.perf_counter()
-        reachable = connected_bits(h, np.sort(work_bits))
+        reachable = connected_bits(h, work_bits)
         flops.add(work_bits.size * len(h))
         new_bits = reachable[index_in(np.sort(res_bits), reachable) < 0]
         if new_bits.size:
@@ -81,13 +82,13 @@ def run_diag_ranking(
             res_bits = np.concatenate([res_bits, new_bits])
             res_energy = np.concatenate([res_energy, new_energy])
         order = _rank_by_energy(res_bits, res_energy)
-        next_work = res_bits[order[: p.working_cap]]
+        next_work = np.sort(res_bits[order[: p.working_cap]])
         res_keep = order[: p.reservoir_cap]
         res_bits, res_energy = res_bits[res_keep], res_energy[res_keep]
 
         energy = float("nan")
         if p.per_iteration_energies:
-            energy = _final_energy(h, next_work, n, p.eig_seed, flops).value
+            energy = basis_eigenpair(h, next_work, flops, p.dim_cap).value
         trace.add(
             iteration=mu,
             subspace_dim=int(next_work.size),
@@ -102,21 +103,11 @@ def run_diag_ranking(
             trace.status = STATUS_STALLED
             break
 
-    if work_bits.size > p.dim_cap:
-        raise BudgetExceeded(f"working set {work_bits.size} exceeds cap {p.dim_cap}")
-    eig = _final_energy(h, work_bits, n, p.eig_seed, flops)
+    eig = basis_eigenpair(h, work_bits, flops, p.dim_cap)
     trace.final_energy = eig.value
     trace.final_dim = int(work_bits.size)
     trace.total_flops = flops.count
     return eig, trace
-
-
-def _final_energy(h, bits, n, seed, flops: FlopCounter) -> EigResult:
-    basis = ConfigurationBasis(bits, n)
-    proj = project_fast(h, basis)
-    eig = lowest_eigenpair(proj, seed=seed)
-    flops.add((1 + eig.iterations) * proj.rows.nnz)
-    return eig
 
 
 # -- truncated Arnoldi -------------------------------------------------------
@@ -128,8 +119,6 @@ class TruncArnoldiParams:
     iters: int = 200  # T
     per_iteration_energies: bool = False
     dim_cap: int = DEFAULT_DIM_CAP
-    eig_seed: int = 0
-    breakdown_tol: float = 1e-12
 
     def __post_init__(self):
         if self.new_config_cap < 1:
@@ -140,7 +129,7 @@ class TruncArnoldiParams:
 
 def run_truncated_arnoldi(
     h: PauliSum, x0: Configuration, p: TruncArnoldiParams
-) -> tuple[EigResult, SolverTrace, ConfigurationBasis]:
+) -> tuple[EigResult, SolverTrace, np.ndarray]:
     """Matrix-free Arnoldi with per-iteration truncation.
 
     Orthogonalization against every stored vector happens before the
@@ -148,11 +137,10 @@ def run_truncated_arnoldi(
     Gram-Schmidt plus one reorthogonalization pass; Krylov bases are
     exponentially ill-conditioned, so the order matters).  The final
     energy comes from projecting onto the union of iterate supports and
-    diagonalizing there.
+    diagonalizing there; the union is returned as a sorted array.
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
-    n = h.n_qubits
     flops = FlopCounter()
     trace = SolverTrace(solver="tarnoldi")
     trace.status = STATUS_MAX_ITERS
@@ -172,7 +160,7 @@ def run_truncated_arnoldi(
                     u = u.add(v, factor=-ov)
         u = u.truncate_top(p.new_config_cap)
         nrm = u.norm()
-        if nrm <= p.breakdown_tol:
+        if nrm <= BREAKDOWN_TOL:
             trace.status = STATUS_CONVERGED  # invariant subspace reached
             trace.add(
                 iteration=it,
@@ -191,7 +179,7 @@ def run_truncated_arnoldi(
             raise BudgetExceeded(f"support union {union.size} exceeds cap {p.dim_cap}")
         energy = float("nan")
         if p.per_iteration_energies:
-            energy = _final_energy(h, union, n, p.eig_seed, flops).value
+            energy = basis_eigenpair(h, union, flops, p.dim_cap).value
         trace.add(
             iteration=it,
             subspace_dim=int(union.size),
@@ -201,12 +189,11 @@ def run_truncated_arnoldi(
             flops=flops.count,
         )
 
-    basis = ConfigurationBasis(union, n)
-    eig = _final_energy(h, union, n, p.eig_seed, flops)
+    eig = basis_eigenpair(h, union, flops, p.dim_cap)
     trace.final_energy = eig.value
-    trace.final_dim = len(basis)
+    trace.final_dim = union.size
     trace.total_flops = flops.count
-    return eig, trace, basis
+    return eig, trace, union
 
 
 # -- truncated power method --------------------------------------------------
@@ -219,7 +206,6 @@ class TpmParams:
     shift: float | None = None  # None: coefficient 1-norm + 1
     mode: str = "expectation"  # or "diagonalize_support"
     dim_cap: int = DEFAULT_DIM_CAP
-    eig_seed: int = 0
 
     def __post_init__(self):
         if self.sparsity_cutoff < 1:
@@ -232,7 +218,7 @@ class TpmParams:
 
 def run_tpm(
     h: PauliSum, start: Configuration | SparseVector, p: TpmParams
-) -> tuple[float, SolverTrace, ConfigurationBasis]:
+) -> tuple[float, SolverTrace, np.ndarray]:
     """Truncated power iteration on A = shift*I - H.
 
     The shift maps the lowest eigenvalue of H to the largest of A and must
@@ -240,7 +226,8 @@ def run_tpm(
     is a certified choice.  The expectation estimate shift - <phi|A|phi>
     equals the Rayleigh quotient of H and stays above the true ground
     energy; diagonalize_support mode instead projects H onto the support
-    of the iterate and diagonalizes, which can only do better.
+    of the iterate and diagonalizes, which can only do better.  The
+    iterate's support is returned as a sorted array.
     """
     one_norm = h.coeff_one_norm()
     shift = p.shift if p.shift is not None else one_norm + 1.0
@@ -258,7 +245,6 @@ def run_tpm(
     if phi.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
 
-    n = h.n_qubits
     flops = FlopCounter()
     trace = SolverTrace(solver="tpm")
     trace.status = STATUS_MAX_ITERS
@@ -274,8 +260,7 @@ def run_tpm(
         energy = _rayleigh(h, phi, flops)
         row_energy = energy
         if p.mode == "diagonalize_support":
-            eig = _final_energy(h, phi.bits, n, p.eig_seed, flops)
-            row_energy = eig.value
+            row_energy = basis_eigenpair(h, phi.bits, flops, p.dim_cap).value
         trace.add(
             iteration=t,
             subspace_dim=len(phi),
@@ -285,16 +270,14 @@ def run_tpm(
             flops=flops.count,
         )
 
-    support = ConfigurationBasis(phi.bits, n)
     if p.mode == "diagonalize_support":
-        eig = _final_energy(h, phi.bits, n, p.eig_seed, flops)
-        final = eig.value
+        final = basis_eigenpair(h, phi.bits, flops, p.dim_cap).value
     else:
         final = energy
     trace.final_energy = final
-    trace.final_dim = len(support)
+    trace.final_dim = len(phi)
     trace.total_flops = flops.count
-    return final, trace, support
+    return final, trace, phi.support()
 
 
 def _rayleigh(h: PauliSum, phi: SparseVector, flops: FlopCounter) -> float:

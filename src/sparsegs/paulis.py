@@ -16,10 +16,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 MAX_QUBITS = 64
 COEFF_DROP_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
+_EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
 
 _PAULI_CHARS = "IXZY"  # index = x_bit + 2*z_bit
 
@@ -296,10 +298,6 @@ class SparseVector:
     def __len__(self):
         return int(self.bits.size)
 
-    def items(self):
-        for b, a in zip(self.bits, self.amps):
-            yield Configuration(int(b), self.n_qubits), complex(a)
-
     def amplitude(self, x: Configuration) -> complex:
         i = np.searchsorted(self.bits, np.uint64(x.bits))
         if i < self.bits.size and self.bits[i] == np.uint64(x.bits):
@@ -400,6 +398,20 @@ def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -
     return out
 
 
+def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
+    """Explicit 2^n sparse matrix, group by group; use only at moderate
+    widths.  Basis index bit q = qubit q value."""
+    if h.n_qubits > _EXPLICIT_MATRIX_QUBITS:
+        raise ValueError(f"explicit sparse matrix capped at {_EXPLICIT_MATRIX_QUBITS} qubits")
+    dim = 1 << h.n_qubits
+    cols = np.arange(dim, dtype=np.uint64)
+    gx, _ = h.x_groups
+    rows = np.concatenate([(cols ^ x).astype(np.int64) for x in gx])
+    vals = np.concatenate([group_elements(h, cols, slice(g, g + 1))[0] for g in range(gx.size)])
+    return sp.csr_matrix((vals, (rows, np.tile(cols.astype(np.int64), gx.size))),
+                         shape=(dim, dim))
+
+
 def group_images(h: PauliSum, bits: np.ndarray):
     """Yield (offset, images, elements) over chunks of the source
     configurations: images[g, i] = bits[offset + i] ^ x_g and elements the
@@ -476,20 +488,6 @@ def conjugate_by_x_layer(h: PauliSum, mask: int) -> PauliSum:
         sign = -1.0 if popcount(s.z_mask & mask) % 2 else 1.0
         out.append((sign * c, s))
     return PauliSum(out, h.n_qubits)
-
-
-def pauli_sum_to_dense(h: PauliSum) -> np.ndarray:
-    """Dense 2^n matrix oracle.  Basis index bit q = qubit q value."""
-    if h.n_qubits > 14:
-        raise ValueError("dense oracle limited to 14 qubits")
-    dim = 1 << h.n_qubits
-    m = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim, dtype=np.uint64)
-    for g, x in enumerate(h.x_groups[0]):
-        m[(cols ^ x).astype(np.int64), cols.astype(np.int64)] = group_elements(
-            h, cols, slice(g, g + 1)
-        )[0]
-    return m
 
 
 def decompose_dense_block(

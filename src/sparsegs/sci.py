@@ -20,18 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import EigResult, lowest_eigenpair
+from .eigensolver import EigResult, basis_eigenpair
 from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
                      diagonal_element, group_images, index_in, unique_bits)
-from .subspace import ConfigurationBasis, connected_bits, project_fast
-from .trace import (
-    DEFAULT_DIM_CAP,
-    STATUS_MAX_ITERS,
-    STATUS_STALLED,
-    BudgetExceeded,
-    FlopCounter,
-    SolverTrace,
-)
+from .subspace import connected_bits
+from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, STATUS_STALLED, FlopCounter, SolverTrace
 
 DENOMINATOR_GUARD = 1e-12
 VARIANTS = ("cipsi", "hci", "asci", "trimci")
@@ -67,7 +60,6 @@ class SciParams:
     max_iters: int = 30
     trim: TrimParams | None = None
     dim_cap: int = DEFAULT_DIM_CAP
-    eig_seed: int = 0
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -182,7 +174,7 @@ def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: Sparse
 
 
 def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
-                  e0: float, h: PauliSum, epsilon: float, trim: TrimParams, eig_seed: int,
+                  e0: float, h: PauliSum, epsilon: float, trim: TrimParams,
                   flops: FlopCounter) -> np.ndarray:
     """Two-phase TrimCI selection.
 
@@ -192,7 +184,6 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: Spar
     partitions core + filtered into n_subsets equal subsets, diagonalizes
     each, and keeps the keep_per_subset largest amplitudes from each.
     """
-    n = h.n_qubits
     if trim.first_phase == "cipsi":
         scores = (
             _perturbative_scores(h, core_state, e0, cand_bits, flops)
@@ -242,34 +233,25 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: Spar
             )
             kept.append(sub)
             continue
-        basis = ConfigurationBasis(sub, n)
-        eig = _diagonalize(h, basis, eig_seed, flops)
-        order = _sort_by_amplitude(basis.bits, eig.vector)[: trim.keep_per_subset]
-        kept.append(basis.bits[order])
+        sub = np.sort(sub)
+        eig = basis_eigenpair(h, sub, flops)
+        kept.append(sub[_sort_by_amplitude(sub, eig.vector)[: trim.keep_per_subset]])
     if not kept:
         return np.zeros(0, dtype=np.uint64)
     return unique_bits(np.concatenate(kept))
-
-
-def _diagonalize(
-    h: PauliSum, basis: ConfigurationBasis, seed: int, flops: FlopCounter
-) -> EigResult:
-    proj = project_fast(h, basis)
-    eig = lowest_eigenpair(proj, seed=seed)
-    flops.add((1 + eig.iterations) * proj.rows.nnz)
-    return eig
 
 
 def run_sci(
     h: PauliSum,
     x0: Configuration | list[Configuration],
     p: SciParams,
-) -> tuple[EigResult, SolverTrace, ConfigurationBasis]:
+) -> tuple[EigResult, SolverTrace, np.ndarray]:
     """The generic diagonalization-based iterative loop.
 
     Terminates early when an iteration adds and removes nothing; the
-    reported eigenpair comes from diagonalizing in the final basis.  Flops
-    follow the matrix-free solvers' FlopCounter convention.
+    reported eigenpair comes from diagonalizing in the final basis, which
+    is returned as a sorted array.  Flops follow the matrix-free solvers'
+    FlopCounter convention.
     """
     if isinstance(x0, Configuration):
         initial = [x0]
@@ -287,17 +269,13 @@ def run_sci(
 
     for mu in range(p.max_iters):
         t0 = time.perf_counter()
-        if current.size > p.dim_cap:
-            raise BudgetExceeded(f"basis of {current.size} exceeds cap {p.dim_cap}")
-        basis = ConfigurationBasis(current, n)
-        eig = _diagonalize(h, basis, p.eig_seed, flops)
+        eig = basis_eigenpair(h, current, flops, p.dim_cap)
         amps = eig.vector
 
-        order = _sort_by_amplitude(basis.bits, amps)
-        core_size = len(basis) if p.core_cap is None else min(p.core_cap, len(basis))
-        core_idx = order[:core_size]
-        core_bits = np.sort(basis.bits[core_idx])
-        core_state = SparseVector(basis.bits[core_idx], amps[core_idx], n)
+        order = _sort_by_amplitude(current, amps)
+        core_idx = order if p.core_cap is None else order[: p.core_cap]
+        core_bits = np.sort(current[core_idx])
+        core_state = SparseVector(current[core_idx], amps[core_idx], n)
 
         cands = connected_bits(h, core_bits)
         flops.add(core_bits.size * len(h))
@@ -310,14 +288,13 @@ def run_sci(
             nxt = select_asci(cands, core_bits, core_state, eig.value, h, p.d_cap, flops)
         else:
             nxt = select_trimci(
-                cands, core_bits, core_state, eig.value, h, p.epsilon, p.trim,
-                p.eig_seed, flops
+                cands, core_bits, core_state, eig.value, h, p.epsilon, p.trim, flops
             )
 
         new_count = int((index_in(current, nxt) < 0).sum())
         trace.add(
             iteration=mu,
-            subspace_dim=len(basis),
+            subspace_dim=current.size,
             energy=eig.value,
             wall_ms=(time.perf_counter() - t0) * 1e3,
             new_configs=new_count,
@@ -328,11 +305,8 @@ def run_sci(
             break
         current = nxt
 
-    basis = ConfigurationBasis(current, n)
-    if len(basis) > p.dim_cap:
-        raise BudgetExceeded(f"basis of {len(basis)} exceeds cap {p.dim_cap}")
-    eig = _diagonalize(h, basis, p.eig_seed, flops)
+    eig = basis_eigenpair(h, current, flops, p.dim_cap)
     trace.final_energy = eig.value
-    trace.final_dim = len(basis)
+    trace.final_dim = current.size
     trace.total_flops = flops.count
-    return eig, trace, basis
+    return eig, trace, current

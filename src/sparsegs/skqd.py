@@ -29,28 +29,25 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .builder import GroundStateCertificate
-from .eigensolver import EigResult, lowest_eigenpair
-from .paulis import (Configuration, PauliSum, diagonal_element, group_elements, pauli_signs,
+from .eigensolver import EigResult, basis_eigenpair
+from .paulis import (Configuration, PauliSum, diagonal_element, pauli_signs, pauli_sum_to_sparse,
                      unique_bits)
-from .subspace import ConfigurationBasis, connectivity_filter, project_fast, reachable_bits
+from .subspace import connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, FlopCounter, SolverTrace
 
 STATEVECTOR_QUBIT_BUDGET = 24  # Trotter evolution's full statevector
-_EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
 
 
 @dataclass(frozen=True)
 class SkqdParams:
     krylov_dim: int  # d
     shots_per_state: int | tuple  # M, or a per-state schedule
-    dt: float | None = None  # None: default_dt(h)
-    dt_multiplier: float = 25.0
+    dt_multiplier: float = 25.0  # dt = default_dt(h, dt_multiplier)
     evolution: str = "exact"  # exact | trotter1 | trotter2
     trotter_steps_per_dt: int = 4
     rng_seed: int = 0
     bitflip_probability: float = 0.0  # optional noise channel on samples
     dim_cap: int = DEFAULT_DIM_CAP
-    eig_seed: int = 0
 
     def __post_init__(self):
         if self.krylov_dim < 1:
@@ -108,19 +105,6 @@ def default_dt(h: PauliSum, multiplier: float = 25.0) -> float:
     if one_norm == 0.0:
         raise ValueError("empty Hamiltonian has no timescale")
     return multiplier * np.pi / one_norm
-
-
-def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
-    """Explicit 2^n sparse matrix; use only at moderate widths."""
-    if h.n_qubits > _EXPLICIT_MATRIX_QUBITS:
-        raise ValueError(f"explicit sparse matrix capped at {_EXPLICIT_MATRIX_QUBITS} qubits")
-    dim = 1 << h.n_qubits
-    cols = np.arange(dim, dtype=np.uint64)
-    gx, _ = h.x_groups
-    rows = np.concatenate([(cols ^ x).astype(np.int64) for x in gx])
-    vals = np.concatenate([group_elements(h, cols, slice(g, g + 1))[0] for g in range(gx.size)])
-    return sp.csr_matrix((vals, (rows, np.tile(cols.astype(np.int64), gx.size))),
-                         shape=(dim, dim))
 
 
 def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
@@ -280,15 +264,14 @@ def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
     vector, and one time step dt on such a vector, whose `flops` is its cost
     by the FlopCounter convention.  Exact evolution runs in the reachable
     subspace of x0; Trotter evolution on the full register."""
-    n = h.n_qubits
     if p.evolution == "exact":
         if not h.is_hermitian():
             raise ValueError("exact evolution needs a Hermitian H (real coefficients)")
         states = reachable_bits(h, np.array([x0.bits], dtype=np.uint64), p.dim_cap)
-        return states, ChebyshevPropagator(project_fast(h, ConfigurationBasis(states, n)).rows, dt)
+        return states, ChebyshevPropagator(project_fast(h, states).rows, dt)
     order = 1 if p.evolution == "trotter1" else 2
     step = TrotterPropagator(h, dt, order, p.trotter_steps_per_dt)
-    return np.arange(1 << n, dtype=np.uint64), step
+    return np.arange(1 << h.n_qubits, dtype=np.uint64), step
 
 
 def run_skqd(
@@ -305,7 +288,7 @@ def run_skqd(
         raise ValueError("qubit-count mismatch")
     n = h.n_qubits
     sched = p.schedule()
-    dt = p.dt if p.dt is not None else default_dt(h, p.dt_multiplier)
+    dt = default_dt(h, p.dt_multiplier)
 
     states, step = _propagator(h, x0, p, dt)
     seed_seq = np.random.SeedSequence(p.rng_seed)
@@ -345,11 +328,8 @@ def run_skqd(
             eig = EigResult(e0, np.ones(1, dtype=complex), 0, 0.0, True, False)
             dim_k = 1
         else:
-            basis = ConfigurationBasis(kept, n)
-            proj = project_fast(h, basis)
-            eig = lowest_eigenpair(proj, seed=p.eig_seed)
-            flops.add((1 + eig.iterations) * proj.rows.nnz)
-            dim_k = len(basis)
+            eig = basis_eigenpair(h, kept, flops, p.dim_cap)
+            dim_k = kept.size
         trace.add(
             iteration=k,
             subspace_dim=dim_k,

@@ -1,5 +1,6 @@
-"""Configuration-basis management and Hamiltonian projection.
+"""Hamiltonian projection onto configuration bases, and expansion.
 
+A basis is a sorted, duplicate-free uint64 array of packed configurations.
 Implements both the quadratic-cost all-pairs projection (the oracle) and
 the linear-cost scatter projection that loops over the Hamiltonian's
 x-mask groups, looks up every basis member's image under each, and stores
@@ -21,76 +22,63 @@ ZERO_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
 
 
-class ConfigurationBasis:
-    """Ordered, addressable set of configurations.
-
-    Members are kept in ascending bit order and lookups answered by binary
-    search (`paulis.index_in`).
-    """
-
-    __slots__ = ("bits", "n_qubits")
-
-    def __init__(self, bits: np.ndarray, n_qubits: int):
-        """`bits` holds packed configurations in any order, duplicates
-        allowed; the array is left alone."""
-        self.bits = unique_bits(np.asarray(bits, dtype=np.uint64))
-        self.n_qubits = n_qubits
-
-    def __len__(self):
-        return int(self.bits.size)
-
-
 @dataclass
 class ProjectedMatrix:
     """H_B = Pi_B H Pi_B in compressed sparse row storage."""
 
     dim: int
     rows: sp.csr_matrix
-    basis: ConfigurationBasis
 
     def hermiticity_defect(self) -> float:
         d = self.rows - self.rows.getH()
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-def _assemble(rows, cols, vals, dim, basis) -> ProjectedMatrix:
+def _check_basis(h: PauliSum, bits: np.ndarray) -> None:
+    """A basis is a sorted, duplicate-free uint64 array of configurations
+    that fit in h's qubits; anything else raises ValueError."""
+    if np.any(bits[1:] <= bits[:-1]):
+        raise ValueError("basis must be sorted and duplicate-free")
+    if bits.size and int(bits[-1]) >> h.n_qubits:
+        raise ValueError(f"configuration 0x{int(bits[-1]):x} is wider than {h.n_qubits} qubits")
+
+
+def _assemble(rows, cols, vals, dim) -> ProjectedMatrix:
     """CSR from (row, col, value) triples that are distinct and already
     free of elements below ZERO_TOL."""
     m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return ProjectedMatrix(dim, m, basis)
+    return ProjectedMatrix(dim, m)
 
 
-def project_fast(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
-    """Scatter projection: one address lookup per x-mask group, and the
-    group's net element on every member whose image lies in the basis.
-    A group maps each column to its own row, and distinct groups to
-    distinct rows, so no entry is written twice; elements below ZERO_TOL
-    are dropped group by group, before anything is concatenated."""
-    if h.n_qubits != b.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    dim = len(b)
+def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
+    """Scatter projection onto the basis `bits`: one address lookup per
+    x-mask group, and the group's net element on every member whose image
+    lies in the basis.  A group maps each column to its own row, and
+    distinct groups to distinct rows, so no entry is written twice;
+    elements below ZERO_TOL are dropped group by group, before anything is
+    concatenated."""
+    _check_basis(h, bits)
     rows_l, cols_l = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     vals_l = [np.zeros(0, dtype=complex)]
     for g, x in enumerate(h.x_groups[0]):
-        addr = index_in(b.bits, b.bits ^ x)
+        addr = index_in(bits, bits ^ x)
         hit = np.flatnonzero(addr >= 0)
         if hit.size == 0:
             continue
-        d = group_elements(h, b.bits[hit], slice(g, g + 1))[0]
+        d = group_elements(h, bits[hit], slice(g, g + 1))[0]
         keep = np.abs(d) >= ZERO_TOL
         rows_l.append(addr[hit[keep]])
         cols_l.append(hit[keep])
         vals_l.append(d[keep])
     return _assemble(np.concatenate(rows_l), np.concatenate(cols_l), np.concatenate(vals_l),
-                     dim, b)
+                     bits.size)
 
 
-def project_naive(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
-    """All-pairs matrix elements; the quadratic-cost oracle."""
-    if h.n_qubits != b.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    dim = len(b)
-    members = [Configuration(int(x), b.n_qubits) for x in b.bits]
+def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
+    """All-pairs matrix elements on the basis `bits`; the quadratic-cost
+    oracle."""
+    _check_basis(h, bits)
+    members = [Configuration(int(x), h.n_qubits) for x in bits]
     rows, cols, vals = [], [], []
     for j, xj in enumerate(members):
         for i, xi in enumerate(members):
@@ -103,8 +91,7 @@ def project_naive(h: PauliSum, b: ConfigurationBasis) -> ProjectedMatrix:
         np.array(rows, dtype=np.int64),
         np.array(cols, dtype=np.int64),
         np.array(vals, dtype=complex),
-        dim,
-        b,
+        bits.size,
     )
 
 

@@ -41,18 +41,13 @@ class SolverTrace:
     def add(self, **kw) -> None:
         self.rows.append(TraceRow(**kw))
 
-    def write_csv(self, path: Path | str, with_flops: bool = False) -> None:
-        cols = ["variant", "iter", "subspace_dim", "energy", "wall_ms", "status"]
-        if with_flops:
-            cols.append("flops")
+    def write_csv(self, path: Path | str) -> None:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(cols)
+            w.writerow(["variant", "iter", "subspace_dim", "energy", "wall_ms", "status", "flops"])
             for r in self.rows:
-                row = [self.solver, r.iteration, r.subspace_dim, repr(r.energy), f"{r.wall_ms:.3f}", self.status]
-                if with_flops:
-                    row.append(repr(r.flops))
-                w.writerow(row)
+                w.writerow([self.solver, r.iteration, r.subspace_dim, repr(r.energy),
+                            f"{r.wall_ms:.3f}", self.status, repr(r.flops)])
 
 
 class FlopCounter:

@@ -44,7 +44,7 @@ def kron_dense(h):
 def support_covered(basis, cert):
     """How many certificate-support configurations the basis holds."""
     support = np.array([c.bits for c in cert.support], dtype=np.uint64)
-    return int((index_in(basis.bits, support) >= 0).sum())
+    return int((index_in(basis, support) >= 0).sum())
 
 
 @pytest.fixture(scope="session")

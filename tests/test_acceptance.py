@@ -36,10 +36,11 @@ from sparsegs.matrixfree import (
     run_truncated_arnoldi,
     tpm_theory,
 )
-from sparsegs.paulis import Configuration, decompose_dense_block, index_in, unique_bits
+from sparsegs.paulis import (Configuration, decompose_dense_block, index_in, pauli_sum_to_sparse,
+                             unique_bits)
 from sparsegs.sci import SciParams, run_sci
-from sparsegs.skqd import SkqdParams, pauli_sum_to_sparse, run_skqd, support_coverage
-from sparsegs.subspace import ConfigurationBasis, connected_bits, project_fast, project_naive
+from sparsegs.skqd import SkqdParams, run_skqd, support_coverage
+from sparsegs.subspace import connected_bits, project_fast, project_naive
 
 PRINTED_PSI0 = np.array([-0.018, -0.014, -0.049, 0.119, -0.298, 0.449, -0.559, 0.616])
 
@@ -145,7 +146,7 @@ def test_criterion_03_perturbative_stall():
     never_selected = True
     for eps in np.geomspace(1e-12, 1e-3, 20):
         _, trace, basis = run_sci(h3, Configuration(0, 3), SciParams("cipsi", epsilon=eps))
-        found = {int(b) for b in basis.bits}
+        found = {int(b) for b in basis}
         if found & {3, 4, 5, 6, 7}:
             never_selected = False
             break
@@ -190,11 +191,11 @@ def test_criterion_04_construction_certificates(patch_instance):
     support_ok = np.linalg.norm(m @ psi16) < 1e-7
 
     support = np.array([c.bits for c in cert.support], dtype=np.uint64)
-    basis = ConfigurationBasis(support, 16)
+    basis = unique_bits(support)
     proj = project_fast(h, basis).rows.toarray()
     # the bit-sorted basis permutes the obfuscated support; compare in the
     # certificate's logical order
-    perm = index_in(basis.bits, support)
+    perm = index_in(basis, support)
     block = proj[np.ix_(perm, perm)]
     block_ok = np.abs(block.real - build_core_block(CoreBlockParams())).max() < 1e-10
 
@@ -263,7 +264,7 @@ def test_criterion_06_projection_equivalence_and_scaling(flagship):
         h = random_pauli_sum(rng, n, int(rng.integers(1, 14)))
         size = int(rng.integers(1, min(64, 1 << n) + 1))
         bits = rng.choice(1 << n, size=size, replace=False)
-        b = ConfigurationBasis(bits, n)
+        b = unique_bits(bits.astype(np.uint64))
         diff = project_fast(h, b).rows - project_naive(h, b).rows
         if diff.nnz and np.abs(diff.data).max() > 1e-12:
             agree = False
@@ -282,8 +283,8 @@ def test_criterion_06_projection_equivalence_and_scaling(flagship):
     assert pool_bits.size >= 100_000, f"closure reached only {pool_bits.size} configurations"
     pool_bits = pool_bits[:100_000]
 
-    half = ConfigurationBasis(pool_bits[:50_000], 49)
-    full = ConfigurationBasis(pool_bits, 49)
+    half = pool_bits[:50_000]
+    full = pool_bits
     t0 = time.perf_counter()
     project_fast(h49, half)
     t_half = time.perf_counter() - t0

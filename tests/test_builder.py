@@ -20,9 +20,9 @@ from sparsegs.builder import (
     verify_certificate,
 )
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
-from sparsegs.paulis import Configuration, PauliSum, SparseVector, apply_sum_to_vector
-from sparsegs.skqd import pauli_sum_to_sparse
-from sparsegs.subspace import ConfigurationBasis, project_fast
+from sparsegs.paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
+                             pauli_sum_to_sparse, unique_bits)
+from sparsegs.subspace import project_fast
 
 PRINTED_PSI0 = np.array([-0.018, -0.014, -0.049, 0.119, -0.298, 0.449, -0.559, 0.616])
 
@@ -148,7 +148,7 @@ def test_main_patch_s0_block_is_core_matrix():
     p = CoreBlockParams()
     pr = build_main_patch(list(range(16)), p, 0.1, 0.01, 16)
     h = PauliSum(pr.terms, 16)
-    basis = ConfigurationBasis([int(b) for b in pr.support_bits], 16)
+    basis = unique_bits(np.array([int(b) for b in pr.support_bits], dtype=np.uint64))
     proj = project_fast(h, basis).rows.toarray()
     assert np.abs(proj.real - build_core_block(p)).max() < 1e-10
     assert np.abs(proj.imag).max() < 1e-12
@@ -161,7 +161,7 @@ def test_main_patch_s0_s1_offdiagonal_blocks():
     h = PauliSum(pr.terms, 16)
     s0 = [1 << (2 * i) for i in range(8)]
     s1 = [1 << (2 * i + 1) for i in range(8)]
-    basis = ConfigurationBasis(s0 + s1, 16)
+    basis = unique_bits(np.array(s0 + s1, dtype=np.uint64))
     proj = project_fast(h, basis).rows.toarray().real
     # basis is bit-sorted: position 2i -> index order interleaves; map indices
     order = np.argsort(np.array(s0 + s1, dtype=np.uint64))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sparsegs
-import sparsegs.sci
+import sparsegs.eigensolver
 from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
 
 
@@ -167,8 +167,8 @@ def test_unconverged_final_eigenpair_is_surfaced(patch_bundle, tmp_path, monkeyp
     assert summary["converged"] is True
     assert summary["status"] != "unconverged"
 
-    real = sparsegs.sci.lowest_eigenpair
-    monkeypatch.setattr(sparsegs.sci, "lowest_eigenpair",
+    real = sparsegs.eigensolver.lowest_eigenpair
+    monkeypatch.setattr(sparsegs.eigensolver, "lowest_eigenpair",
                         lambda m, **kw: dataclasses.replace(real(m, **kw), converged=False))
     assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
                  "cipsi", "--eps", "1e-6"]) == EXIT_OK

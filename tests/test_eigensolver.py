@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import kron_dense, random_pauli_sum
+import sparsegs.eigensolver as eigensolver
 from sparsegs.builder import CoreBlockParams, build_core_block
-from sparsegs.eigensolver import DENSE_CAP, dense_lowest, lanczos_lowest, lowest_eigenpair
+from sparsegs.eigensolver import (DENSE_CAP, basis_eigenpair, dense_lowest, lanczos_lowest,
+                                  lowest_eigenpair)
 import sparsegs.subspace as subspace
-from sparsegs.subspace import ConfigurationBasis, project_fast
+from sparsegs.paulis import unique_bits
+from sparsegs.subspace import project_fast
+from sparsegs.trace import BudgetExceeded, FlopCounter
 
 
 def test_dim_one_matrix():
@@ -30,9 +35,9 @@ def test_lanczos_matches_dense_on_random_symmetric():
 
 def test_lanczos_on_projected_core_block(patch_instance):
     h, cert = patch_instance
-    basis = ConfigurationBasis([c.bits for c in cert.support], 16)
+    basis = unique_bits(np.array([c.bits for c in cert.support], dtype=np.uint64))
     proj = project_fast(h, basis)
-    r = lanczos_lowest(proj, seed=0)
+    r = lanczos_lowest(proj.rows, seed=0)
     assert abs(r.value) < 1e-7
 
 
@@ -121,6 +126,38 @@ def test_lowest_eigenpair_dispatch():
     assert abs(r.value - np.linalg.eigvalsh(b)[0]) < 1e-9
 
 
+def test_basis_eigenpair_counts_flops_and_indexes_like_bits():
+    # the dense path and, one past DENSE_CAP, the ARPACK path
+    rng = np.random.default_rng(11)
+    h = random_pauli_sum(rng, 9, 30)
+    dense = kron_dense(h)
+    for size in (40, DENSE_CAP + 1):
+        bits = np.sort(rng.choice(1 << 9, size=size, replace=False).astype(np.uint64))
+        flops = FlopCounter()
+        flops.add(5.0)
+        eig = basis_eigenpair(h, bits, flops)
+        assert (eig.iterations > 0) == (size > DENSE_CAP)
+        nnz = project_fast(h, bits).rows.nnz
+        assert flops.count == 5.0 + (1 + eig.iterations) * nnz
+        # entry i of the vector belongs to configuration bits[i]
+        block = dense[np.ix_(bits.astype(np.int64), bits.astype(np.int64))]
+        assert eig.value == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-9)
+        assert np.linalg.norm(block @ eig.vector - eig.value * eig.vector) < 1e-8
+
+
+def test_basis_eigenpair_checks_the_cap_before_projecting(monkeypatch):
+    h = random_pauli_sum(np.random.default_rng(12), 4, 8)
+    bits = np.arange(5, dtype=np.uint64)
+    projected = []
+    real = eigensolver.project_fast
+    monkeypatch.setattr(eigensolver, "project_fast",
+                        lambda h, b: projected.append(b.size) or real(h, b))
+    basis_eigenpair(h, bits[:4], FlopCounter(), cap=4)
+    with pytest.raises(BudgetExceeded):
+        basis_eigenpair(h, bits, FlopCounter(), cap=4)
+    assert projected == [4]
+
+
 def _perfbench_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
@@ -144,6 +181,17 @@ def test_perfbench_traced_names_resolve():
         rec.uninstall()
     names = [s[0] for s in rec.spans]
     assert names == ["eigensolver.dense_lowest", "eigensolver.lanczos_lowest"]
+    # the projection counters read ProjectedMatrix.dim and .rows
+    h = random_pauli_sum(np.random.default_rng(13), 5, 12)
+    bits = np.arange(0, 32, 3, dtype=np.uint64)
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        basis_eigenpair(h, bits, FlopCounter())
+    finally:
+        rec.uninstall()
+    assert [s[0] for s in rec.spans] == ["subspace.project_fast", "eigensolver.dense_lowest"]
+    assert rec.spans[0][6] == {"dim": bits.size, "nnz": project_fast(h, bits).rows.nnz}
 
 
 def test_perfbench_filter_counts_kept_configurations(patch_instance):

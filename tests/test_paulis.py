@@ -17,7 +17,7 @@ from sparsegs.paulis import (
     diagonal_element,
     group_elements,
     matrix_element,
-    pauli_sum_to_dense,
+    pauli_sum_to_sparse,
 )
 
 
@@ -155,7 +155,7 @@ def test_dense_kernels_agree():
     # the bitmask fast path and the Kronecker oracle are independent routes
     rng = np.random.default_rng(5)
     h = random_pauli_sum(rng, 6, 18, real=False)
-    assert np.abs(pauli_sum_to_dense(h) - kron_dense(h)).max() < 1e-12
+    assert np.abs(pauli_sum_to_sparse(h).toarray() - kron_dense(h)).max() < 1e-12
 
 
 @given(seed=st.integers(0, 300))

@@ -117,7 +117,7 @@ def test_stall_theorem_on_bare_core_block():
     h = core_block_as_pauli_sum()
     for eps in np.geomspace(1e-12, 1e-3, 20):
         eig, trace, basis = run_sci(h, Configuration(0, 3), SciParams("cipsi", epsilon=eps))
-        found = {int(b) for b in basis.bits}
+        found = {int(b) for b in basis}
         assert found & {3, 4, 5, 6, 7} == set()
         assert trace.status == "stalled"
 
@@ -262,7 +262,7 @@ def test_select_trimci_degenerate_partition_is_global_keep_all():
     psi = SparseVector([0, 1, 2], [0.7, 0.5, 0.5091], 4).normalized()
     cands = connected_bits(h, bits(0, 1, 2))
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 4, seed=0)
-    kept = select_trimci(cands, psi.bits, psi, -0.5, h, 0.0, trim, 0, FlopCounter())
+    kept = select_trimci(cands, psi.bits, psi, -0.5, h, 0.0, trim, FlopCounter())
     assert set(kept.tolist()) == set(cands.tolist()) | {0, 1, 2}
 
 
@@ -272,8 +272,8 @@ def test_select_trimci_reproducible():
     psi = SparseVector([0, 1], [0.8, -0.6], 5)
     cands = connected_bits(h, bits(0, 1))
     trim = TrimParams(n_subsets=3, keep_per_subset=2, seed=21)
-    a = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, 0, FlopCounter())
-    b = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, 0, FlopCounter())
+    a = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, FlopCounter())
+    b = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, FlopCounter())
     assert np.array_equal(a, b)
 
 
@@ -291,7 +291,7 @@ def test_select_trimci_against_independent_reimplementation():
     eps = 1e-3
     cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=3, seed=5)
-    got = select_trimci(cands, psi.bits, psi, e0, h, eps, trim, 0, FlopCounter())
+    got = select_trimci(cands, psi.bits, psi, e0, h, eps, trim, FlopCounter())
 
     # oracle
     amp_map = dict(zip(core_bits, amps))
@@ -325,7 +325,7 @@ def test_trimci_dynamic_epsilon_targets_count():
     psi = SparseVector(core_bits, amps, 6)
     cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=20, expansion_factor=3.0, seed=1)
-    kept = select_trimci(cands, psi.bits, psi, -1.0, h, 0.0, trim, 0, FlopCounter())
+    kept = select_trimci(cands, psi.bits, psi, -1.0, h, 0.0, trim, FlopCounter())
     assert kept.size  # smoke: the bisection found a workable threshold
 
 
@@ -358,7 +358,7 @@ def test_explicit_initial_set():
     h = random_pauli_sum(rng, 4, 8)
     start = [Configuration(0, 4), Configuration(5, 4), Configuration(9, 4)]
     eig, trace, basis = run_sci(h, start, SciParams("cipsi", epsilon=np.inf, max_iters=3))
-    assert sorted(int(b) for b in basis.bits) == [0, 5, 9]
+    assert sorted(int(b) for b in basis) == [0, 5, 9]
     want = np.linalg.eigvalsh(
         kron_dense(h)[np.ix_([0, 5, 9], [0, 5, 9])]
     )[0]

@@ -13,7 +13,7 @@ from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.eigensolver import lowest_eigenpair
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
 from sparsegs.paulis import (Configuration, PauliString, PauliSum, diagonal_element, pauli_signs,
-                             unique_bits)
+                             pauli_sum_to_sparse, unique_bits)
 from sparsegs.skqd import (
     ChebyshevPropagator,
     ShotRecord,
@@ -26,11 +26,10 @@ from sparsegs.skqd import (
     default_dt,
     evolve_exact,
     evolve_trotter,
-    pauli_sum_to_sparse,
     run_skqd,
     support_coverage,
 )
-from sparsegs.subspace import ConfigurationBasis, connectivity_filter, project_fast
+from sparsegs.subspace import connectivity_filter, project_fast
 from sparsegs.trace import BudgetExceeded
 
 
@@ -481,7 +480,7 @@ def test_run_skqd_flops_formula(cli_patch):
     with pytest.warns(UserWarning):  # the lone x0 of the first state is filtered out
         eig, trace, record = run_skqd(h, x0, p)
     states, step = _propagator(h, x0, p, default_dt(h))
-    hr = project_fast(h, ConfigurationBasis(states, 16)).rows
+    hr = project_fast(h, states).rows
     assert step.products * hr.nnz == step.flops > 0
     pool = np.array([x0.bits], dtype=np.uint64)
     want = []
@@ -490,8 +489,8 @@ def test_run_skqd_flops_formula(cli_patch):
         kept = connectivity_filter(h, pool)
         solve = 0
         if kept.size:
-            proj = project_fast(h, ConfigurationBasis(kept, 16))
-            solve = (1 + lowest_eigenpair(proj, seed=p.eig_seed).iterations) * proj.rows.nnz
+            proj = project_fast(h, kept)
+            solve = (1 + lowest_eigenpair(proj.rows).iterations) * proj.rows.nnz
         want.append((want[-1] if want else 0.0) + (k > 0) * step.flops + solve)
     assert [r.flops for r in trace.rows] == want
     assert trace.total_flops == want[-1]

@@ -8,9 +8,8 @@ import sparsegs.paulis as pl
 from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
 from sparsegs.paulis import (Configuration, PauliSum, PauliString, group_elements, index_in,
-                             matrix_element)
+                             matrix_element, unique_bits)
 from sparsegs.subspace import (
-    ConfigurationBasis,
     connected_bits,
     ZERO_TOL,
     connectivity_filter,
@@ -25,7 +24,7 @@ def test_singleton_basis_projects_to_diagonal():
     rng = np.random.default_rng(0)
     h = random_pauli_sum(rng, 4, 10)
     x = Configuration(5, 4)
-    b = ConfigurationBasis([x.bits], 4)
+    b = unique_bits(np.array([x.bits], dtype=np.uint64))
     m = project_fast(h, b).rows.toarray()
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(matrix_element(h, x, x), abs=1e-14)
@@ -34,7 +33,7 @@ def test_singleton_basis_projects_to_diagonal():
 def test_empty_basis_gives_empty_matrix():
     rng = np.random.default_rng(1)
     h = random_pauli_sum(rng, 3, 5)
-    b = ConfigurationBasis([], 3)
+    b = unique_bits(np.array([], dtype=np.uint64))
     assert project_naive(h, b).rows.shape == (0, 0)
     assert project_fast(h, b).rows.shape == (0, 0)
 
@@ -47,7 +46,7 @@ def test_fast_equals_naive(seed):
     h = random_pauli_sum(rng, n, int(rng.integers(1, 16)))
     size = int(rng.integers(1, min(64, 1 << n) + 1))
     bits = rng.choice(1 << n, size=size, replace=False)
-    b = ConfigurationBasis([int(x) for x in bits], n)
+    b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
     diff = (project_fast(h, b).rows - project_naive(h, b).rows)
     assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-12
 
@@ -56,7 +55,7 @@ def test_projection_hermitian():
     rng = np.random.default_rng(7)
     h = random_pauli_sum(rng, 6, 20)
     bits = rng.choice(64, size=30, replace=False)
-    b = ConfigurationBasis([int(x) for x in bits], 6)
+    b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
     assert project_fast(h, b).hermiticity_defect() < 1e-12
 
 
@@ -64,9 +63,9 @@ def test_projection_diagonal_matches_matrix_element():
     rng = np.random.default_rng(8)
     h = random_pauli_sum(rng, 5, 12)
     bits = rng.choice(32, size=12, replace=False)
-    b = ConfigurationBasis([int(x) for x in bits], 5)
+    b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
     m = project_fast(h, b).rows.toarray()
-    for i, x in enumerate(b.bits.tolist()):
+    for i, x in enumerate(b.tolist()):
         cfg = Configuration(x, 5)
         assert m[i, i] == pytest.approx(matrix_element(h, cfg, cfg), abs=1e-12)
 
@@ -77,7 +76,7 @@ def test_projection_monotonicity_under_basis_growth():
     all_bits = rng.permutation(64)
     prev = np.inf
     for size in (4, 8, 16, 32, 64):
-        b = ConfigurationBasis([int(x) for x in all_bits[:size]], 6)
+        b = unique_bits(np.array([int(x) for x in all_bits[:size]], dtype=np.uint64))
         w = np.linalg.eigvalsh(project_fast(h, b).rows.toarray())[0]
         assert w <= prev + 1e-12
         prev = w
@@ -87,7 +86,7 @@ def test_projection_onto_patch_support_is_core_block():
     p = CoreBlockParams()
     pr = build_main_patch(list(range(16)), p, 0.1, 0.01, 16)
     h = PauliSum(pr.terms, 16)
-    b = ConfigurationBasis([int(x) for x in pr.support_bits], 16)
+    b = unique_bits(np.array([int(x) for x in pr.support_bits], dtype=np.uint64))
     m = project_fast(h, b).rows.toarray()
     assert np.abs(m.real - build_core_block(p)).max() < 1e-10
 
@@ -95,13 +94,13 @@ def test_projection_onto_patch_support_is_core_block():
 def test_addressing_modes_agree():
     rng = np.random.default_rng(10)
     bits = [int(b) for b in rng.choice(256, size=40, replace=False)]
-    bs = ConfigurationBasis(bits, 8)
+    bs = unique_bits(np.array(bits, dtype=np.uint64))
     assert len(bs) == 40
-    assert np.array_equal(index_in(bs.bits, bs.bits), np.arange(40))
-    query = rng.permutation(bs.bits)
-    assert np.array_equal(bs.bits[index_in(bs.bits, query)], query)
+    assert np.array_equal(index_in(bs, bs), np.arange(40))
+    query = rng.permutation(bs)
+    assert np.array_equal(bs[index_in(bs, query)], query)
     absent = np.array([(set(range(256)) - set(bits)).pop()], dtype=np.uint64)
-    assert index_in(bs.bits, absent).tolist() == [-1]
+    assert index_in(bs, absent).tolist() == [-1]
 
 
 def test_connected_banded_neighbors(patch_instance):
@@ -205,32 +204,26 @@ def test_filter_drops_far_config(patch_instance):
 
 
 def test_width_mismatch_raises():
+    # a basis is a sorted, duplicate-free array of configurations that fit
     rng = np.random.default_rng(15)
     h = random_pauli_sum(rng, 4, 5)
-    b = ConfigurationBasis([0, 1], 5)
-    with pytest.raises(ValueError):
-        project_fast(h, b)
+    for bits, why in (([0, 1 << 4], "wider than 4 qubits"), ([3, 1, 2], "sorted"),
+                      ([1, 2, 2], "duplicate")):
+        for project in (project_fast, project_naive):
+            with pytest.raises(ValueError, match=why):
+                project(h, np.array(bits, dtype=np.uint64))
+
+
+def test_projection_accepts_the_widest_configuration():
+    h = PauliSum([(1.0, PauliString.from_label("Z" * 64))], 64)
+    b = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    assert np.array_equal(project_fast(h, b).rows.diagonal(), [1.0, 1.0])
 
 
 def test_empty_basis_lookup():
-    b = ConfigurationBasis([], 4)
-    out = index_in(b.bits, np.array([0, 3], dtype=np.uint64))
+    b = np.zeros(0, dtype=np.uint64)
+    out = index_in(b, np.array([0, 3], dtype=np.uint64))
     assert list(out) == [-1, -1]
-
-
-def test_basis_from_uint64_array():
-    rng = np.random.default_rng(16)
-    bits = rng.integers(0, 1 << 62, size=300, dtype=np.uint64) | np.uint64(1 << 63)
-    bits = np.concatenate([bits, bits[::7], np.array([0, 5], dtype=np.uint64)])
-    kept = bits.copy()
-    b = ConfigurationBasis(bits, 64)
-    assert np.array_equal(bits, kept)  # the input is left alone
-    assert b.bits.dtype == np.uint64
-    assert np.array_equal(b.bits, np.unique(bits))  # sorted and unique
-    assert np.array_equal(ConfigurationBasis([int(x) for x in bits], 64).bits, b.bits)
-    assert len(ConfigurationBasis(np.zeros(0, dtype=np.uint64), 4)) == 0
-    with pytest.raises(TypeError):
-        ConfigurationBasis(bits)
 
 
 def _project_unfiltered(h, b):
@@ -238,11 +231,11 @@ def _project_unfiltered(h, b):
     addressed element concatenated, then summed and filtered in CSR."""
     rows, cols, vals = [], [], []
     for g, x in enumerate(h.x_groups[0]):
-        addr = index_in(b.bits, b.bits ^ x)
+        addr = index_in(b, b ^ x)
         hit = np.flatnonzero(addr >= 0)
         rows.append(addr[hit])
         cols.append(hit)
-        vals.append(group_elements(h, b.bits[hit], slice(g, g + 1))[0])
+        vals.append(group_elements(h, b[hit], slice(g, g + 1))[0])
     m = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(len(b), len(b)), dtype=complex)
     m.sum_duplicates()
@@ -258,7 +251,7 @@ def test_group_filtered_projection_is_bit_identical(seed):
     h = grouped_pauli_sum(rng, n, 6, 6)
     for size in (1, 40, 1 << n):
         bits = rng.choice(1 << n, size=size, replace=False).astype(np.uint64)
-        b = ConfigurationBasis(bits, n)
+        b = unique_bits(bits)
         got, want = project_fast(h, b).rows, _project_unfiltered(h, b)
         assert got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
