@@ -4,9 +4,11 @@ step every solver calls.
 `lowest_eigenpair` sends a block of dimension at most `DENSE_CAP` to dense
 LAPACK (`dense_lowest`, which doubles as the oracle) and anything larger to
 SciPy's ARPACK (`lanczos_lowest`), the implicitly restarted Lanczos method
-of Lehoucq, Sorensen & Yang, *ARPACK Users' Guide* (SIAM, 1998).  The
-cutoff is where `eigsh` overtakes complex `eigh` on flagship projections
-(ROADMAP open item 3 has the timings).
+of Lehoucq, Sorensen & Yang, *ARPACK Users' Guide* (SIAM, 1998).  Both
+run in the matrix's dtype: a real H projects to a real symmetric matrix,
+which goes to real `eigh` and to ARPACK's real symmetric driver `dsaupd`;
+a complex one to complex `eigh` and `znaupd`.  The cutoff is where `eigsh`
+overtook complex `eigh` on flagship projections.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def lanczos_lowest(
     dim = m.shape[0]
     if dim == 0:
         raise ValueError("empty matrix")
-    if dim < 3:  # ARPACK needs k < dim - 1 for complex operands
+    if dim < 3:  # ARPACK needs k < dim - 1 for complex operands, k < dim for real
         return dense_lowest(m)
 
     applied = 0
@@ -121,11 +123,11 @@ def _rayleigh_ritz(x: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return q @ c[:, 0], mq @ c[:, 0]
 
 
-def lowest_eigenpair(m, tol: float = 1e-10, seed: int = 0) -> EigResult:
+def lowest_eigenpair(m) -> EigResult:
     """Dense LAPACK at or below DENSE_CAP, ARPACK beyond."""
     if m.shape[0] <= DENSE_CAP:
         return dense_lowest(m)
-    return lanczos_lowest(m, tol=tol, seed=seed)
+    return lanczos_lowest(m)
 
 
 def basis_eigenpair(h, bits: np.ndarray, flops: FlopCounter,

@@ -138,7 +138,10 @@ class PauliSum:
     Duplicate strings are merged, coefficients below 1e-14 dropped, and
     terms sorted by mask pair, so equal operators compare equal term by
     term.  Immutable; cached mask/coefficient arrays back the vectorized
-    kernels.
+    kernels.  The net weights w_k = alpha_k i^|Y_k| are stored as float64
+    when every one has an imaginary part of exactly zero (H is then a real
+    matrix), as complex128 otherwise; `dtype` is theirs, and the kernels
+    compute in it.
     """
 
     __slots__ = ("n_qubits", "terms", "_xm", "_zm", "_coeff", "_phase", "_weights",
@@ -166,7 +169,10 @@ class PauliSum:
         # i^|Y| is a per-term constant
         ny = np.bitwise_count(self._xm & self._zm).astype(np.int64) % 4
         self._phase = (1j) ** ny
-        self._weights = self._coeff * self._phase
+        w = self._coeff * self._phase
+        # exactly real, not within a tolerance: the real path then rounds
+        # as the complex one did
+        self._weights = w if w.imag.any() else w.real.copy()
         # terms are sorted by x-mask first, so each x-mask group is a run
         self._gx, self._gstart = np.unique(self._xm, return_index=True)
         self._gstart = np.append(self._gstart, self._xm.size)
@@ -190,6 +196,11 @@ class PauliSum:
     def mask_arrays(self):
         """(x_masks, z_masks, coefficients, i^|Y| phases) as numpy arrays."""
         return self._xm, self._zm, self._coeff, self._phase
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 when H is a real matrix, complex128 otherwise."""
+        return self._weights.dtype
 
     @property
     def x_groups(self):
@@ -352,7 +363,11 @@ class SparseVector:
 # -- vectorized action kernels -------------------------------------------
 #
 # H|x> = sum_g D_g(x) |x ^ x_g>, with D_g(x) = sum_{k in g} w_k (-1)^popcount(x & z_k)
-# and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups.
+# and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups, in the
+# weights' dtype: real arithmetic when H is real.  SparseVector stays
+# complex128 even then, because BLAS's real dot products and norms round
+# differently from the complex ones, which moves the Gram-Schmidt residue
+# that truncated Arnoldi keeps or cuts.
 
 
 _APPLY_BLOCK = 1 << 23  # cap on the (terms x entries) broadcast scratch
@@ -390,7 +405,7 @@ def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -
     """
     gx, starts = h.x_groups
     lo, hi, _ = groups.indices(gx.size)
-    out = np.zeros((max(hi - lo, 0), bits.size), dtype=complex)
+    out = np.zeros((max(hi - lo, 0), bits.size), dtype=h.dtype)
     for g in range(lo, hi):
         a, b = starts[g], starts[g + 1]
         for w, signs in zip(h._weights[a:b], pauli_signs(bits, h._zm[a:b])):
@@ -474,7 +489,7 @@ def diagonal_element(h: PauliSum, bits) -> np.ndarray | float:
     if gx.size and gx[0] == 0:
         out = group_elements(h, b, slice(0, 1))[0]
     else:
-        out = np.zeros(b.size, dtype=complex)
+        out = np.zeros(b.size, dtype=h.dtype)
     res = out.real if np.abs(out.imag).max(initial=0.0) < 1e-9 else out
     return float(res[0]) if scalar else res
 

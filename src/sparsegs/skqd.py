@@ -149,8 +149,9 @@ class ChebyshevPropagator:
     The series is cut at the first K terms whose tail is at most 2^-53
     (`_chebyshev_order`), and a step runs the recurrence
     T_{k+1} = 2 H~ T_k - T_{k-1}: K - 1 sparse products.  When r dt = 0 the
-    step is the phase e^{-ic dt} alone.  H is scaled in place to 2H/r, so
-    the caller hands it over.
+    step is the phase e^{-ic dt} alone.  The operator 2H/r is built once,
+    in complex and on H's own index arrays, as SciPy would otherwise upcast
+    a real H on every product with a complex vector.  H is left unchanged.
     """
 
     def __init__(self, h: sp.csr_matrix, dt: float):
@@ -166,15 +167,16 @@ class ChebyshevPropagator:
         self.coef = np.exp(-1j * self.center * dt) * coef
         self.products = j.size - 1
         self.flops = float(self.products * h.nnz)
-        if self.products:
-            h.data *= 2 / self.radius
+        if self.products:  # after the interval: its scratch is freed by now
+            data = np.multiply(h.data, 2 / self.radius, dtype=complex)
+            self._h = sp.csr_matrix((data, h.indices, h.indptr), shape=h.shape)
             self._shift = 2 * self.center / self.radius
-        self._h = h
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
-        c, h = self.coef, self._h
+        c = self.coef
         if not self.products:
             return c[0] * v
+        h = self._h
         prev, cur = v, (h @ v - self._shift * v) / 2
         out = c[0] * prev + c[1] * cur
         for ck in c[2:]:
@@ -206,9 +208,9 @@ class TrotterPropagator:
             raise ValueError("order must be 1 or 2")
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        xm, zm, coeff, phase = h.mask_arrays
-        if np.abs(coeff.imag).max(initial=0.0) > 1e-12:
+        if not h.is_hermitian():
             raise ValueError("Trotter evolution needs real coefficients")
+        xm, zm, coeff, phase = h.mask_arrays
         n = h.n_qubits
         m = n // 2
         low = np.uint64((1 << m) - 1)

@@ -2,9 +2,10 @@
 
 A basis is a sorted, duplicate-free uint64 array of packed configurations.
 Implements both the quadratic-cost all-pairs projection (the oracle) and
-the linear-cost scatter projection that loops over the Hamiltonian's
-x-mask groups, looks up every basis member's image under each, and stores
-the group's net element at the addressed entry.
+the linear-cost row-wise projection that loops over the Hamiltonian's
+x-mask groups, looks up every basis member's image under each, and writes
+the group's net element on the image into that member's row of a CSR
+matrix, in place and in the Hamiltonian's dtype (real when H is).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .paulis import (Configuration, PauliSum, group_elements, group_images, inde
 from .trace import BudgetExceeded
 
 ZERO_TOL = 1e-14
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass
@@ -43,35 +43,48 @@ def _check_basis(h: PauliSum, bits: np.ndarray) -> None:
         raise ValueError(f"configuration 0x{int(bits[-1]):x} is wider than {h.n_qubits} qubits")
 
 
-def _assemble(rows, cols, vals, dim) -> ProjectedMatrix:
-    """CSR from (row, col, value) triples that are distinct and already
-    free of elements below ZERO_TOL."""
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return ProjectedMatrix(dim, m)
-
-
 def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
-    """Scatter projection onto the basis `bits`: one address lookup per
-    x-mask group, and the group's net element on every member whose image
-    lies in the basis.  A group maps each column to its own row, and
-    distinct groups to distinct rows, so no entry is written twice;
-    elements below ZERO_TOL are dropped group by group, before anything is
-    concatenated."""
+    """Row-wise projection onto the basis `bits`, written straight into
+    CSR in h's dtype.  For x-mask group g, one address lookup gives every
+    row i whose image j = bits[i] ^ x_g lies in the basis, and the entry
+    <x_i|H|x_j> is the group's net element D_g(x_j) on the column's
+    configuration (no Hermiticity is assumed).  A group gives each row one
+    column, and distinct groups distinct columns, so no entry is written
+    twice.  Elements below ZERO_TOL are dropped group by group; the kept
+    entries per row give `indptr`, the entries are filled into `indices`
+    and `data` in place, and each row is sorted by column at the end."""
     _check_basis(h, bits)
-    rows_l, cols_l = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    vals_l = [np.zeros(0, dtype=complex)]
-    for g, x in enumerate(h.x_groups[0]):
+    dim = bits.size
+    gx = h.x_groups[0]
+    # int32 indices, as SciPy would choose, whenever nnz <= dim * groups fits
+    idx = np.int32 if dim * gx.size <= np.iinfo(np.int32).max else np.int64
+    counts = np.zeros(dim, dtype=idx)
+    found = []
+    for g, x in enumerate(gx):
         addr = index_in(bits, bits ^ x)
-        hit = np.flatnonzero(addr >= 0)
-        if hit.size == 0:
+        rows = np.flatnonzero(addr >= 0)
+        if rows.size == 0:
             continue
-        d = group_elements(h, bits[hit], slice(g, g + 1))[0]
+        cols = addr[rows]
+        d = group_elements(h, bits[cols], slice(g, g + 1))[0]
         keep = np.abs(d) >= ZERO_TOL
-        rows_l.append(addr[hit[keep]])
-        cols_l.append(hit[keep])
-        vals_l.append(d[keep])
-    return _assemble(np.concatenate(rows_l), np.concatenate(cols_l), np.concatenate(vals_l),
-                     bits.size)
+        rows, cols = rows[keep].astype(idx), cols[keep].astype(idx)
+        counts[rows] += 1
+        found.append((rows, cols, d[keep]))
+    indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1], dtype=h.dtype)
+    fill = indptr[:-1].copy()  # each row's next free slot
+    while found:  # released group by group as the CSR fills
+        rows, cols, vals = found.pop()
+        at = fill[rows]
+        indices[at] = cols
+        data[at] = vals
+        fill[rows] += 1
+    m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    m.sort_indices()
+    return ProjectedMatrix(dim, m)
 
 
 def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
@@ -87,25 +100,24 @@ def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
                 rows.append(i)
                 cols.append(j)
                 vals.append(v)
-    return _assemble(
-        np.array(rows, dtype=np.int64),
-        np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=complex),
-        bits.size,
-    )
+    m = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
+                      shape=(bits.size, bits.size))
+    return ProjectedMatrix(bits.size, m)
 
 
 def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     """Sorted configurations outside `bits` with a net element of magnitude
     at least ZERO_TOL to some member of `bits` (cancellations across terms
-    respected)."""
+    respected).  `bits` must be sorted and duplicate-free, as for
+    project_fast."""
+    _check_basis(h, bits)
     found = [
         unique_bits(img[np.abs(d) >= ZERO_TOL]) for _, img, d in group_images(h, bits)
     ]
     if not found:
         return np.zeros(0, dtype=np.uint64)
     out_bits = unique_bits(np.concatenate(found))
-    return out_bits[index_in(np.sort(bits), out_bits) < 0]
+    return out_bits[index_in(bits, out_bits) < 0]
 
 
 def reachable_bits(h: PauliSum, bits: np.ndarray, cap: int) -> np.ndarray:

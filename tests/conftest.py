@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from sparsegs.builder import ConstructionParams, assemble_global
-from sparsegs.lattice import PatchEmbedding, build_path
+from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
 from sparsegs.paulis import PauliString, PauliSum, index_in
 
 
@@ -30,6 +32,26 @@ def grouped_pauli_sum(rng, n, n_masks, per_mask):
         for zm in zms:
             terms.append((float(rng.choice(scale)), PauliString(int(xm), int(zm), n)))
     return PauliSum(terms, n)
+
+
+def without_odd_y(h):
+    """h without its terms that carry an odd number of Y factors, so every
+    net weight alpha_k i^|Y_k| of a real-coefficient sum is real."""
+    return PauliSum([(c, s) for c, s in h.terms if (s.x_mask & s.z_mask).bit_count() % 2 == 0],
+                    h.n_qubits)
+
+
+@functools.cache
+def layout_instance(layout):
+    """(hamiltonian, certificate) of a `sparsegs generate --seed 9` bundle:
+    the 49-qubit flagship, or the 16-qubit path patch, bare or coupled."""
+    if layout == "flagship":
+        g = build_heavy_hex(3, 2)
+        return assemble_global(g, embed_patches(g, 3, 16, seed=9),
+                               ConstructionParams(obfuscation_seed=9))
+    emb = PatchEmbedding((tuple(range(16)),), ())
+    return assemble_global(build_path(16), emb, ConstructionParams(obfuscation_seed=9),
+                           couple=layout == "path16-coupled")
 
 
 def kron_dense(h):

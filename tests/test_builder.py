@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import kron_dense
+from conftest import kron_dense, layout_instance
 from sparsegs.builder import (
     ConstructionParams,
     CoreBlockParams,
@@ -20,8 +20,8 @@ from sparsegs.builder import (
     verify_certificate,
 )
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
-from sparsegs.paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
-                             pauli_sum_to_sparse, unique_bits)
+from sparsegs.paulis import (Configuration, PauliString, PauliSum, SparseVector,
+                             apply_sum_to_vector, pauli_sum_to_sparse, unique_bits)
 from sparsegs.subspace import project_fast
 
 PRINTED_PSI0 = np.array([-0.018, -0.014, -0.049, 0.119, -0.298, 0.449, -0.559, 0.616])
@@ -241,19 +241,21 @@ def test_assemble_49q_shape_and_certificate():
     [("flagship", 366, 149), ("path16", 97, 41), ("path16-coupled", 120, 49)],
 )
 def test_x_mask_group_counts(layout, terms, groups):
-    if layout == "flagship":
-        g = build_heavy_hex(3, 2)
-        h, _ = assemble_global(g, embed_patches(g, 3, 16, seed=9),
-                               ConstructionParams(obfuscation_seed=9))
-    else:
-        emb = PatchEmbedding((tuple(range(16)),), ())
-        h, _ = assemble_global(build_path(16), emb, ConstructionParams(obfuscation_seed=9),
-                               couple=layout == "path16-coupled")
+    h, _ = layout_instance(layout)
     gx, starts = h.x_groups
     assert (len(h), gx.size) == (terms, groups)
     xm = h.mask_arrays[0]
     for g, x in enumerate(gx):  # each group is one contiguous run of its x-mask
         assert np.all(xm[starts[g] : starts[g + 1]] == x)
+
+
+@pytest.mark.parametrize("layout", ["flagship", "path16-coupled"])
+def test_bundle_hamiltonians_are_real(layout):
+    # the builder's blocks are real symmetric matrices, so H is real
+    h, _ = layout_instance(layout)
+    assert h.dtype == np.float64
+    y = PauliString.from_label("Y" + "I" * (h.n_qubits - 1))
+    assert (h + PauliSum([(0.1, y)], h.n_qubits)).dtype == np.complex128
 
 
 def test_single_patch_reduction_equals_patch_certificate():

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import kron_dense, random_pauli_sum
+from conftest import kron_dense, layout_instance, random_pauli_sum
 import sparsegs.eigensolver as eigensolver
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.eigensolver import (DENSE_CAP, basis_eigenpair, dense_lowest, lanczos_lowest,
                                   lowest_eigenpair)
 import sparsegs.subspace as subspace
 from sparsegs.paulis import unique_bits
-from sparsegs.subspace import project_fast
+from sparsegs.subspace import connected_bits, project_fast
 from sparsegs.trace import BudgetExceeded, FlopCounter
 
 
@@ -121,9 +121,24 @@ def test_lowest_eigenpair_dispatch():
     # one past the dense cutoff goes to ARPACK
     b = rng.standard_normal((DENSE_CAP + 1, DENSE_CAP + 1))
     b = b + b.T
-    r = lowest_eigenpair(sp.csr_matrix(b + 0j), seed=3)
+    r = lowest_eigenpair(sp.csr_matrix(b + 0j))
     assert r.converged and r.iterations > 0
     assert abs(r.value - np.linalg.eigvalsh(b)[0]) < 1e-9
+
+
+def test_real_and_complex_arpack_agree_on_flagship_projection():
+    # a real projection runs ARPACK's real symmetric driver, its complex
+    # cast the complex one
+    h, cert = layout_instance("flagship")
+    support = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
+    for bits in (support, connected_bits(h, support)):
+        m = project_fast(h, bits).rows
+        assert m.dtype == np.float64 and m.shape[0] > DENSE_CAP
+        real, cplx = lanczos_lowest(m, seed=1), lanczos_lowest(m.astype(complex), seed=1)
+        assert real.converged and cplx.converged
+        assert real.vector.dtype == np.float64 and cplx.vector.dtype == np.complex128
+        assert abs(real.value - cplx.value) <= 1e-12
+        assert abs(np.vdot(real.vector, cplx.vector)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_basis_eigenpair_counts_flops_and_indexes_like_bits():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsegs.paulis as pl
-from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
+from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum, without_odd_y
 from sparsegs.paulis import (
     Configuration,
     PauliString,
@@ -290,19 +290,50 @@ def test_apply_sum_bit_identical_to_per_term(seed, cap):
         SparseVector(src, rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) + 0j, n),
         SparseVector(src, rng.standard_normal(size) + 1j * rng.standard_normal(size), n),
     ]
+    real = without_odd_y(h)
+    assert h.dtype == np.complex128 and real.dtype == np.float64
     old = pl._APPLY_BLOCK
     try:
         if cap is not None:
             pl._APPLY_BLOCK = cap  # four terms per block
-        for v in vectors:
-            got, want = apply_sum_to_vector(h, v), _apply_per_term(h, v)
-            assert np.array_equal(got.bits, want.bits)
-            assert np.array_equal(got.amps, want.amps)
+        for hh in (h, real):
+            for v in vectors:
+                got, want = apply_sum_to_vector(hh, v), _apply_per_term(hh, v)
+                assert np.array_equal(got.bits, want.bits)
+                assert np.array_equal(got.amps, want.amps)
     finally:
         pl._APPLY_BLOCK = old
     hv = apply_sum_to_vector(h, vectors[0])
     images = np.unique(src.astype(np.uint64)[None, :] ^ h.x_groups[0][:, None])
     assert len(hv) < images.size  # exact cancellations were pruned
+
+
+def test_weights_are_real_exactly_when_h_is():
+    rng = np.random.default_rng(24)
+    h = without_odd_y(random_pauli_sum(rng, 5, 30))
+    assert h.dtype == np.float64
+    assert np.array_equal(h._weights, (h.mask_arrays[2] * h.mask_arrays[3]).real)
+    y = PauliSum([(0.25, PauliString.from_label("IYIII"))], 5)
+    assert (h + y).dtype == np.complex128  # i^|Y| = i
+    assert (h + y.scaled(1j)).dtype == np.float64  # 0.25i * i is real
+    assert (h + PauliSum([(0.5j, PauliString.from_label("ZIIII"))], 5)).dtype == np.complex128
+    assert PauliSum([], 5).dtype == np.float64
+    # real and complex weights give the same diagonal elements
+    bits = np.arange(32, dtype=np.uint64)
+    hc = h + PauliSum([(1e-3, PauliString.from_label("YIIII"))], 5)
+    assert diagonal_element(h, bits).dtype == np.float64
+    assert np.array_equal(diagonal_element(h, bits), diagonal_element(hc, bits))
+
+
+def test_sparse_vector_amplitudes_stay_complex():
+    # truncated Arnoldi's Gram-Schmidt residue depends on the complex BLAS
+    # rounding, so real input still gives complex128 amplitudes
+    v = SparseVector([3, 1], [0.5, -2.0], 3)
+    assert v.amps.dtype == np.complex128
+    h = PauliSum([(0.5, PauliString.from_label("XZI"))], 3)
+    assert h.dtype == np.float64
+    assert apply_sum_to_vector(h, v).amps.dtype == np.complex128
+    assert v.add(v, factor=0.5).amps.dtype == v.scaled(2.0).amps.dtype == np.complex128
 
 
 def test_group_elements_match_matrix_element():

@@ -88,7 +88,7 @@ def test_default_dt_rejects_bad_multiplier():
 def test_trotter_rejects_complex_coefficients():
     h = PauliSum([(1j, PauliString.from_label("X"))], 1)
     v = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="real coefficients"):
         evolve_trotter(h, v, 0.1)
 
 
@@ -431,6 +431,22 @@ def test_chebyshev_propagator_matches_dense_exponential(a):
         v /= np.linalg.norm(v)
         want = sla.expm(-1j * dt * dense) @ v
         assert np.linalg.norm(prop(v) - want) < 1e-13
+
+
+def test_chebyshev_propagator_holds_a_complex_operator():
+    # a real H_R is cast once, not upcast on every product, on the caller's
+    # index arrays; the caller's matrix is left unscaled
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 40))
+    real = sp.csr_matrix(a + a.T)
+    before = real.copy()
+    prop = ChebyshevPropagator(real, 0.3)
+    assert prop._h.dtype == np.complex128 and prop.products > 0
+    assert real.dtype == np.float64 and (real != before).nnz == 0
+    assert np.shares_memory(prop._h.indices, real.indices)
+    assert np.shares_memory(prop._h.indptr, real.indptr)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    assert np.array_equal(prop(v), ChebyshevPropagator(before.astype(complex), 0.3)(v))
 
 
 def test_chebyshev_scalar_operator_is_the_phase():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsegs.paulis as pl
-from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum
+from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
+                      without_odd_y)
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
 from sparsegs.paulis import (Configuration, PauliSum, PauliString, group_elements, index_in,
                              matrix_element, unique_bits)
@@ -38,12 +41,14 @@ def test_empty_basis_gives_empty_matrix():
     assert project_fast(h, b).rows.shape == (0, 0)
 
 
-@given(seed=st.integers(0, 10_000))
+@given(seed=st.integers(0, 10_000), real=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_fast_equals_naive(seed):
+def test_fast_equals_naive(seed, real):
+    # complex coefficients make H non-Hermitian, so a build that filled one
+    # triangle from the other would fail
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
-    h = random_pauli_sum(rng, n, int(rng.integers(1, 16)))
+    h = random_pauli_sum(rng, n, int(rng.integers(1, 16)), real=real)
     size = int(rng.integers(1, min(64, 1 << n) + 1))
     bits = rng.choice(1 << n, size=size, replace=False)
     b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
@@ -204,14 +209,15 @@ def test_filter_drops_far_config(patch_instance):
 
 
 def test_width_mismatch_raises():
-    # a basis is a sorted, duplicate-free array of configurations that fit
+    # a basis is a sorted, duplicate-free array of configurations that fit;
+    # the expansion takes the same arrays and checks them the same way
     rng = np.random.default_rng(15)
     h = random_pauli_sum(rng, 4, 5)
     for bits, why in (([0, 1 << 4], "wider than 4 qubits"), ([3, 1, 2], "sorted"),
                       ([1, 2, 2], "duplicate")):
-        for project in (project_fast, project_naive):
+        for fn in (project_fast, project_naive, connected_bits):
             with pytest.raises(ValueError, match=why):
-                project(h, np.array(bits, dtype=np.uint64))
+                fn(h, np.array(bits, dtype=np.uint64))
 
 
 def test_projection_accepts_the_widest_configuration():
@@ -257,6 +263,37 @@ def test_group_filtered_projection_is_bit_identical(seed):
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
     assert (group_elements(h, np.arange(1 << n, dtype=np.uint64)) == 0).any()  # cancellations
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_real_h_projects_to_a_real_matrix(seed):
+    rng = np.random.default_rng(320 + seed)
+    n = 7
+    h = without_odd_y(grouped_pauli_sum(rng, n, 6, 6))
+    assert h.dtype == np.float64
+    for size in (1, 40, 1 << n):
+        bits = np.sort(rng.choice(1 << n, size=size, replace=False).astype(np.uint64))
+        got = project_fast(h, bits).rows
+        assert got.dtype == np.float64
+        assert np.array_equal(got.toarray(), project_naive(h, bits).rows.toarray())
+
+
+def test_projection_memory_is_a_small_multiple_of_the_matrix():
+    # the CSR is filled in place, so the peak is the kept entries (16 B each
+    # when H is real) plus the matrix, with no triplet concatenation and no
+    # COO-to-CSR copy
+    h, cert = layout_instance("path16-coupled")
+    bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
+    assert bits.size == 65_535
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = project_fast(h, bits).rows
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == 1_753_087 and m.has_sorted_indices
+    assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 @pytest.mark.parametrize("seed", range(4))
