@@ -30,7 +30,7 @@ from .paulis import (
     Configuration,
     PauliString,
     PauliSum,
-    SparseVector,
+    add_scaled,
     apply_sum_to_vector,
     conjugate_by_x_layer,
     decompose_dense_block,
@@ -148,10 +148,11 @@ class GroundStateCertificate:
         if self.initial_config not in set(self.support):
             raise ValueError("initial_config must be a support configuration")
 
-    def state(self) -> SparseVector:
-        return SparseVector(
-            [cfg.bits for cfg in self.support], self.amplitudes, self.n_qubits
-        )
+    def state(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bits, amps) of the certificate state, sorted by bits."""
+        bits = np.array([cfg.bits for cfg in self.support], dtype=np.uint64)
+        order = np.argsort(bits)
+        return bits[order], self.amplitudes[order].astype(complex)
 
     def initial_overlap_sq(self) -> float:
         i = self.support.index(self.initial_config)
@@ -396,10 +397,9 @@ def verify_certificate(
     h: PauliSum, cert: GroundStateCertificate, rel_tol: float = 1e-7
 ) -> CertificateReport:
     """Check ||(H - E) |Psi>|| <= rel_tol * sum_k |alpha_k|."""
-    psi = cert.state()
-    hpsi = apply_sum_to_vector(h, psi)
-    resid_vec = hpsi.add(psi, factor=-cert.energy)
-    residual = resid_vec.norm()
+    bits, amps = cert.state()
+    _, resid = add_scaled(*apply_sum_to_vector(h, bits, amps), bits, amps, -cert.energy)
+    residual = float(np.linalg.norm(resid))
     one_norm = h.coeff_one_norm()
     tol = rel_tol * one_norm
     return CertificateReport(residual <= tol, residual, tol, one_norm)
@@ -438,11 +438,16 @@ def save_bundle(
 
 
 def load_bundle(path: Path | str):
-    """Returns (hamiltonian, certificate, metadata)."""
+    """Returns (hamiltonian, certificate, metadata).  Raises ValueError when
+    the hash of hamiltonian.json's text is not metadata.json's
+    instance_hash."""
     path = Path(path)
-    h = PauliSum.from_json_dict(json.loads((path / HAMILTONIAN_FILE).read_text()))
+    ham_json = (path / HAMILTONIAN_FILE).read_text()
+    meta = json.loads((path / METADATA_FILE).read_text())
+    if meta.get("instance_hash") != instance_hash(ham_json):
+        raise ValueError(f"{path / HAMILTONIAN_FILE} does not match the bundle's instance_hash")
+    h = PauliSum.from_json_dict(json.loads(ham_json))
     cert = GroundStateCertificate.from_json_dict(
         json.loads((path / CERTIFICATE_FILE).read_text())
     )
-    meta = json.loads((path / METADATA_FILE).read_text())
     return h, cert, meta

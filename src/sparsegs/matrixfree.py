@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import EigResult, basis_eigenpair
-from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
-                     diagonal_element, index_in, unique_bits)
+from .paulis import (Configuration, PauliSum, add_scaled, apply_sum_to_vector,
+                     diagonal_element, index_in, sparse_vdot, truncate_top, unique_bits)
 from .subspace import connected_bits
 from .trace import (
     DEFAULT_DIM_CAP,
@@ -145,21 +145,21 @@ def run_truncated_arnoldi(
     trace = SolverTrace(solver="tarnoldi")
     trace.status = STATUS_MAX_ITERS
 
-    vecs = [SparseVector.basis_state(x0)]
     union = np.array([x0.bits], dtype=np.uint64)
+    vecs = [(union, np.ones(1, dtype=complex))]
 
     for it in range(p.iters):
         t0 = time.perf_counter()
-        u = apply_sum_to_vector(h, vecs[-1])
-        flops.add(len(vecs[-1]) * len(h))
+        ub, ua = apply_sum_to_vector(h, *vecs[-1])
+        flops.add(vecs[-1][0].size * len(h))
         for _ in range(2):  # MGS + one reorthogonalization pass
-            for v in vecs:
-                ov = v.dot(u)
-                flops.add(min(len(v), len(u)) * 2)
+            for vb, va in vecs:
+                ov = sparse_vdot(vb, va, ub, ua)
+                flops.add(min(vb.size, ub.size) * 2)
                 if ov != 0:
-                    u = u.add(v, factor=-ov)
-        u = u.truncate_top(p.new_config_cap)
-        nrm = u.norm()
+                    ub, ua = add_scaled(ub, ua, vb, va, -ov)
+        ub, ua = truncate_top(ub, ua, p.new_config_cap)
+        nrm = float(np.linalg.norm(ua))
         if nrm <= BREAKDOWN_TOL:
             trace.status = STATUS_CONVERGED  # invariant subspace reached
             trace.add(
@@ -171,10 +171,9 @@ def run_truncated_arnoldi(
                 flops=flops.count,
             )
             break
-        v_next = u.scaled(1.0 / nrm)
-        vecs.append(v_next)
+        vecs.append((ub, ua * (1.0 / nrm)))
         before = union.size
-        union = unique_bits(np.concatenate((union, v_next.bits)))
+        union = unique_bits(np.concatenate((union, ub)))
         if union.size > p.dim_cap:
             raise BudgetExceeded(f"support union {union.size} exceeds cap {p.dim_cap}")
         energy = float("nan")
@@ -217,7 +216,7 @@ class TpmParams:
 
 
 def run_tpm(
-    h: PauliSum, start: Configuration | SparseVector, p: TpmParams
+    h: PauliSum, x0: Configuration, p: TpmParams
 ) -> tuple[float, SolverTrace, np.ndarray]:
     """Truncated power iteration on A = shift*I - H.
 
@@ -238,52 +237,49 @@ def run_tpm(
         )
     if p.sparsity_cutoff > p.dim_cap:
         raise BudgetExceeded("sparsity cutoff exceeds the dimension cap")
-    if isinstance(start, Configuration):
-        phi = SparseVector.basis_state(start)
-    else:
-        phi = start.normalized()
-    if phi.n_qubits != h.n_qubits:
+    if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
+    bits, amps = np.array([x0.bits], dtype=np.uint64), np.ones(1, dtype=complex)
 
     flops = FlopCounter()
     trace = SolverTrace(solver="tpm")
     trace.status = STATUS_MAX_ITERS
-    energy = _rayleigh(h, phi, flops)
+    energy = _rayleigh(h, bits, amps, flops)
 
     for t in range(1, p.iters + 1):
         t0 = time.perf_counter()
-        hphi = apply_sum_to_vector(h, phi)
-        flops.add(len(phi) * len(h))
-        theta = phi.scaled(shift).add(hphi, factor=-1.0)  # A phi
-        omega = theta.truncate_top(p.sparsity_cutoff)
-        phi = omega.normalized()
-        energy = _rayleigh(h, phi, flops)
+        hb, ha = apply_sum_to_vector(h, bits, amps)
+        flops.add(bits.size * len(h))
+        bits, amps = add_scaled(bits, amps * shift, hb, ha, -1.0)  # A phi
+        bits, amps = truncate_top(bits, amps, p.sparsity_cutoff)
+        amps = amps / np.linalg.norm(amps)
+        energy = _rayleigh(h, bits, amps, flops)
         row_energy = energy
         if p.mode == "diagonalize_support":
-            row_energy = basis_eigenpair(h, phi.bits, flops, p.dim_cap).value
+            row_energy = basis_eigenpair(h, bits, flops, p.dim_cap).value
         trace.add(
             iteration=t,
-            subspace_dim=len(phi),
+            subspace_dim=bits.size,
             energy=row_energy,
             wall_ms=(time.perf_counter() - t0) * 1e3,
-            new_configs=len(phi),
+            new_configs=bits.size,
             flops=flops.count,
         )
 
     if p.mode == "diagonalize_support":
-        final = basis_eigenpair(h, phi.bits, flops, p.dim_cap).value
+        final = basis_eigenpair(h, bits, flops, p.dim_cap).value
     else:
         final = energy
     trace.final_energy = final
-    trace.final_dim = len(phi)
+    trace.final_dim = bits.size
     trace.total_flops = flops.count
-    return final, trace, phi.support()
+    return final, trace, bits
 
 
-def _rayleigh(h: PauliSum, phi: SparseVector, flops: FlopCounter) -> float:
-    hphi = apply_sum_to_vector(h, phi)
-    flops.add(len(phi) * len(h) + min(len(phi), len(hphi)))
-    return float(phi.dot(hphi).real)
+def _rayleigh(h: PauliSum, bits: np.ndarray, amps: np.ndarray, flops: FlopCounter) -> float:
+    hb, ha = apply_sum_to_vector(h, bits, amps)
+    flops.add(bits.size * len(h) + min(bits.size, hb.size))
+    return float(sparse_vdot(bits, amps, hb, ha).real)
 
 
 # -- convergence-theory constants --------------------------------------------

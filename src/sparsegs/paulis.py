@@ -57,12 +57,6 @@ class Configuration:
         if self.bits < 0 or self.bits >> self.n_qubits:
             raise ValueError(f"bits 0x{self.bits:x} out of range for {self.n_qubits} qubits")
 
-    def bit(self, q: int) -> int:
-        return (self.bits >> q) & 1
-
-    def weight(self) -> int:
-        return popcount(self.bits)
-
     def to_hex(self) -> str:
         return f"0x{self.bits:x}"
 
@@ -87,9 +81,6 @@ class PauliString:
         full = (1 << self.n_qubits) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError("mask has bits beyond n_qubits")
-
-    def weight(self) -> int:
-        return popcount(self.x_mask | self.z_mask)
 
     @property
     def label(self) -> str:
@@ -272,100 +263,14 @@ class PauliSum:
         return cls.from_json_dict(json.loads(text))
 
 
-class SparseVector:
-    """Sparse amplitude map over configurations, array backed and immutable.
-
-    Entries are kept sorted by configuration bits; amplitudes of magnitude
-    exactly zero are pruned on construction.
-    """
-
-    __slots__ = ("bits", "amps", "n_qubits")
-
-    def __init__(self, bits, amps, n_qubits: int, *, _sorted: bool = False):
-        _check_width(n_qubits)
-        bits = np.asarray(bits, dtype=np.uint64)
-        amps = np.asarray(amps, dtype=complex)
-        if bits.shape != amps.shape:
-            raise ValueError("bits/amps length mismatch")
-        if not _sorted:
-            order = np.argsort(bits, kind="stable")
-            bits, amps = bits[order], amps[order]
-            if bits.size and np.any(bits[1:] == bits[:-1]):
-                uniq, inv = np.unique(bits, return_inverse=True)
-                merged = np.zeros(uniq.size, dtype=complex)
-                np.add.at(merged, inv, amps)
-                bits, amps = uniq, merged
-        keep = amps != 0
-        self.bits = bits[keep]
-        self.amps = amps[keep]
-        self.n_qubits = n_qubits
-        self.bits.flags.writeable = False
-        self.amps.flags.writeable = False
-
-    @classmethod
-    def basis_state(cls, x: Configuration) -> "SparseVector":
-        return cls([x.bits], [1.0 + 0j], x.n_qubits, _sorted=True)
-
-    def __len__(self):
-        return int(self.bits.size)
-
-    def amplitude(self, x: Configuration) -> complex:
-        i = np.searchsorted(self.bits, np.uint64(x.bits))
-        if i < self.bits.size and self.bits[i] == np.uint64(x.bits):
-            return complex(self.amps[i])
-        return 0j
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "SparseVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalize the zero vector")
-        return SparseVector(self.bits, self.amps / n, self.n_qubits, _sorted=True)
-
-    def scaled(self, factor: complex) -> "SparseVector":
-        return SparseVector(self.bits, self.amps * factor, self.n_qubits, _sorted=True)
-
-    def dot(self, other: "SparseVector") -> complex:
-        """<self|other> with conjugation on self."""
-        _, ia, ib = np.intersect1d(self.bits, other.bits, assume_unique=True, return_indices=True)
-        return complex(np.vdot(self.amps[ia], other.amps[ib]))
-
-    def add(self, other: "SparseVector", factor: complex = 1.0) -> "SparseVector":
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit-count mismatch")
-        bits = np.concatenate([self.bits, other.bits])
-        amps = np.concatenate([self.amps, factor * other.amps])
-        return SparseVector(bits, amps, self.n_qubits)
-
-    def truncate_top(self, k: int) -> "SparseVector":
-        """Keep the k largest-magnitude amplitudes; ties break by bit value."""
-        if len(self) <= k:
-            return self
-        order = np.lexsort((self.bits, -np.abs(self.amps)))[:k]
-        return SparseVector(self.bits[order], self.amps[order], self.n_qubits)
-
-    def support(self) -> np.ndarray:
-        return self.bits.copy()
-
-    def to_dense(self) -> np.ndarray:
-        if self.n_qubits > 26:
-            raise ValueError("dense form over 26 qubits is not sensible")
-        v = np.zeros(1 << self.n_qubits, dtype=complex)
-        v[self.bits.astype(np.int64)] = self.amps
-        return v
-
-    def __repr__(self):
-        return f"SparseVector({len(self)} entries, n={self.n_qubits})"
-
-
 # -- vectorized action kernels -------------------------------------------
 #
 # H|x> = sum_g D_g(x) |x ^ x_g>, with D_g(x) = sum_{k in g} w_k (-1)^popcount(x & z_k)
 # and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups, in the
-# weights' dtype: real arithmetic when H is real.  SparseVector stays
-# complex128 even then, because BLAS's real dot products and norms round
+# weights' dtype: real arithmetic when H is real.  A sparse vector is a
+# sorted, duplicate-free uint64 `bits` array (a basis, as check_basis
+# defines it) plus an aligned `amps` array.  The amplitudes are complex128
+# even when H is real, because BLAS's real dot products and norms round
 # differently from the complex ones, which moves the Gram-Schmidt residue
 # that truncated Arnoldi keeps or cuts.
 
@@ -389,6 +294,15 @@ def index_in(members: np.ndarray, bits: np.ndarray) -> np.ndarray:
     np.minimum(pos, members.size - 1, out=pos)  # in place: `bits` can hold millions of images
     pos[members[pos] != bits] = -1
     return pos
+
+
+def check_basis(h: PauliSum, bits: np.ndarray) -> None:
+    """A basis is a sorted, duplicate-free uint64 array of configurations
+    that fit in h's qubits; anything else raises ValueError."""
+    if np.any(bits[1:] <= bits[:-1]):
+        raise ValueError("basis must be sorted and duplicate-free")
+    if bits.size and int(bits[-1]) >> h.n_qubits:
+        raise ValueError(f"configuration 0x{int(bits[-1]):x} is wider than {h.n_qubits} qubits")
 
 
 def pauli_signs(bits: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
@@ -439,34 +353,74 @@ def group_images(h: PauliSum, bits: np.ndarray):
         yield lo, part[None, :] ^ gx[:, None], group_elements(h, part)
 
 
-def apply_sum_to_vector(h: PauliSum, v: SparseVector) -> SparseVector:
-    """H|v> computed exactly; output sparsity at most (x-mask groups) * len(v).
+def apply_sum_to_vector(h: PauliSum, bits: np.ndarray, amps: np.ndarray):
+    """H|v> computed exactly for v = (bits, amps), returned as (bits, amps):
+    sorted, complex128, exact zeros dropped; output sparsity at most
+    (x-mask groups) * len(bits).
 
     Each (term, entry) product (w_k s) a is binned to its image and added
     into one running sum per image in term-major order, so every image sums
     the same products in the same order whatever the block size.  Term
     blocks bound the product scratch by _APPLY_BLOCK.
     """
-    if h.n_qubits != v.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    if len(v) == 0 or len(h) == 0:
-        return SparseVector([], [], v.n_qubits)
+    check_basis(h, bits)
+    amps = np.asarray(amps, dtype=complex)
+    if amps.shape != bits.shape:
+        raise ValueError("bits/amps length mismatch")
+    if bits.size == 0 or len(h) == 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=complex)
     gx, _ = h.x_groups
-    out_bits, inv = np.unique(v.bits[None, :] ^ gx[:, None], return_inverse=True)
-    inv = inv.reshape(gx.size, len(v))
+    out_bits, inv = np.unique(bits[None, :] ^ gx[:, None], return_inverse=True)
+    inv = inv.reshape(gx.size, bits.size)
     re = np.zeros(out_bits.size)
     im = np.zeros(out_bits.size)
-    block = max(1, _APPLY_BLOCK // len(v))
+    block = max(1, _APPLY_BLOCK // bits.size)
     for lo in range(0, len(h), block):
         hi = lo + block
-        amps = (h._weights[lo:hi, None] * pauli_signs(v.bits, h._zm[lo:hi])
-                * v.amps[None, :]).ravel()
+        prod = (h._weights[lo:hi, None] * pauli_signs(bits, h._zm[lo:hi])
+                * amps[None, :]).ravel()
         bins = inv[h._gterm[lo:hi]].ravel()
-        np.add.at(re, bins, amps.real)  # in index order, onto the earlier blocks
-        np.add.at(im, bins, amps.imag)
-    amps = np.empty(out_bits.size, dtype=complex)
-    amps.real, amps.imag = re, im
-    return SparseVector(out_bits, amps, v.n_qubits, _sorted=True)
+        np.add.at(re, bins, prod.real)  # in index order, onto the earlier blocks
+        np.add.at(im, bins, prod.imag)
+    out = np.empty(out_bits.size, dtype=complex)
+    out.real, out.imag = re, im
+    keep = out != 0
+    return out_bits[keep], out[keep]
+
+
+def add_scaled(bu: np.ndarray, au: np.ndarray, bv: np.ndarray, av: np.ndarray,
+               factor: complex):
+    """u + factor * v over the union of the two supports, exact zeros
+    dropped.  A shared entry is u + (factor * v), rounded once."""
+    both = np.concatenate((bu, bv))
+    order = np.argsort(both, kind="stable")  # timsort: a linear merge of two sorted runs
+    merged = both[order]
+    first = np.ones(both.size, dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    slot = np.empty(both.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1  # each entry's index in the union
+    amps = np.zeros(np.count_nonzero(first), dtype=complex)
+    amps[slot[: bu.size]] = au
+    amps[slot[bu.size :]] += factor * av
+    keep = amps != 0
+    return merged[first][keep], amps[keep]
+
+
+def sparse_vdot(ba: np.ndarray, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray) -> complex:
+    """<a|b>, conjugating a, summed over the shared entries in ascending
+    bit order; a is looked up in b, so pass the shorter vector first."""
+    idx = index_in(bb, ba)
+    hit = idx >= 0
+    return complex(np.vdot(aa[hit], ab[idx[hit]]))
+
+
+def truncate_top(bits: np.ndarray, amps: np.ndarray, k: int):
+    """The k largest-magnitude entries, ties broken by ascending bit value,
+    kept in bit order."""
+    if bits.size <= k:
+        return bits, amps
+    keep = np.sort(np.lexsort((bits, -np.abs(amps)))[:k])
+    return bits[keep], amps[keep]
 
 
 def matrix_element(h: PauliSum, x: Configuration, y: Configuration) -> complex:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import EigResult, basis_eigenpair
-from .paulis import (Configuration, PauliSum, SparseVector, apply_sum_to_vector,
-                     diagonal_element, group_images, index_in, unique_bits)
+from .paulis import (Configuration, PauliSum, apply_sum_to_vector, diagonal_element,
+                     group_images, index_in, unique_bits)
 from .subspace import connected_bits
 from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, STATUS_STALLED, FlopCounter, SolverTrace
 
@@ -84,14 +84,15 @@ def _sort_by_amplitude(bits: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _perturbative_scores(
-    h: PauliSum, psi: SparseVector, e0: float, cand_bits: np.ndarray, flops: FlopCounter
+    h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, e0: float,
+    cand_bits: np.ndarray, flops: FlopCounter,
 ) -> np.ndarray:
     """|<x|H|psi> / (<x|H|x> - e0)| for each candidate, with the small-
     denominator guard mapping near-zero gaps to +inf (always select)."""
-    hpsi = apply_sum_to_vector(h, psi)
-    flops.add((len(psi) + cand_bits.size) * len(h))
-    idx = index_in(hpsi.bits, cand_bits)
-    num = np.where(idx >= 0, np.abs(hpsi.amps[idx]), 0.0)
+    hb, ha = apply_sum_to_vector(h, core_bits, core_amps)
+    flops.add((core_bits.size + cand_bits.size) * len(h))
+    idx = index_in(hb, cand_bits)
+    num = np.where(idx >= 0, np.abs(ha[idx]), 0.0)
     den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)
     out = np.empty(cand_bits.size)
     guarded = den < DENOMINATOR_GUARD
@@ -122,58 +123,51 @@ def _hci_scores(
 # -- selection rules -----------------------------------------------------------
 #
 # Each rule takes the sorted candidates, the sorted core and the core's
-# eigenvector restricted to it, and returns the next basis as a sorted,
-# duplicate-free array.  core_bits travels beside core_state because
-# SparseVector drops exact-zero amplitudes that still belong to the core.
+# eigenvector amplitudes aligned with it, and returns the next basis as a
+# sorted, duplicate-free array.  A member the eigenvector left at exactly
+# zero still belongs to the core; it just scores zero.
 
 
-def _core_amplitudes(core_bits: np.ndarray, core_state: SparseVector) -> np.ndarray:
-    """|c_i| per core member; members the eigenvector left at exactly zero
-    still belong to the core, they just score zero."""
-    idx = index_in(core_state.bits, core_bits)
-    return np.where(idx >= 0, np.abs(core_state.amps[idx]), 0.0)
-
-
-def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                  e0: float, h: PauliSum, epsilon: float, flops: FlopCounter) -> np.ndarray:
     """First-order perturbation-theory thresholding; the core is always
     retained."""
     if cand_bits.size:
-        scores = _perturbative_scores(h, core_state, e0, cand_bits, flops)
+        scores = _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, flops)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
     return unique_bits(np.concatenate((core_bits, passed)))
 
 
-def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                h: PauliSum, epsilon: float, flops: FlopCounter) -> np.ndarray:
     """Heat-bath criterion: largest single matrix element times amplitude;
     the core is always retained."""
     if cand_bits.size:
-        scores = _hci_scores(h, core_state.bits, core_state.amps, cand_bits, flops)
+        scores = _hci_scores(h, core_bits, core_amps, cand_bits, flops)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
     return unique_bits(np.concatenate((core_bits, passed)))
 
 
-def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                 e0: float, h: PauliSum, d_cap: int, flops: FlopCounter) -> np.ndarray:
     """Rank core amplitudes and candidate perturbative estimates on equal
     footing; keep the top d_cap."""
     cand_scores = (
-        _perturbative_scores(h, core_state, e0, cand_bits, flops)
+        _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, flops)
         if cand_bits.size
         else np.zeros(0)
     )
     all_bits = np.concatenate([core_bits, cand_bits])
-    all_scores = np.concatenate([_core_amplitudes(core_bits, core_state), cand_scores])
+    all_scores = np.concatenate([np.abs(core_amps), cand_scores])
     order = _sort_by_amplitude(all_bits, all_scores)[:d_cap]
     return np.sort(all_bits[order])
 
 
-def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: SparseVector,
+def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                   e0: float, h: PauliSum, epsilon: float, trim: TrimParams,
                   flops: FlopCounter) -> np.ndarray:
     """Two-phase TrimCI selection.
@@ -186,13 +180,13 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: Spar
     """
     if trim.first_phase == "cipsi":
         scores = (
-            _perturbative_scores(h, core_state, e0, cand_bits, flops)
+            _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, flops)
             if cand_bits.size
             else np.zeros(0)
         )
     else:
         scores = (
-            _hci_scores(h, core_state.bits, core_state.amps, cand_bits, flops)
+            _hci_scores(h, core_bits, core_amps, cand_bits, flops)
             if cand_bits.size
             else np.zeros(0)
         )
@@ -200,7 +194,7 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_state: Spar
     if trim.expansion_factor is None:
         filtered = cand_bits[scores > epsilon]
     else:
-        target = (trim.expansion_factor - 1.0) * max(len(core_state), 1)
+        target = (trim.expansion_factor - 1.0) * max(core_bits.size, 1)
         finite = scores[np.isfinite(scores) & (scores > 0)]
         lo, hi = 1e-20, float(finite.max()) * 2 if finite.size else 1.0
         eps_dyn = epsilon
@@ -260,7 +254,6 @@ def run_sci(
     if any(c.n_qubits != h.n_qubits for c in initial):
         raise ValueError("qubit-count mismatch")
 
-    n = h.n_qubits
     current = unique_bits(np.array([c.bits for c in initial], dtype=np.uint64))
     flops = FlopCounter()
     trace = SolverTrace(solver=p.variant)
@@ -273,22 +266,21 @@ def run_sci(
         amps = eig.vector
 
         order = _sort_by_amplitude(current, amps)
-        core_idx = order if p.core_cap is None else order[: p.core_cap]
-        core_bits = np.sort(current[core_idx])
-        core_state = SparseVector(current[core_idx], amps[core_idx], n)
+        core_idx = np.sort(order if p.core_cap is None else order[: p.core_cap])
+        core_bits, core_amps = current[core_idx], amps[core_idx]  # in bit order
 
         cands = connected_bits(h, core_bits)
         flops.add(core_bits.size * len(h))
 
         if p.variant == "cipsi":
-            nxt = select_cipsi(cands, core_bits, core_state, eig.value, h, p.epsilon, flops)
+            nxt = select_cipsi(cands, core_bits, core_amps, eig.value, h, p.epsilon, flops)
         elif p.variant == "hci":
-            nxt = select_hci(cands, core_bits, core_state, h, p.epsilon, flops)
+            nxt = select_hci(cands, core_bits, core_amps, h, p.epsilon, flops)
         elif p.variant == "asci":
-            nxt = select_asci(cands, core_bits, core_state, eig.value, h, p.d_cap, flops)
+            nxt = select_asci(cands, core_bits, core_amps, eig.value, h, p.d_cap, flops)
         else:
             nxt = select_trimci(
-                cands, core_bits, core_state, eig.value, h, p.epsilon, p.trim, flops
+                cands, core_bits, core_amps, eig.value, h, p.epsilon, p.trim, flops
             )
 
         new_count = int((index_in(current, nxt) < 0).sum())

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .paulis import (Configuration, PauliSum, group_elements, group_images, index_in,
-                     matrix_element, unique_bits)
+from .paulis import (Configuration, PauliSum, check_basis, group_elements, group_images,
+                     index_in, matrix_element, unique_bits)
 from .trace import BudgetExceeded
 
 ZERO_TOL = 1e-14
@@ -34,15 +34,6 @@ class ProjectedMatrix:
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-def _check_basis(h: PauliSum, bits: np.ndarray) -> None:
-    """A basis is a sorted, duplicate-free uint64 array of configurations
-    that fit in h's qubits; anything else raises ValueError."""
-    if np.any(bits[1:] <= bits[:-1]):
-        raise ValueError("basis must be sorted and duplicate-free")
-    if bits.size and int(bits[-1]) >> h.n_qubits:
-        raise ValueError(f"configuration 0x{int(bits[-1]):x} is wider than {h.n_qubits} qubits")
-
-
 def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
     """Row-wise projection onto the basis `bits`, written straight into
     CSR in h's dtype.  For x-mask group g, one address lookup gives every
@@ -53,7 +44,7 @@ def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
     twice.  Elements below ZERO_TOL are dropped group by group; the kept
     entries per row give `indptr`, the entries are filled into `indices`
     and `data` in place, and each row is sorted by column at the end."""
-    _check_basis(h, bits)
+    check_basis(h, bits)
     dim = bits.size
     gx = h.x_groups[0]
     # int32 indices, as SciPy would choose, whenever nnz <= dim * groups fits
@@ -90,7 +81,7 @@ def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
 def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
     """All-pairs matrix elements on the basis `bits`; the quadratic-cost
     oracle."""
-    _check_basis(h, bits)
+    check_basis(h, bits)
     members = [Configuration(int(x), h.n_qubits) for x in bits]
     rows, cols, vals = [], [], []
     for j, xj in enumerate(members):
@@ -110,7 +101,7 @@ def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     at least ZERO_TOL to some member of `bits` (cancellations across terms
     respected).  `bits` must be sorted and duplicate-free, as for
     project_fast."""
-    _check_basis(h, bits)
+    check_basis(h, bits)
     found = [
         unique_bits(img[np.abs(d) >= ZERO_TOL]) for _, img, d in group_images(h, bits)
     ]

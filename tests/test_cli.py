@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,30 @@ def test_invalid_input_exit_code(tmp_path):
     assert main(["info", "--bundle", str(tmp_path / "nope")]) == EXIT_INVALID
     assert main(["generate", "--out", str(tmp_path / "x"), "--layout", "path16",
                  "--patches", "2"]) == EXIT_INVALID
+
+
+def test_bundle_hash_checked_on_load(patch_bundle, tmp_path):
+    tampered, unhashed = tmp_path / "tampered", tmp_path / "unhashed"
+    shutil.copytree(patch_bundle, tampered)
+    shutil.copytree(patch_bundle, unhashed)
+    ham = json.loads((tampered / "hamiltonian.json").read_text())
+    ham["terms"][0]["coeff"][0] += 1e-3  # one coefficient
+    (tampered / "hamiltonian.json").write_text(json.dumps(ham, indent=1, sort_keys=True))
+    meta = json.loads((unhashed / "metadata.json").read_text())
+    del meta["instance_hash"]
+    (unhashed / "metadata.json").write_text(json.dumps(meta))
+    for bundle in (tampered, unhashed):
+        spec = tmp_path / f"{bundle.name}.json"
+        spec.write_text(json.dumps({"bundle": str(bundle),
+                                    "runs": [{"solver": "cipsi", "grid": {"eps": [1e-4]}}]}))
+        for argv in (
+            ["info", "--bundle", str(bundle)],
+            ["verify", "--bundle", str(bundle)],
+            ["solve", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+             "cipsi", "--eps", "1e-4"],
+            ["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")],
+        ):
+            assert main(argv) == EXIT_INVALID, argv
 
 
 def test_sweep_grid_and_frontier(patch_bundle, tmp_path):

@@ -9,7 +9,7 @@ from sparsegs.paulis import (
     Configuration,
     PauliString,
     PauliSum,
-    SparseVector,
+    add_scaled,
     apply_pauli_to_config,
     apply_sum_to_vector,
     conjugate_by_x_layer,
@@ -18,7 +18,19 @@ from sparsegs.paulis import (
     group_elements,
     matrix_element,
     pauli_sum_to_sparse,
+    sparse_vdot,
+    truncate_top,
 )
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=np.uint64)
+
+
+def _dense(bits, amps, n):
+    v = np.zeros(1 << n, dtype=complex)
+    v[bits.astype(np.int64)] = amps
+    return v
 
 
 def test_apply_pauli_z_eigenstate():
@@ -64,27 +76,26 @@ def test_matrix_element_matches_kron_oracle():
 
 def test_apply_sum_single_flip():
     h = PauliSum([(1.0, PauliString.from_label("X"))], 1)
-    v = SparseVector.basis_state(Configuration(0, 1))
-    hv = apply_sum_to_vector(h, v)
-    assert hv.amplitude(Configuration(1, 1)) == 1.0 and len(hv) == 1
+    bits, amps = apply_sum_to_vector(h, _bits(0), np.ones(1))
+    assert np.array_equal(bits, _bits(1)) and np.array_equal(amps, [1.0])
 
 
 def test_apply_sum_twice_matches_dense():
     rng = np.random.default_rng(1)
     h = random_pauli_sum(rng, 6, 15)
     dense = kron_dense(h)
-    v = SparseVector([3, 17, 40], [0.3, -0.5j, 0.8], 6).normalized()
-    hv = apply_sum_to_vector(h, apply_sum_to_vector(h, v))
-    want = dense @ (dense @ v.to_dense())
-    assert np.abs(hv.to_dense() - want).max() < 1e-12
+    bits, amps = _bits(3, 17, 40), np.array([0.3, -0.5j, 0.8])
+    amps /= np.linalg.norm(amps)
+    hv = apply_sum_to_vector(h, *apply_sum_to_vector(h, bits, amps))
+    want = dense @ (dense @ _dense(bits, amps, 6))
+    assert np.abs(_dense(*hv, 6) - want).max() < 1e-12
 
 
 def test_apply_sum_output_sparsity_bound():
     rng = np.random.default_rng(2)
     h = random_pauli_sum(rng, 8, 20)
-    v = SparseVector.basis_state(Configuration(0, 8))
-    hv = apply_sum_to_vector(h, v)
-    assert len(hv) <= len(h)
+    bits, _ = apply_sum_to_vector(h, _bits(0), np.ones(1))
+    assert bits.size <= len(h)
 
 
 def test_conjugate_zero_mask_identity():
@@ -199,21 +210,19 @@ def test_label_qubit0_leftmost():
 
 
 def test_sparse_vector_prunes_exact_zeros():
-    v = SparseVector([0, 1, 2], [1.0, 0.0, -2.0], 2)
-    assert len(v) == 2
-    assert v.amplitude(Configuration(1, 2)) == 0
-
-
-def test_sparse_vector_merges_duplicates():
-    v = SparseVector([5, 5, 3], [1.0, 2.0, 1.0], 3)
-    assert v.amplitude(Configuration(5, 3)) == 3.0
-    assert v.norm() == pytest.approx(np.sqrt(10.0))
+    # entry 1 cancels exactly and entry 3 is an exact zero of v
+    bits, amps = add_scaled(_bits(0, 1, 2), np.array([1.0, 0.5, -2.0]),
+                            _bits(1, 3), np.array([1.0, 0.0]), -0.5)
+    assert np.array_equal(bits, _bits(0, 2))
+    assert np.array_equal(amps, [1.0, -2.0])
 
 
 def test_sparse_vector_truncate_ties_by_bit_value():
-    v = SparseVector([4, 1, 2], [0.5, 0.5, 0.5], 3)
-    t = v.truncate_top(2)
-    assert sorted(int(b) for b in t.bits) == [1, 2]
+    bits, amps = truncate_top(_bits(1, 2, 4), np.array([0.5, 0.5, 0.5]), 2)
+    assert np.array_equal(bits, _bits(1, 2))
+    # the kept entries come back in bit order, not magnitude order
+    bits, amps = truncate_top(_bits(1, 2, 4), np.array([0.5, 0.9, 0.5]), 2)
+    assert np.array_equal(bits, _bits(1, 2)) and np.array_equal(amps, [0.5, 0.9])
 
 
 def test_configuration_validation():
@@ -223,11 +232,16 @@ def test_configuration_validation():
         Configuration(0, 65)
 
 
-def test_sparse_vector_add_checks_width():
-    a = SparseVector([0], [1.0], 2)
-    b = SparseVector([0], [1.0], 3)
-    with pytest.raises(ValueError):
-        a.add(b)
+@pytest.mark.parametrize("bits, amps, match", [
+    (_bits(3, 1), np.ones(2), "sorted"),
+    (_bits(1, 1), np.ones(2), "duplicate-free"),
+    (_bits(1, 8), np.ones(2), "wider than 3 qubits"),
+    (_bits(1, 2), np.ones(3), "length mismatch"),
+], ids=["unsorted", "duplicated", "too-wide", "length-mismatch"])
+def test_apply_sum_rejects_malformed_vectors(bits, amps, match):
+    h = PauliSum([(0.5, PauliString.from_label("XZI"))], 3)
+    with pytest.raises(ValueError, match=match):
+        apply_sum_to_vector(h, bits, amps)
 
 
 def test_pauli_sum_scaled_and_added():
@@ -244,37 +258,38 @@ def test_immutability_of_cached_arrays():
     xm, zm, coeff, phase = h.mask_arrays
     with pytest.raises(ValueError):
         coeff[0] = 0.0
-    v = SparseVector([1, 2], [0.5, 0.5], 3)
-    with pytest.raises(ValueError):
-        v.amps[0] = 0.0
 
 
 def test_apply_sum_chunked_matches_direct():
     # force the blocked path by shrinking the scratch cap
     rng = np.random.default_rng(22)
     h = random_pauli_sum(rng, 6, 20)
-    v = SparseVector(rng.choice(64, size=30, replace=False),
-                     rng.standard_normal(30) + 0j, 6)
-    direct = apply_sum_to_vector(h, v)
+    bits = np.sort(rng.choice(64, size=30, replace=False)).astype(np.uint64)
+    amps = rng.standard_normal(30) + 0j
+    direct = apply_sum_to_vector(h, bits, amps)
     old = pl._APPLY_BLOCK
     try:
         pl._APPLY_BLOCK = 64  # a few terms per block
-        chunked = apply_sum_to_vector(h, v)
+        chunked = apply_sum_to_vector(h, bits, amps)
     finally:
         pl._APPLY_BLOCK = old
-    assert np.array_equal(direct.bits, chunked.bits)
-    assert np.array_equal(direct.amps, chunked.amps)
+    assert np.array_equal(direct[0], chunked[0])
+    assert np.array_equal(direct[1], chunked[1])
 
 
-def _apply_per_term(h, v):
-    """The per-term action: broadcast every term over every entry, then let
-    SparseVector merge the images, as apply_sum_to_vector did before the
-    x-mask grouping."""
+def _apply_per_term(h, bits, amps):
+    """The per-term action: broadcast every term over every entry, then sort
+    the images and merge them in entry order, dropping exact zeros, as
+    apply_sum_to_vector did before the x-mask grouping."""
     xm, zm, coeff, phase = h.mask_arrays
-    bits = v.bits[None, :] ^ xm[:, None]
-    signs = 1.0 - 2.0 * (np.bitwise_count(v.bits[None, :] & zm[:, None]).astype(np.int64) & 1)
-    amps = (coeff * phase)[:, None] * signs * v.amps[None, :]
-    return SparseVector(bits.ravel(), amps.ravel(), v.n_qubits)
+    images = bits[None, :] ^ xm[:, None]
+    signs = 1.0 - 2.0 * (np.bitwise_count(bits[None, :] & zm[:, None]).astype(np.int64) & 1)
+    prods = (coeff * phase)[:, None] * signs * amps[None, :]
+    out_bits, inv = np.unique(images.ravel(), return_inverse=True)
+    out = np.zeros(out_bits.size, dtype=complex)
+    np.add.at(out, inv, prods.ravel())  # term-major, as the products were made
+    keep = out != 0
+    return out_bits[keep], out[keep]
 
 
 @pytest.mark.parametrize("cap", [None, 64])
@@ -284,11 +299,12 @@ def test_apply_sum_bit_identical_to_per_term(seed, cap):
     n = 8
     h = grouped_pauli_sum(rng, n, 6, 5)
     size = 16
-    src = rng.choice(1 << n, size=size, replace=False)
+    src = rng.choice(1 << n, size=size, replace=False).astype(np.uint64)
+    order = np.argsort(src)
     vectors = [
         # small-integer amplitudes: images of different sources cancel exactly
-        SparseVector(src, rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) + 0j, n),
-        SparseVector(src, rng.standard_normal(size) + 1j * rng.standard_normal(size), n),
+        (src[order], (rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) + 0j)[order]),
+        (src[order], (rng.standard_normal(size) + 1j * rng.standard_normal(size))[order]),
     ]
     real = without_odd_y(h)
     assert h.dtype == np.complex128 and real.dtype == np.float64
@@ -298,14 +314,14 @@ def test_apply_sum_bit_identical_to_per_term(seed, cap):
             pl._APPLY_BLOCK = cap  # four terms per block
         for hh in (h, real):
             for v in vectors:
-                got, want = apply_sum_to_vector(hh, v), _apply_per_term(hh, v)
-                assert np.array_equal(got.bits, want.bits)
-                assert np.array_equal(got.amps, want.amps)
+                got, want = apply_sum_to_vector(hh, *v), _apply_per_term(hh, *v)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
     finally:
         pl._APPLY_BLOCK = old
-    hv = apply_sum_to_vector(h, vectors[0])
-    images = np.unique(src.astype(np.uint64)[None, :] ^ h.x_groups[0][:, None])
-    assert len(hv) < images.size  # exact cancellations were pruned
+    hv_bits, _ = apply_sum_to_vector(h, *vectors[0])
+    images = np.unique(src[None, :] ^ h.x_groups[0][:, None])
+    assert hv_bits.size < images.size  # exact cancellations were pruned
 
 
 def test_weights_are_real_exactly_when_h_is():
@@ -328,12 +344,42 @@ def test_weights_are_real_exactly_when_h_is():
 def test_sparse_vector_amplitudes_stay_complex():
     # truncated Arnoldi's Gram-Schmidt residue depends on the complex BLAS
     # rounding, so real input still gives complex128 amplitudes
-    v = SparseVector([3, 1], [0.5, -2.0], 3)
-    assert v.amps.dtype == np.complex128
+    bits, amps = _bits(1, 3), np.array([-2.0, 0.5])
     h = PauliSum([(0.5, PauliString.from_label("XZI"))], 3)
     assert h.dtype == np.float64
-    assert apply_sum_to_vector(h, v).amps.dtype == np.complex128
-    assert v.add(v, factor=0.5).amps.dtype == v.scaled(2.0).amps.dtype == np.complex128
+    assert apply_sum_to_vector(h, bits, amps)[1].dtype == np.complex128
+    assert add_scaled(bits, amps, bits, amps, 0.5)[1].dtype == np.complex128
+
+
+def _random_sparse(rng, n, size, integer):
+    bits = np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.uint64)
+    if integer:  # small integers, so sums and differences cancel exactly
+        return bits, rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) + 0j
+    return bits, rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("integer", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_vector_algebra_matches_dense(seed, integer):
+    rng = np.random.default_rng(400 + seed)
+    n = 6
+    u = _random_sparse(rng, n, 30, integer)
+    v = _random_sparse(rng, n, 25, integer)
+    du, dv = _dense(*u, n), _dense(*v, n)
+    factors = [-1.0, 1.0, 0.5 - 2j] if integer else [0.3 - 0.7j]
+    for factor in factors:
+        bits, amps = add_scaled(*u, *v, factor)
+        want = du + factor * dv
+        assert np.array_equal(bits, np.flatnonzero(want))
+        assert np.array_equal(_dense(bits, amps, n), want)
+    assert add_scaled(*u, *u, -1.0)[0].size == 0  # u - u cancels everywhere
+    assert sparse_vdot(*u, *v) == pytest.approx(np.vdot(du, dv), abs=1e-12)
+    assert sparse_vdot(*v, *u) == pytest.approx(np.vdot(dv, du), abs=1e-12)
+    for k in (1, 7, 30, 40):
+        bits, amps = truncate_top(*u, k)
+        order = np.lexsort((np.arange(1 << n), -np.abs(du)))[: min(k, u[0].size)]
+        assert np.array_equal(bits, np.sort(order))
+        assert np.array_equal(amps, du[bits.astype(np.int64)])
 
 
 def test_group_elements_match_matrix_element():

@@ -6,7 +6,6 @@ from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
     PauliSum,
-    SparseVector,
     decompose_dense_block,
     matrix_element,
 )
@@ -132,27 +131,24 @@ def test_select_cipsi_rejects_zero_numerator():
     p = CoreBlockParams()
     amp = np.array([-p.c, p.b])
     amp /= np.linalg.norm(amp)
-    psi = SparseVector([0, 1], amp, 3)
     cands = bits(2)
     for eps in (1e-12, 1e-6, 1e-2):
-        kept = select_cipsi(cands, psi.bits, psi, 0.1261663, h, eps, FlopCounter())
+        kept = select_cipsi(cands, bits(0, 1), amp, 0.1261663, h, eps, FlopCounter())
         assert 2 not in kept
         assert 0 in kept and 1 in kept
 
 
 def test_select_cipsi_zero_threshold_keeps_all_connected():
     h = core_block_as_pauli_sum()
-    psi = SparseVector([0], [1.0], 3)
     cands = connected_bits(h, bits(0))
     e00 = float(matrix_element(h, Configuration(0, 3), Configuration(0, 3)).real)
-    kept = select_cipsi(cands, psi.bits, psi, e00, h, 0.0, FlopCounter())
+    kept = select_cipsi(cands, bits(0), np.ones(1), e00, h, 0.0, FlopCounter())
     assert np.isin(cands, kept).all()  # the documented full-CI limit
 
 
 def test_select_cipsi_hand_computed_three_qubits():
     h = core_block_as_pauli_sum()
     dense = build_core_block(CoreBlockParams())
-    psi = SparseVector([0], [1.0], 3)
     e0 = dense[0, 0]
     cands = connected_bits(h, bits(0))
     # by hand: |1> has score |1 / (a - (a+1/2))| = 2, |2> has |b / (a+2 - (a+1/2))| = |b|/1.5
@@ -162,20 +158,19 @@ def test_select_cipsi_hand_computed_three_qubits():
     }
     eps = 0.53  # between the two hand-computed scores
     assert scores[2] < eps < scores[1]
-    kept = select_cipsi(cands, psi.bits, psi, e0, h, eps, FlopCounter())
+    kept = select_cipsi(cands, bits(0), np.ones(1), e0, h, eps, FlopCounter())
     assert 1 in kept
     assert 2 not in kept
 
 
 def test_select_hci_zero_amplitude_core_rejected():
     h = core_block_as_pauli_sum()
-    psi = SparseVector([0, 1], [1.0, 0.0], 3)  # amplitude on |1> is zero -> pruned
-    kept = select_hci(bits(2), psi.bits, psi, h, 1e-10, FlopCounter())
+    # the member |1> stays in the core at amplitude exactly zero
+    kept = select_hci(bits(2), bits(0, 1), np.array([1.0, 0.0]), h, 1e-10, FlopCounter())
     # |2> couples to |0> (element b) and |1> (element c); with c_0 = 1 the
     # max is |b| so it IS kept; now zero out the only coupled amplitude
     assert 2 in kept
-    psi0 = SparseVector([1], [1.0], 3)  # only |1| in core
-    kept2 = select_hci(bits(3), psi0.bits, psi0, h, 1e-10, FlopCounter())
+    kept2 = select_hci(bits(3), bits(1), np.ones(1), h, 1e-10, FlopCounter())  # only |1> in core
     # <3|H|1> = 0, so nothing drives |3>
     assert 3 not in kept2
 
@@ -187,13 +182,12 @@ def test_select_hci_matches_brute_force():
     amps = rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
     core_bits = [0, 3, 5, 6]
-    psi = SparseVector(core_bits, amps, 3)
     cands = bits(1, 2, 4, 7)
     eps = 0.2
-    kept = select_hci(cands, psi.bits, psi, h, eps, FlopCounter())
+    kept = select_hci(cands, bits(*core_bits), amps, h, eps, FlopCounter())
     for cand in cands.tolist():
         brute = max(
-            abs(dense[cand, b] * a) for b, a in zip(core_bits, psi.amps)
+            abs(dense[cand, b] * a) for b, a in zip(core_bits, amps)
         )
         assert (cand in kept) == (brute > eps)
 
@@ -220,17 +214,15 @@ def test_hci_scores_match_matrix_elements(seed):
 def test_select_asci_keeps_everything_with_large_cap():
     rng = np.random.default_rng(9)
     h = random_pauli_sum(rng, 4, 8)
-    psi = SparseVector([0, 1], [0.8, 0.6], 4)
     cands = bits(2, 3, 4)
-    kept = select_asci(cands, psi.bits, psi, 0.0, h, 100, FlopCounter())
+    kept = select_asci(cands, bits(0, 1), np.array([0.8, 0.6]), 0.0, h, 100, FlopCounter())
     assert np.array_equal(kept, bits(0, 1, 2, 3, 4))
 
 
 def test_select_asci_magnitude_order():
     h = core_block_as_pauli_sum()
-    psi = SparseVector([0], [0.9], 3)
     # candidate |1> gets a first-order estimate well below 0.9
-    kept = select_asci(bits(1), psi.bits, psi, 2.0, h, 1, FlopCounter())
+    kept = select_asci(bits(1), bits(0), np.array([0.9]), 2.0, h, 1, FlopCounter())
     assert np.array_equal(kept, bits(0))
 
 
@@ -240,11 +232,10 @@ def test_select_asci_matches_brute_force_ranking():
     dense = kron_dense(h)
     core_bits = [0, 5]
     amps = np.array([0.6, -0.8])
-    psi = SparseVector(core_bits, amps, 4)
     e0 = -1.3
     cands = sorted(set(range(16)) - set(core_bits))
     d = 5
-    kept = select_asci(bits(*cands), psi.bits, psi, e0, h, d, FlopCounter())
+    kept = select_asci(bits(*cands), bits(*core_bits), amps, e0, h, d, FlopCounter())
     scores = {}
     for b in core_bits:
         scores[b] = abs(dict(zip(core_bits, amps))[b])
@@ -259,21 +250,22 @@ def test_select_asci_matches_brute_force_ranking():
 def test_select_trimci_degenerate_partition_is_global_keep_all():
     rng = np.random.default_rng(11)
     h = random_pauli_sum(rng, 4, 10)
-    psi = SparseVector([0, 1, 2], [0.7, 0.5, 0.5091], 4).normalized()
+    amps = np.array([0.7, 0.5, 0.5091])
+    amps /= np.linalg.norm(amps)
     cands = connected_bits(h, bits(0, 1, 2))
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 4, seed=0)
-    kept = select_trimci(cands, psi.bits, psi, -0.5, h, 0.0, trim, FlopCounter())
+    kept = select_trimci(cands, bits(0, 1, 2), amps, -0.5, h, 0.0, trim, FlopCounter())
     assert set(kept.tolist()) == set(cands.tolist()) | {0, 1, 2}
 
 
 def test_select_trimci_reproducible():
     rng = np.random.default_rng(12)
     h = random_pauli_sum(rng, 5, 12)
-    psi = SparseVector([0, 1], [0.8, -0.6], 5)
+    amps = np.array([0.8, -0.6])
     cands = connected_bits(h, bits(0, 1))
     trim = TrimParams(n_subsets=3, keep_per_subset=2, seed=21)
-    a = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, FlopCounter())
-    b = select_trimci(cands, psi.bits, psi, -1.0, h, 1e-8, trim, FlopCounter())
+    a = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, FlopCounter())
+    b = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, FlopCounter())
     assert np.array_equal(a, b)
 
 
@@ -286,12 +278,11 @@ def test_select_trimci_against_independent_reimplementation():
     core_bits = [0, 3, 9, 17]
     amps = rng.standard_normal(len(core_bits))
     amps /= np.linalg.norm(amps)
-    psi = SparseVector(core_bits, amps, n)
     e0 = -0.7
     eps = 1e-3
     cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=3, seed=5)
-    got = select_trimci(cands, psi.bits, psi, e0, h, eps, trim, FlopCounter())
+    got = select_trimci(cands, bits(*core_bits), amps, e0, h, eps, trim, FlopCounter())
 
     # oracle
     amp_map = dict(zip(core_bits, amps))
@@ -322,11 +313,25 @@ def test_trimci_dynamic_epsilon_targets_count():
     core_bits = list(range(8))
     amps = rng.standard_normal(8)
     amps /= np.linalg.norm(amps)
-    psi = SparseVector(core_bits, amps, 6)
     cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=20, expansion_factor=3.0, seed=1)
-    kept = select_trimci(cands, psi.bits, psi, -1.0, h, 0.0, trim, FlopCounter())
+    kept = select_trimci(cands, bits(*core_bits), amps, -1.0, h, 0.0, trim, FlopCounter())
     assert kept.size  # smoke: the bisection found a workable threshold
+
+
+def test_trimci_target_counts_zero_amplitude_core_members():
+    # F * |core| counts every core member, also one the eigenvector left
+    # at exactly zero; one subset keeping everything exposes the count
+    rng = np.random.default_rng(15)
+    h = random_pauli_sum(rng, 6, 20)
+    core = bits(0, 1, 2, 3)
+    amps = np.array([0.6, 0.0, -0.5, 0.4])
+    cands = connected_bits(h, core)
+    assert cands.size > 8
+    trim = TrimParams(n_subsets=1, keep_per_subset=1 << 6, expansion_factor=3.0, seed=2)
+    with pytest.warns(UserWarning, match="keeping all members"):
+        kept = select_trimci(cands, core, amps, -1.0, h, 0.0, trim, FlopCounter())
+    assert kept.size == 3.0 * core.size
 
 
 def test_params_validation():
