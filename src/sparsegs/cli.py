@@ -129,13 +129,10 @@ def _verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_INVALID
 
 
-def _solver_run(h, cert, solver: str, opts: dict, dim_cap: int):
-    """Dispatch one solver run; returns a result dict.  `converged` is the
-    final eigenpair's flag (None for the power method, which returns none),
-    and an unconverged final pair sets the status to `unconverged`."""
-    x0 = cert.initial_config
-    t0 = time.perf_counter()
-    coverage = None
+def _solver_run(h, x0, solver: str, opts: dict, dim_cap: int):
+    """Dispatch one solver run; returns (eig, trace, shot_record), with eig
+    None for the power method, which returns no eigenpair, and shot_record
+    None except for SKQD."""
     shot_record = None
     if solver == "cipsi" or solver == "hci":
         p = SciParams(solver, epsilon=opts["eps"], core_cap=opts.get("core_cap"),
@@ -167,8 +164,8 @@ def _solver_run(h, cert, solver: str, opts: dict, dim_cap: int):
     elif solver == "tpm":
         p = TpmParams(opts["k"], opts.get("iters", 100),
                       mode=opts.get("mode", "diagonalize_support"), dim_cap=dim_cap)
-        energy, trace, support = run_tpm(h, x0, p)
         eig = None
+        _, trace, _ = run_tpm(h, x0, p)
     elif solver == "skqd":
         p = SkqdParams(
             krylov_dim=opts["d"],
@@ -178,28 +175,44 @@ def _solver_run(h, cert, solver: str, opts: dict, dim_cap: int):
             rng_seed=opts.get("seed", 0),
             dim_cap=dim_cap,
         )
-        eig, trace, record = run_skqd(h, x0, p)
-        coverage = support_coverage(record, cert)
-        shot_record = record
+        eig, trace, shot_record = run_skqd(h, x0, p)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-    wall = time.perf_counter() - t0
-    out = {
-        "solver": solver,
-        "params": opts,
-        "final_energy": trace.final_energy,
-        "final_dim": trace.final_dim,
-        "status": trace.status,
-        "converged": None if eig is None else bool(eig.converged),
-        "flops": trace.total_flops,
-        "wall_s": wall,
+    return eig, trace, shot_record
+
+
+def _summary(solver: str, opts: dict, meta: dict, **run) -> dict:
+    """The one result record of `solve` and `sweep`: `run` holds the fields
+    a run produced, or a failed run's `status` and `error`, and the fields
+    it lacks stay None.  The instance hash, version and seed make the
+    record reproducible."""
+    return {
+        "solver": solver, "params": opts, "final_energy": None, "final_dim": None,
+        "status": None, "converged": None, "flops": None, "wall_s": None, **run,
+        "instance_hash": meta.get("instance_hash"), "version": __version__,
+        "seed": opts.get("seed", 0),
     }
-    if eig is not None and not eig.converged:
-        out["status"] = STATUS_UNCONVERGED
-    if coverage is not None:
-        out["support_coverage"] = int(coverage[-1])
-        out["support_size"] = len(cert.support)
-    return out, trace, shot_record
+
+
+def _run(h, cert, meta: dict, solver: str, opts: dict, dim_cap: int):
+    """Run one solver; returns (summary, trace, shot_record), the last two
+    None when the run exceeded its budget.  `converged` is the final
+    eigenpair's flag, and an unconverged final pair sets the status to
+    `unconverged`."""
+    t0 = time.perf_counter()
+    try:
+        eig, trace, shots = _solver_run(h, cert.initial_config, solver, opts, dim_cap)
+    except BudgetExceeded as e:
+        return _summary(solver, opts, meta, status="budget_exceeded", error=str(e)), None, None
+    run = {"final_energy": trace.final_energy, "final_dim": trace.final_dim,
+           "status": trace.status if eig is None or eig.converged else STATUS_UNCONVERGED,
+           "converged": None if eig is None else bool(eig.converged),
+           "flops": trace.total_flops}
+    if shots is not None:
+        run["support_coverage"] = int(support_coverage(shots, cert)[-1])
+        run["support_size"] = len(cert.support)
+    run["wall_s"] = time.perf_counter() - t0
+    return _summary(solver, opts, meta, **run), trace, shots
 
 
 _SOLVER_FLAGS = {
@@ -230,27 +243,14 @@ def _solve(args) -> int:
     }
     outdir = Path(args.out) if args.out else Path(args.bundle) / f"run-{args.solver}"
     outdir.mkdir(parents=True, exist_ok=True)
-    status_code = EXIT_OK
-    try:
-        summary, trace, shots = _solver_run(h, cert, args.solver, opts, args.dim_cap)
-    except BudgetExceeded as e:
-        summary = {
-            "solver": args.solver, "params": opts, "final_energy": None,
-            "final_dim": None, "status": "budget_exceeded", "error": str(e),
-        }
-        trace = None
-        shots = None
-        status_code = EXIT_BUDGET
-    summary["instance_hash"] = meta.get("instance_hash")
-    summary["version"] = __version__
-    summary["seed"] = opts.get("seed", 0)
+    summary, trace, shots = _run(h, cert, meta, args.solver, opts, args.dim_cap)
     (outdir / "summary.json").write_text(json.dumps(summary, indent=1, default=float))
     if trace is not None:
         trace.write_csv(outdir / "trace.csv")
     if shots is not None:
         (outdir / "shots.json").write_text(json.dumps(shots.to_json_dict(), indent=1))
     print(json.dumps(summary, indent=1, default=float))
-    return status_code
+    return EXIT_OK if trace is not None else EXIT_BUDGET
 
 
 def _expand_grid(entry: dict):
@@ -271,21 +271,9 @@ def _run_one(job):
     bundle, solver, opts, dim_cap = job
     h, cert, meta = load_bundle(bundle)
     try:
-        summary, _, _ = _solver_run(h, cert, solver, opts, dim_cap)
-    except BudgetExceeded as e:
-        summary = {
-            "solver": solver, "params": opts, "final_energy": None,
-            "final_dim": None, "status": "budget_exceeded", "flops": None,
-            "wall_s": None, "error": str(e),
-        }
+        return _run(h, cert, meta, solver, opts, dim_cap)[0]
     except Exception as e:  # a failed grid point must not kill the sweep
-        summary = {
-            "solver": solver, "params": opts, "final_energy": None,
-            "final_dim": None, "status": "error", "flops": None,
-            "wall_s": None, "error": f"{type(e).__name__}: {e}",
-        }
-    summary["instance_hash"] = meta.get("instance_hash")
-    return summary
+        return _summary(solver, opts, meta, status="error", error=f"{type(e).__name__}: {e}")
 
 
 def _sweep(args) -> int:
@@ -320,13 +308,8 @@ def _sweep(args) -> int:
         w = csv.writer(f)
         w.writerow(cols)
         for s in summaries:
-            w.writerow([
-                s["solver"], json.dumps(s["params"], sort_keys=True),
-                s.get("final_energy"), s.get("final_dim"), s.get("flops"),
-                s.get("status"), s.get("wall_s"),
-                s["params"].get("seed", base_seed),
-                s.get("instance_hash"), __version__,
-            ])
+            w.writerow([json.dumps(s[c], sort_keys=True) if c == "params" else s[c]
+                        for c in cols])
 
     for solver in sorted({s["solver"] for s in summaries}):
         rows = [

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .subspace import project_fast
-from .trace import DEFAULT_DIM_CAP, BudgetExceeded, FlopCounter
+from .trace import SolverTrace
 
 DENSE_CAP = 256
 DEGENERACY_REL_TOL = 1e-10
@@ -130,16 +130,14 @@ def lowest_eigenpair(m) -> EigResult:
     return lanczos_lowest(m)
 
 
-def basis_eigenpair(h, bits: np.ndarray, flops: FlopCounter,
-                    cap: int = DEFAULT_DIM_CAP) -> EigResult:
+def basis_eigenpair(h, bits: np.ndarray, trace: SolverTrace) -> EigResult:
     """Lowest eigenpair of H projected onto the basis `bits`, the one
     project-and-solve step of every solver; the vector is indexed like
-    `bits`.  Raises BudgetExceeded before projecting more than `cap`
-    configurations, and adds the FlopCounter cost (the projection's
-    nonzeros, once plus once per operator application) to `flops`."""
-    if bits.size > cap:
-        raise BudgetExceeded(f"basis of {bits.size} exceeds cap {cap}")
+    `bits`.  Checks `bits` against the run's `dim_cap` before projecting,
+    and counts the projection's nonzeros, once plus once per operator
+    application, as the run's flops."""
+    trace.check_dim(bits.size, "basis")
     proj = project_fast(h, bits)
     eig = lowest_eigenpair(proj.rows)
-    flops.add((1 + eig.iterations) * proj.rows.nnz)
+    trace.count((1 + eig.iterations) * proj.rows.nnz)
     return eig

@@ -14,15 +14,7 @@ from .eigensolver import EigResult, basis_eigenpair
 from .paulis import (Configuration, PauliSum, add_scaled, apply_sum_to_vector,
                      diagonal_element, index_in, sparse_vdot, truncate_top, unique_bits)
 from .subspace import connected_bits
-from .trace import (
-    DEFAULT_DIM_CAP,
-    STATUS_CONVERGED,
-    STATUS_MAX_ITERS,
-    STATUS_STALLED,
-    BudgetExceeded,
-    FlopCounter,
-    SolverTrace,
-)
+from .trace import DEFAULT_DIM_CAP, STATUS_CONVERGED, STATUS_STALLED, SolverTrace
 
 BREAKDOWN_TOL = 1e-12  # truncated Arnoldi stops when the new vector's norm is this small
 
@@ -63,9 +55,8 @@ def run_diag_ranking(
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
-    flops = FlopCounter()
-    trace = SolverTrace(solver="diag-ranking")
-    trace.status = STATUS_MAX_ITERS
+    trace = SolverTrace("diag-ranking", p.dim_cap)
+    eig = None  # the eigenpair of work_bits, when per-iteration energies computed it
 
     res_bits = np.array([x0.bits], dtype=np.uint64)
     res_energy = np.array([diagonal_element(h, np.uint64(x0.bits))], dtype=float)
@@ -74,11 +65,11 @@ def run_diag_ranking(
     for mu in range(p.iters):
         t0 = time.perf_counter()
         reachable = connected_bits(h, work_bits)
-        flops.add(work_bits.size * len(h))
+        trace.count(work_bits.size * len(h))
         new_bits = reachable[index_in(np.sort(res_bits), reachable) < 0]
         if new_bits.size:
             new_energy = np.asarray(diagonal_element(h, new_bits), dtype=float)
-            flops.add(new_bits.size * len(h))
+            trace.count(new_bits.size * len(h))
             res_bits = np.concatenate([res_bits, new_bits])
             res_energy = np.concatenate([res_energy, new_energy])
         order = _rank_by_energy(res_bits, res_energy)
@@ -88,25 +79,18 @@ def run_diag_ranking(
 
         energy = float("nan")
         if p.per_iteration_energies:
-            energy = basis_eigenpair(h, next_work, flops, p.dim_cap).value
-        trace.add(
-            iteration=mu,
-            subspace_dim=int(next_work.size),
-            energy=energy,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            new_configs=int(new_bits.size),
-            flops=flops.count,
-        )
+            eig = basis_eigenpair(h, next_work, trace)
+            energy = eig.value
+        trace.add(mu, next_work.size, energy, t0)
         unchanged = new_bits.size == 0 and np.array_equal(next_work, work_bits)
         work_bits = next_work
         if unchanged:
             trace.status = STATUS_STALLED
             break
 
-    eig = basis_eigenpair(h, work_bits, flops, p.dim_cap)
-    trace.final_energy = eig.value
-    trace.final_dim = int(work_bits.size)
-    trace.total_flops = flops.count
+    if eig is None:
+        eig = basis_eigenpair(h, work_bits, trace)
+    trace.finish(eig.value, work_bits.size)
     return eig, trace
 
 
@@ -141,9 +125,8 @@ def run_truncated_arnoldi(
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
-    flops = FlopCounter()
-    trace = SolverTrace(solver="tarnoldi")
-    trace.status = STATUS_MAX_ITERS
+    trace = SolverTrace("tarnoldi", p.dim_cap)
+    eig = None  # the eigenpair of union, when per-iteration energies computed it
 
     union = np.array([x0.bits], dtype=np.uint64)
     vecs = [(union, np.ones(1, dtype=complex))]
@@ -151,47 +134,31 @@ def run_truncated_arnoldi(
     for it in range(p.iters):
         t0 = time.perf_counter()
         ub, ua = apply_sum_to_vector(h, *vecs[-1])
-        flops.add(vecs[-1][0].size * len(h))
+        trace.count(vecs[-1][0].size * len(h))
         for _ in range(2):  # MGS + one reorthogonalization pass
             for vb, va in vecs:
                 ov = sparse_vdot(vb, va, ub, ua)
-                flops.add(min(vb.size, ub.size) * 2)
+                trace.count(min(vb.size, ub.size) * 2)
                 if ov != 0:
                     ub, ua = add_scaled(ub, ua, vb, va, -ov)
         ub, ua = truncate_top(ub, ua, p.new_config_cap)
         nrm = float(np.linalg.norm(ua))
         if nrm <= BREAKDOWN_TOL:
             trace.status = STATUS_CONVERGED  # invariant subspace reached
-            trace.add(
-                iteration=it,
-                subspace_dim=int(union.size),
-                energy=float("nan"),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-                new_configs=0,
-                flops=flops.count,
-            )
+            trace.add(it, union.size, float("nan"), t0)
             break
         vecs.append((ub, ua * (1.0 / nrm)))
-        before = union.size
         union = unique_bits(np.concatenate((union, ub)))
-        if union.size > p.dim_cap:
-            raise BudgetExceeded(f"support union {union.size} exceeds cap {p.dim_cap}")
+        trace.check_dim(union.size, "support union")
         energy = float("nan")
         if p.per_iteration_energies:
-            energy = basis_eigenpair(h, union, flops, p.dim_cap).value
-        trace.add(
-            iteration=it,
-            subspace_dim=int(union.size),
-            energy=energy,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            new_configs=int(union.size - before),
-            flops=flops.count,
-        )
+            eig = basis_eigenpair(h, union, trace)
+            energy = eig.value
+        trace.add(it, union.size, energy, t0)
 
-    eig = basis_eigenpair(h, union, flops, p.dim_cap)
-    trace.final_energy = eig.value
-    trace.final_dim = union.size
-    trace.total_flops = flops.count
+    if eig is None:
+        eig = basis_eigenpair(h, union, trace)
+    trace.finish(eig.value, union.size)
     return eig, trace, union
 
 
@@ -235,50 +202,32 @@ def run_tpm(
             f"shift {shift} is not certified positive definite "
             f"(needs > coefficient 1-norm {one_norm})"
         )
-    if p.sparsity_cutoff > p.dim_cap:
-        raise BudgetExceeded("sparsity cutoff exceeds the dimension cap")
+    trace = SolverTrace("tpm", p.dim_cap)
+    trace.check_dim(p.sparsity_cutoff, "sparsity cutoff")
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
     bits, amps = np.array([x0.bits], dtype=np.uint64), np.ones(1, dtype=complex)
-
-    flops = FlopCounter()
-    trace = SolverTrace(solver="tpm")
-    trace.status = STATUS_MAX_ITERS
-    energy = _rayleigh(h, bits, amps, flops)
+    energy = _rayleigh(h, bits, amps, trace)
 
     for t in range(1, p.iters + 1):
         t0 = time.perf_counter()
         hb, ha = apply_sum_to_vector(h, bits, amps)
-        flops.add(bits.size * len(h))
+        trace.count(bits.size * len(h))
         bits, amps = add_scaled(bits, amps * shift, hb, ha, -1.0)  # A phi
         bits, amps = truncate_top(bits, amps, p.sparsity_cutoff)
         amps = amps / np.linalg.norm(amps)
-        energy = _rayleigh(h, bits, amps, flops)
-        row_energy = energy
+        energy = _rayleigh(h, bits, amps, trace)
         if p.mode == "diagonalize_support":
-            row_energy = basis_eigenpair(h, bits, flops, p.dim_cap).value
-        trace.add(
-            iteration=t,
-            subspace_dim=bits.size,
-            energy=row_energy,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            new_configs=bits.size,
-            flops=flops.count,
-        )
+            energy = basis_eigenpair(h, bits, trace).value
+        trace.add(t, bits.size, energy, t0)
 
-    if p.mode == "diagonalize_support":
-        final = basis_eigenpair(h, bits, flops, p.dim_cap).value
-    else:
-        final = energy
-    trace.final_energy = final
-    trace.final_dim = bits.size
-    trace.total_flops = flops.count
-    return final, trace, bits
+    trace.finish(energy, bits.size)  # p.iters >= 1, so a row reported it
+    return energy, trace, bits
 
 
-def _rayleigh(h: PauliSum, bits: np.ndarray, amps: np.ndarray, flops: FlopCounter) -> float:
+def _rayleigh(h: PauliSum, bits: np.ndarray, amps: np.ndarray, trace: SolverTrace) -> float:
     hb, ha = apply_sum_to_vector(h, bits, amps)
-    flops.add(bits.size * len(h) + min(bits.size, hb.size))
+    trace.count(bits.size * len(h) + min(bits.size, hb.size))
     return float(sparse_vdot(bits, amps, hb, ha).real)
 
 

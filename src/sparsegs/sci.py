@@ -24,7 +24,7 @@ from .eigensolver import EigResult, basis_eigenpair
 from .paulis import (Configuration, PauliSum, apply_sum_to_vector, diagonal_element,
                      group_images, index_in, unique_bits)
 from .subspace import connected_bits
-from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, STATUS_STALLED, FlopCounter, SolverTrace
+from .trace import DEFAULT_DIM_CAP, STATUS_STALLED, SolverTrace
 
 DENOMINATOR_GUARD = 1e-12
 VARIANTS = ("cipsi", "hci", "asci", "trimci")
@@ -85,12 +85,12 @@ def _sort_by_amplitude(bits: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 def _perturbative_scores(
     h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, e0: float,
-    cand_bits: np.ndarray, flops: FlopCounter,
+    cand_bits: np.ndarray, trace: SolverTrace,
 ) -> np.ndarray:
     """|<x|H|psi> / (<x|H|x> - e0)| for each candidate, with the small-
     denominator guard mapping near-zero gaps to +inf (always select)."""
     hb, ha = apply_sum_to_vector(h, core_bits, core_amps)
-    flops.add((core_bits.size + cand_bits.size) * len(h))
+    trace.count((core_bits.size + cand_bits.size) * len(h))
     idx = index_in(hb, cand_bits)
     num = np.where(idx >= 0, np.abs(ha[idx]), 0.0)
     den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)
@@ -103,7 +103,7 @@ def _perturbative_scores(
 
 def _hci_scores(
     h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, cand_bits: np.ndarray,
-    flops: FlopCounter,
+    trace: SolverTrace,
 ) -> np.ndarray:
     """max_i |<x|H|x_i> c_i| per candidate (cand_bits must be sorted);
     cancellation applies within a single matrix element but not across
@@ -111,7 +111,7 @@ def _hci_scores(
     best = np.zeros(cand_bits.size)
     if cand_bits.size == 0:
         return best
-    flops.add(core_bits.size * len(h))
+    trace.count(core_bits.size * len(h))
     for lo, img, d in group_images(h, core_bits):
         pos = index_in(cand_bits, img)
         hit = pos >= 0
@@ -129,11 +129,11 @@ def _hci_scores(
 
 
 def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-                 e0: float, h: PauliSum, epsilon: float, flops: FlopCounter) -> np.ndarray:
+                 e0: float, h: PauliSum, epsilon: float, trace: SolverTrace) -> np.ndarray:
     """First-order perturbation-theory thresholding; the core is always
     retained."""
     if cand_bits.size:
-        scores = _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, flops)
+        scores = _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
@@ -141,11 +141,11 @@ def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.nda
 
 
 def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-               h: PauliSum, epsilon: float, flops: FlopCounter) -> np.ndarray:
+               h: PauliSum, epsilon: float, trace: SolverTrace) -> np.ndarray:
     """Heat-bath criterion: largest single matrix element times amplitude;
     the core is always retained."""
     if cand_bits.size:
-        scores = _hci_scores(h, core_bits, core_amps, cand_bits, flops)
+        scores = _hci_scores(h, core_bits, core_amps, cand_bits, trace)
         passed = cand_bits[scores > epsilon]
     else:
         passed = cand_bits
@@ -153,11 +153,11 @@ def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarr
 
 
 def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-                e0: float, h: PauliSum, d_cap: int, flops: FlopCounter) -> np.ndarray:
+                e0: float, h: PauliSum, d_cap: int, trace: SolverTrace) -> np.ndarray:
     """Rank core amplitudes and candidate perturbative estimates on equal
     footing; keep the top d_cap."""
     cand_scores = (
-        _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, flops)
+        _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
         if cand_bits.size
         else np.zeros(0)
     )
@@ -169,7 +169,7 @@ def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndar
 
 def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                   e0: float, h: PauliSum, epsilon: float, trim: TrimParams,
-                  flops: FlopCounter) -> np.ndarray:
+                  trace: SolverTrace) -> np.ndarray:
     """Two-phase TrimCI selection.
 
     Phase 1 filters candidates with the CIPSI-form rule (or HCI-form),
@@ -180,13 +180,13 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.nd
     """
     if trim.first_phase == "cipsi":
         scores = (
-            _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, flops)
+            _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
             if cand_bits.size
             else np.zeros(0)
         )
     else:
         scores = (
-            _hci_scores(h, core_bits, core_amps, cand_bits, flops)
+            _hci_scores(h, core_bits, core_amps, cand_bits, trace)
             if cand_bits.size
             else np.zeros(0)
         )
@@ -228,7 +228,7 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.nd
             kept.append(sub)
             continue
         sub = np.sort(sub)
-        eig = basis_eigenpair(h, sub, flops)
+        eig = basis_eigenpair(h, sub, trace)
         kept.append(sub[_sort_by_amplitude(sub, eig.vector)[: trim.keep_per_subset]])
     if not kept:
         return np.zeros(0, dtype=np.uint64)
@@ -244,8 +244,7 @@ def run_sci(
 
     Terminates early when an iteration adds and removes nothing; the
     reported eigenpair comes from diagonalizing in the final basis, which
-    is returned as a sorted array.  Flops follow the matrix-free solvers'
-    FlopCounter convention.
+    is returned as a sorted array.  Flops follow SolverTrace's convention.
     """
     if isinstance(x0, Configuration):
         initial = [x0]
@@ -255,14 +254,11 @@ def run_sci(
         raise ValueError("qubit-count mismatch")
 
     current = unique_bits(np.array([c.bits for c in initial], dtype=np.uint64))
-    flops = FlopCounter()
-    trace = SolverTrace(solver=p.variant)
-    trace.status = STATUS_MAX_ITERS
-    eig = None
+    trace = SolverTrace(p.variant, p.dim_cap)
 
     for mu in range(p.max_iters):
         t0 = time.perf_counter()
-        eig = basis_eigenpair(h, current, flops, p.dim_cap)
+        eig = basis_eigenpair(h, current, trace)
         amps = eig.vector
 
         order = _sort_by_amplitude(current, amps)
@@ -270,35 +266,25 @@ def run_sci(
         core_bits, core_amps = current[core_idx], amps[core_idx]  # in bit order
 
         cands = connected_bits(h, core_bits)
-        flops.add(core_bits.size * len(h))
+        trace.count(core_bits.size * len(h))
 
         if p.variant == "cipsi":
-            nxt = select_cipsi(cands, core_bits, core_amps, eig.value, h, p.epsilon, flops)
+            nxt = select_cipsi(cands, core_bits, core_amps, eig.value, h, p.epsilon, trace)
         elif p.variant == "hci":
-            nxt = select_hci(cands, core_bits, core_amps, h, p.epsilon, flops)
+            nxt = select_hci(cands, core_bits, core_amps, h, p.epsilon, trace)
         elif p.variant == "asci":
-            nxt = select_asci(cands, core_bits, core_amps, eig.value, h, p.d_cap, flops)
+            nxt = select_asci(cands, core_bits, core_amps, eig.value, h, p.d_cap, trace)
         else:
             nxt = select_trimci(
-                cands, core_bits, core_amps, eig.value, h, p.epsilon, p.trim, flops
+                cands, core_bits, core_amps, eig.value, h, p.epsilon, p.trim, trace
             )
 
-        new_count = int((index_in(current, nxt) < 0).sum())
-        trace.add(
-            iteration=mu,
-            subspace_dim=current.size,
-            energy=eig.value,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            new_configs=new_count,
-            flops=flops.count,
-        )
+        trace.add(mu, current.size, eig.value, t0)
         if np.array_equal(nxt, current):
-            trace.status = STATUS_STALLED
+            trace.status = STATUS_STALLED  # eig is already the final basis's
             break
         current = nxt
-
-    eig = basis_eigenpair(h, current, flops, p.dim_cap)
-    trace.final_energy = eig.value
-    trace.final_dim = current.size
-    trace.total_flops = flops.count
+    else:
+        eig = basis_eigenpair(h, current, trace)
+    trace.finish(eig.value, current.size)
     return eig, trace, current

@@ -33,7 +33,7 @@ from .eigensolver import EigResult, basis_eigenpair
 from .paulis import (Configuration, PauliSum, diagonal_element, pauli_signs, pauli_sum_to_sparse,
                      unique_bits)
 from .subspace import connectivity_filter, project_fast, reachable_bits
-from .trace import DEFAULT_DIM_CAP, STATUS_MAX_ITERS, BudgetExceeded, FlopCounter, SolverTrace
+from .trace import DEFAULT_DIM_CAP, SolverTrace
 
 STATEVECTOR_QUBIT_BUDGET = 24  # Trotter evolution's full statevector
 
@@ -264,7 +264,7 @@ def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
 def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
     """(states, step): the sorted configurations that index the evolved
     vector, and one time step dt on such a vector, whose `flops` is its cost
-    by the FlopCounter convention.  Exact evolution runs in the reachable
+    by SolverTrace's flop convention.  Exact evolution runs in the reachable
     subspace of x0; Trotter evolution on the full register."""
     if p.evolution == "exact":
         if not h.is_hermitian():
@@ -283,7 +283,7 @@ def run_skqd(
 
     The trace reports the energy after each Krylov state's samples join
     the cumulative pool; the returned eigenpair is the final entry.  Flops
-    follow the FlopCounter convention: each time step's `flops`, and each
+    follow SolverTrace's convention: each time step's `flops`, and each
     projection's nonzeros once plus once per eigensolver application.
     """
     if x0.n_qubits != h.n_qubits:
@@ -296,19 +296,16 @@ def run_skqd(
     seed_seq = np.random.SeedSequence(p.rng_seed)
     children = seed_seq.spawn(p.krylov_dim)
     record = ShotRecord(n_qubits=n)
-    trace = SolverTrace(solver="skqd")
-    trace.status = STATUS_MAX_ITERS
-    flops = FlopCounter()
+    trace = SolverTrace("skqd", p.dim_cap)
 
     phi = (states == np.uint64(x0.bits)).astype(complex)
     pool = np.array([x0.bits], dtype=np.uint64)
-    eig = None
 
     for k in range(p.krylov_dim):
         t0 = time.perf_counter()
         if k > 0:
             phi = step(phi)
-            flops.add(step.flops)
+            trace.count(step.flops)
         rng = np.random.default_rng(children[k])
         samples = states[_sample_indices(phi, sched[k], rng)]
         if p.bitflip_probability > 0.0:
@@ -319,8 +316,7 @@ def run_skqd(
         record.histograms.append({int(b): int(c) for b, c in zip(uniq, counts)})
         record.state_seeds.append(int(children[k].entropy))
         pool = unique_bits(np.concatenate((pool, uniq)))
-        if pool.size > p.dim_cap:
-            raise BudgetExceeded(f"pool of {pool.size} exceeds cap {p.dim_cap}")
+        trace.check_dim(pool.size, "pool")
 
         kept = connectivity_filter(h, pool)
         if not kept.size:
@@ -330,20 +326,11 @@ def run_skqd(
             eig = EigResult(e0, np.ones(1, dtype=complex), 0, 0.0, True, False)
             dim_k = 1
         else:
-            eig = basis_eigenpair(h, kept, flops, p.dim_cap)
+            eig = basis_eigenpair(h, kept, trace)
             dim_k = kept.size
-        trace.add(
-            iteration=k,
-            subspace_dim=dim_k,
-            energy=eig.value,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-            new_configs=int(uniq.size),
-            flops=flops.count,
-        )
+        trace.add(k, dim_k, eig.value, t0)
 
-    trace.final_energy = eig.value
-    trace.final_dim = trace.rows[-1].subspace_dim
-    trace.total_flops = flops.count
+    trace.finish(eig.value, dim_k)
     return eig, trace, record
 
 

@@ -67,9 +67,31 @@ def test_solve_cipsi_stalls(patch_bundle, tmp_path, capsys):
     assert summary["status"] == "stalled"
     assert summary["final_energy"] > 0.1
     assert summary["instance_hash"]
-    rows = list(csv.reader((out / "trace.csv").read_text().splitlines()))
-    assert rows[0] == ["variant", "iter", "subspace_dim", "energy", "wall_ms", "status", "flops"]
-    assert len(rows) > 1
+
+
+TRACE_HEADER = ["variant", "iter", "subspace_dim", "energy", "wall_ms", "status", "flops"]
+
+
+@pytest.mark.parametrize("args", [
+    ("cipsi", "--eps", "1e-6"),
+    ("hci", "--eps", "1e-6"),
+    ("asci", "--d-cap", "8", "--core-cap", "4", "--iters", "3"),
+    ("trimci", "--eps", "1e-8", "--n-subsets", "2", "--keep-per-subset", "3", "--iters", "3"),
+    ("diag-ranking", "--d", "8", "--iters", "4"),
+    ("tarnoldi", "--m", "16", "--iters", "4"),
+    ("tpm", "--k", "8", "--iters", "4"),
+    ("skqd", "--d", "2", "--shots", "200"),
+], ids=lambda a: a[0])
+def test_solve_writes_trace_csv(patch_bundle, tmp_path, args):
+    out = tmp_path / "run"
+    assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out), *args]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    header, *rows = csv.reader((out / "trace.csv").read_text().splitlines())
+    assert header == TRACE_HEADER
+    assert rows and all(len(r) == len(header) for r in rows)
+    assert {(r[0], r[5]) for r in rows} == {(args[0], summary["status"])}
+    flops = [float(r[6]) for r in rows]  # a plain number, not np.float64(...)
+    assert flops == sorted(flops) and flops[-1] <= summary["flops"]
 
 
 def test_solve_tarnoldi_reaches_zero(patch_bundle, tmp_path):
@@ -159,6 +181,35 @@ def test_sweep_grid_and_frontier(patch_bundle, tmp_path):
     ]
     for dim, e in zip(dims, energies):
         assert e <= min(re for rd, re in raw if rd <= dim) + 1e-15
+
+
+def test_sweep_rows_share_columns(patch_bundle, tmp_path):
+    # a success, a budget_exceeded and an error row carry the same columns,
+    # and each is keyed by seed, instance hash and version
+    spec = {
+        "bundle": str(patch_bundle),
+        "seed": 4,
+        "budget": {"dim_cap": 4},
+        "runs": [
+            {"solver": "tpm", "params": {"k": 2, "iters": 2, "mode": "expectation"}},
+            {"solver": "tarnoldi", "params": {"m": 64}},
+            {"solver": "cipsi", "params": {}},  # no eps
+        ],
+    }
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out)]) == EXIT_OK
+    header, *rows = csv.reader((out / "results.csv").read_text().splitlines())
+    assert header == ["solver", "params", "final_energy", "final_dim", "flops", "status",
+                      "wall_s", "seed", "instance_hash", "version"]
+    assert [r[5] for r in rows] == ["max_iters", "budget_exceeded", "error"]
+    assert all(len(r) == len(header) for r in rows)
+    assert len({tuple(r[7:]) for r in rows}) == 1
+    seed, instance_hash, version = rows[0][7:]
+    assert seed == "4" and instance_hash and version == sparsegs.__version__
+    for r in rows[1:]:
+        assert r[2:5] == ["", "", ""] and r[6] == ""
 
 
 def test_sweep_empty_grid(tmp_path, patch_bundle):

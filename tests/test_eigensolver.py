@@ -14,7 +14,7 @@ from sparsegs.eigensolver import (DENSE_CAP, basis_eigenpair, dense_lowest, lanc
 import sparsegs.subspace as subspace
 from sparsegs.paulis import unique_bits
 from sparsegs.subspace import connected_bits, project_fast
-from sparsegs.trace import BudgetExceeded, FlopCounter
+from sparsegs.trace import BudgetExceeded, SolverTrace
 
 
 def test_dim_one_matrix():
@@ -148,12 +148,12 @@ def test_basis_eigenpair_counts_flops_and_indexes_like_bits():
     dense = kron_dense(h)
     for size in (40, DENSE_CAP + 1):
         bits = np.sort(rng.choice(1 << 9, size=size, replace=False).astype(np.uint64))
-        flops = FlopCounter()
-        flops.add(5.0)
-        eig = basis_eigenpair(h, bits, flops)
+        trace = SolverTrace("t")
+        trace.count(5.0)
+        eig = basis_eigenpair(h, bits, trace)
         assert (eig.iterations > 0) == (size > DENSE_CAP)
         nnz = project_fast(h, bits).rows.nnz
-        assert flops.count == 5.0 + (1 + eig.iterations) * nnz
+        assert trace.flops == 5.0 + (1 + eig.iterations) * nnz
         # entry i of the vector belongs to configuration bits[i]
         block = dense[np.ix_(bits.astype(np.int64), bits.astype(np.int64))]
         assert eig.value == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-9)
@@ -167,9 +167,9 @@ def test_basis_eigenpair_checks_the_cap_before_projecting(monkeypatch):
     real = eigensolver.project_fast
     monkeypatch.setattr(eigensolver, "project_fast",
                         lambda h, b: projected.append(b.size) or real(h, b))
-    basis_eigenpair(h, bits[:4], FlopCounter(), cap=4)
-    with pytest.raises(BudgetExceeded):
-        basis_eigenpair(h, bits, FlopCounter(), cap=4)
+    basis_eigenpair(h, bits[:4], SolverTrace("t", dim_cap=4))
+    with pytest.raises(BudgetExceeded, match="basis of 5 exceeds cap 4"):
+        basis_eigenpair(h, bits, SolverTrace("t", dim_cap=4))
     assert projected == [4]
 
 
@@ -202,7 +202,7 @@ def test_perfbench_traced_names_resolve():
     rec = spans.Recorder()
     rec.install()
     try:
-        basis_eigenpair(h, bits, FlopCounter())
+        basis_eigenpair(h, bits, SolverTrace("t"))
     finally:
         rec.uninstall()
     assert [s[0] for s in rec.spans] == ["subspace.project_fast", "eigensolver.dense_lowest"]

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import kron_dense, random_pauli_sum, support_covered
+from conftest import kron_dense, layout_instance, random_pauli_sum, support_covered
+from sparsegs import eigensolver
 from sparsegs.matrixfree import (
     DiagRankParams,
     TpmParams,
@@ -14,6 +15,7 @@ from sparsegs.matrixfree import (
     xi_recursion,
 )
 from sparsegs.paulis import Configuration, diagonal_element
+from sparsegs.sci import SciParams, run_sci
 from sparsegs.subspace import connected_bits
 from sparsegs.trace import BudgetExceeded
 
@@ -291,3 +293,25 @@ def test_budget_guards():
     with pytest.raises(BudgetExceeded):
         run_truncated_arnoldi(h, Configuration(0, 8),
                               TruncArnoldiParams(100, 30, dim_cap=8))
+
+
+@pytest.mark.parametrize("run", [
+    lambda h, x0: run_sci(h, x0, SciParams("cipsi", epsilon=1e-9, max_iters=10)),
+    lambda h, x0: run_tpm(h, x0, TpmParams(60, 5, mode="diagonalize_support")),
+    lambda h, x0: run_truncated_arnoldi(h, x0, TruncArnoldiParams(40, 5,
+                                                                  per_iteration_energies=True)),
+    lambda h, x0: run_diag_ranking(h, x0, DiagRankParams(8, 80, 4, per_iteration_energies=True)),
+], ids=["cipsi-stalled", "tpm-diagonalize-support", "tarnoldi-per-iteration",
+        "diag-ranking-per-iteration"])
+def test_the_final_basis_is_not_solved_twice(run, monkeypatch):
+    # each row solves a new basis and the last row's basis is the final
+    # one, so the final eigenpair is that row's
+    h, cert = layout_instance("path16")
+    projected = []
+    real = eigensolver.project_fast
+    monkeypatch.setattr(eigensolver, "project_fast",
+                        lambda h, b: projected.append(b.tobytes()) or real(h, b))
+    trace = run(h, cert.initial_config)[1]
+    assert len(projected) == len(set(projected)) == len(trace.rows)
+    assert trace.final_energy == trace.rows[-1].energy
+    assert trace.total_flops == trace.rows[-1].flops

@@ -20,7 +20,7 @@ from sparsegs.sci import (
     select_trimci,
 )
 from sparsegs.subspace import connected_bits
-from sparsegs.trace import FlopCounter
+from sparsegs.trace import BudgetExceeded, SolverTrace
 
 
 def core_block_as_pauli_sum():
@@ -133,7 +133,7 @@ def test_select_cipsi_rejects_zero_numerator():
     amp /= np.linalg.norm(amp)
     cands = bits(2)
     for eps in (1e-12, 1e-6, 1e-2):
-        kept = select_cipsi(cands, bits(0, 1), amp, 0.1261663, h, eps, FlopCounter())
+        kept = select_cipsi(cands, bits(0, 1), amp, 0.1261663, h, eps, SolverTrace("t"))
         assert 2 not in kept
         assert 0 in kept and 1 in kept
 
@@ -142,7 +142,7 @@ def test_select_cipsi_zero_threshold_keeps_all_connected():
     h = core_block_as_pauli_sum()
     cands = connected_bits(h, bits(0))
     e00 = float(matrix_element(h, Configuration(0, 3), Configuration(0, 3)).real)
-    kept = select_cipsi(cands, bits(0), np.ones(1), e00, h, 0.0, FlopCounter())
+    kept = select_cipsi(cands, bits(0), np.ones(1), e00, h, 0.0, SolverTrace("t"))
     assert np.isin(cands, kept).all()  # the documented full-CI limit
 
 
@@ -158,7 +158,7 @@ def test_select_cipsi_hand_computed_three_qubits():
     }
     eps = 0.53  # between the two hand-computed scores
     assert scores[2] < eps < scores[1]
-    kept = select_cipsi(cands, bits(0), np.ones(1), e0, h, eps, FlopCounter())
+    kept = select_cipsi(cands, bits(0), np.ones(1), e0, h, eps, SolverTrace("t"))
     assert 1 in kept
     assert 2 not in kept
 
@@ -166,11 +166,11 @@ def test_select_cipsi_hand_computed_three_qubits():
 def test_select_hci_zero_amplitude_core_rejected():
     h = core_block_as_pauli_sum()
     # the member |1> stays in the core at amplitude exactly zero
-    kept = select_hci(bits(2), bits(0, 1), np.array([1.0, 0.0]), h, 1e-10, FlopCounter())
+    kept = select_hci(bits(2), bits(0, 1), np.array([1.0, 0.0]), h, 1e-10, SolverTrace("t"))
     # |2> couples to |0> (element b) and |1> (element c); with c_0 = 1 the
     # max is |b| so it IS kept; now zero out the only coupled amplitude
     assert 2 in kept
-    kept2 = select_hci(bits(3), bits(1), np.ones(1), h, 1e-10, FlopCounter())  # only |1> in core
+    kept2 = select_hci(bits(3), bits(1), np.ones(1), h, 1e-10, SolverTrace("t"))  # only |1> in core
     # <3|H|1> = 0, so nothing drives |3>
     assert 3 not in kept2
 
@@ -184,7 +184,7 @@ def test_select_hci_matches_brute_force():
     core_bits = [0, 3, 5, 6]
     cands = bits(1, 2, 4, 7)
     eps = 0.2
-    kept = select_hci(cands, bits(*core_bits), amps, h, eps, FlopCounter())
+    kept = select_hci(cands, bits(*core_bits), amps, h, eps, SolverTrace("t"))
     for cand in cands.tolist():
         brute = max(
             abs(dense[cand, b] * a) for b, a in zip(core_bits, amps)
@@ -200,29 +200,29 @@ def test_hci_scores_match_matrix_elements(seed):
     core = np.sort(rng.choice(1 << n, size=6, replace=False)).astype(np.uint64)
     amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     cands = np.setdiff1d(np.arange(1 << n, dtype=np.uint64), core)
-    flops = FlopCounter()
-    got = _hci_scores(h, core, amps, cands, flops)
+    trace = SolverTrace("t")
+    got = _hci_scores(h, core, amps, cands, trace)
     want = [
         max(abs(matrix_element(h, Configuration(int(x), n), Configuration(int(b), n)) * a)
             for b, a in zip(core, amps))
         for x in cands
     ]
     assert np.abs(got - want).max() < 1e-13
-    assert flops.count == core.size * len(h)
+    assert trace.flops == core.size * len(h)
 
 
 def test_select_asci_keeps_everything_with_large_cap():
     rng = np.random.default_rng(9)
     h = random_pauli_sum(rng, 4, 8)
     cands = bits(2, 3, 4)
-    kept = select_asci(cands, bits(0, 1), np.array([0.8, 0.6]), 0.0, h, 100, FlopCounter())
+    kept = select_asci(cands, bits(0, 1), np.array([0.8, 0.6]), 0.0, h, 100, SolverTrace("t"))
     assert np.array_equal(kept, bits(0, 1, 2, 3, 4))
 
 
 def test_select_asci_magnitude_order():
     h = core_block_as_pauli_sum()
     # candidate |1> gets a first-order estimate well below 0.9
-    kept = select_asci(bits(1), bits(0), np.array([0.9]), 2.0, h, 1, FlopCounter())
+    kept = select_asci(bits(1), bits(0), np.array([0.9]), 2.0, h, 1, SolverTrace("t"))
     assert np.array_equal(kept, bits(0))
 
 
@@ -235,7 +235,7 @@ def test_select_asci_matches_brute_force_ranking():
     e0 = -1.3
     cands = sorted(set(range(16)) - set(core_bits))
     d = 5
-    kept = select_asci(bits(*cands), bits(*core_bits), amps, e0, h, d, FlopCounter())
+    kept = select_asci(bits(*cands), bits(*core_bits), amps, e0, h, d, SolverTrace("t"))
     scores = {}
     for b in core_bits:
         scores[b] = abs(dict(zip(core_bits, amps))[b])
@@ -254,7 +254,7 @@ def test_select_trimci_degenerate_partition_is_global_keep_all():
     amps /= np.linalg.norm(amps)
     cands = connected_bits(h, bits(0, 1, 2))
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 4, seed=0)
-    kept = select_trimci(cands, bits(0, 1, 2), amps, -0.5, h, 0.0, trim, FlopCounter())
+    kept = select_trimci(cands, bits(0, 1, 2), amps, -0.5, h, 0.0, trim, SolverTrace("t"))
     assert set(kept.tolist()) == set(cands.tolist()) | {0, 1, 2}
 
 
@@ -264,8 +264,8 @@ def test_select_trimci_reproducible():
     amps = np.array([0.8, -0.6])
     cands = connected_bits(h, bits(0, 1))
     trim = TrimParams(n_subsets=3, keep_per_subset=2, seed=21)
-    a = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, FlopCounter())
-    b = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, FlopCounter())
+    a = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, SolverTrace("t"))
+    b = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, SolverTrace("t"))
     assert np.array_equal(a, b)
 
 
@@ -282,7 +282,7 @@ def test_select_trimci_against_independent_reimplementation():
     eps = 1e-3
     cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=3, seed=5)
-    got = select_trimci(cands, bits(*core_bits), amps, e0, h, eps, trim, FlopCounter())
+    got = select_trimci(cands, bits(*core_bits), amps, e0, h, eps, trim, SolverTrace("t"))
 
     # oracle
     amp_map = dict(zip(core_bits, amps))
@@ -315,7 +315,7 @@ def test_trimci_dynamic_epsilon_targets_count():
     amps /= np.linalg.norm(amps)
     cands = connected_bits(h, bits(*core_bits))
     trim = TrimParams(n_subsets=2, keep_per_subset=20, expansion_factor=3.0, seed=1)
-    kept = select_trimci(cands, bits(*core_bits), amps, -1.0, h, 0.0, trim, FlopCounter())
+    kept = select_trimci(cands, bits(*core_bits), amps, -1.0, h, 0.0, trim, SolverTrace("t"))
     assert kept.size  # smoke: the bisection found a workable threshold
 
 
@@ -330,7 +330,7 @@ def test_trimci_target_counts_zero_amplitude_core_members():
     assert cands.size > 8
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 6, expansion_factor=3.0, seed=2)
     with pytest.warns(UserWarning, match="keeping all members"):
-        kept = select_trimci(cands, core, amps, -1.0, h, 0.0, trim, FlopCounter())
+        kept = select_trimci(cands, core, amps, -1.0, h, 0.0, trim, SolverTrace("t"))
     assert kept.size == 3.0 * core.size
 
 
@@ -350,12 +350,20 @@ def test_params_validation():
 
 
 def test_budget_guard():
-    from sparsegs.trace import BudgetExceeded
-
     rng = np.random.default_rng(15)
     h = random_pauli_sum(rng, 8, 30)
     with pytest.raises(BudgetExceeded):
         run_sci(h, Configuration(0, 8), SciParams("cipsi", epsilon=0.0, max_iters=10, dim_cap=16))
+
+
+def test_trimci_subset_solves_obey_dim_cap():
+    # the basis never holds more than keep_per_subset = 2 configurations,
+    # but the one subset, the whole first pool, crosses the cap of 3
+    h = random_pauli_sum(np.random.default_rng(12), 5, 12)
+    trim = TrimParams(n_subsets=1, keep_per_subset=2, seed=0)
+    p = SciParams("trimci", trim=trim, max_iters=3, dim_cap=3)
+    with pytest.raises(BudgetExceeded, match=r"^basis of \d+ exceeds cap 3$"):
+        run_sci(h, Configuration(0, 5), p)
 
 
 def test_explicit_initial_set():
