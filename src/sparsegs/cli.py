@@ -12,6 +12,8 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +43,8 @@ from .matrixfree import (
     run_truncated_arnoldi,
 )
 from .sci import SciParams, TrimParams, run_sci
-from .skqd import SkqdParams, run_skqd, support_coverage
-from .trace import DEFAULT_DIM_CAP, STATUS_UNCONVERGED, BudgetExceeded
+from .skqd import ShotRecord, SkqdParams, run_skqd, support_coverage
+from .trace import DEFAULT_DIM_CAP, BudgetExceeded
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
@@ -129,56 +131,63 @@ def _verify(args) -> int:
     return EXIT_OK if rep.passed else EXIT_INVALID
 
 
-def _solver_run(h, x0, solver: str, opts: dict, dim_cap: int):
-    """Dispatch one solver run; returns (eig, trace, shot_record), with eig
-    None for the power method, which returns no eigenpair, and shot_record
-    None except for SKQD."""
-    shot_record = None
-    if solver == "cipsi" or solver == "hci":
-        p = SciParams(solver, epsilon=opts["eps"], core_cap=opts.get("core_cap"),
-                      max_iters=opts.get("iters", 30), dim_cap=dim_cap)
-        eig, trace, basis = run_sci(h, x0, p)
-    elif solver == "asci":
-        p = SciParams("asci", d_cap=opts["d_cap"], core_cap=opts["core_cap"],
-                      max_iters=opts.get("iters", 30), dim_cap=dim_cap)
-        eig, trace, basis = run_sci(h, x0, p)
-    elif solver == "trimci":
-        trim = TrimParams(
-            n_subsets=opts["n_subsets"],
-            keep_per_subset=opts["keep_per_subset"],
-            expansion_factor=opts.get("f"),
-            seed=opts.get("seed", 0),
-            first_phase=opts.get("first_phase", "cipsi"),
-        )
-        p = SciParams("trimci", epsilon=opts.get("eps", 0.0), trim=trim,
-                      core_cap=opts.get("core_cap"),
-                      max_iters=opts.get("iters", 30), dim_cap=dim_cap)
-        eig, trace, basis = run_sci(h, x0, p)
-    elif solver == "diag-ranking":
-        p = DiagRankParams(opts["d"], opts.get("r", 10 * opts["d"]),
-                           opts.get("iters", 100), dim_cap=dim_cap)
-        eig, trace = run_diag_ranking(h, x0, p)
-    elif solver == "tarnoldi":
-        p = TruncArnoldiParams(opts["m"], opts.get("iters", 200), dim_cap=dim_cap)
-        eig, trace, basis = run_truncated_arnoldi(h, x0, p)
-    elif solver == "tpm":
-        p = TpmParams(opts["k"], opts.get("iters", 100),
-                      mode=opts.get("mode", "diagonalize_support"), dim_cap=dim_cap)
-        eig = None
-        _, trace, _ = run_tpm(h, x0, p)
-    elif solver == "skqd":
-        p = SkqdParams(
-            krylov_dim=opts["d"],
-            shots_per_state=opts["shots"],
-            dt_multiplier=opts.get("dt_multiplier", 25.0),
-            evolution=opts.get("evolution", "exact"),
-            rng_seed=opts.get("seed", 0),
-            dim_cap=dim_cap,
-        )
-        eig, trace, shot_record = run_skqd(h, x0, p)
-    else:
-        raise ValueError(f"unknown solver {solver!r}")
-    return eig, trace, shot_record
+def _trimci_params(**kw) -> SciParams:
+    """TrimCI's SciParams, with the TrimParams fields among `kw` in its `trim`."""
+    trim = {f.name: kw.pop(f.name) for f in fields(TrimParams) if f.name in kw}
+    return SciParams("trimci", trim=TrimParams(**trim), **kw)
+
+
+_SCI_FLAGS = [("--eps", float, True, "epsilon"), ("--core-cap", int, False, "core_cap"),
+              ("--iters", int, False, "max_iters")]
+
+# The solvers of `solve` and `sweep`: the name of each one's `run_*`
+# function, looked up in this module when the run starts (so a wrapper
+# bound over the module attribute is the one called), the constructor of
+# its parameters, and its flags as (flag, type, required, Params field).
+# The Params classes own every default.
+_SOLVERS = {
+    "cipsi": ("run_sci", partial(SciParams, "cipsi"), _SCI_FLAGS),
+    "hci": ("run_sci", partial(SciParams, "hci"), _SCI_FLAGS),
+    "asci": ("run_sci", partial(SciParams, "asci"), [
+        ("--d-cap", int, True, "d_cap"), ("--core-cap", int, True, "core_cap"),
+        ("--iters", int, False, "max_iters")]),
+    "trimci": ("run_sci", _trimci_params, [
+        ("--eps", float, False, "epsilon"), ("--f", float, False, "expansion_factor"),
+        ("--n-subsets", int, True, "n_subsets"),
+        ("--keep-per-subset", int, True, "keep_per_subset"),
+        ("--core-cap", int, False, "core_cap"), ("--iters", int, False, "max_iters"),
+        ("--seed", int, False, "seed"), ("--first-phase", str, False, "first_phase")]),
+    "diag-ranking": ("run_diag_ranking", DiagRankParams, [
+        ("--d", int, True, "working_cap"), ("--r", int, False, "reservoir_cap"),
+        ("--iters", int, False, "iters")]),
+    "tarnoldi": ("run_truncated_arnoldi", TruncArnoldiParams, [
+        ("--m", int, True, "new_config_cap"), ("--iters", int, False, "iters")]),
+    "tpm": ("run_tpm", TpmParams, [
+        ("--k", int, True, "sparsity_cutoff"), ("--iters", int, False, "iters"),
+        ("--mode", str, False, "mode")]),
+    "skqd": ("run_skqd", SkqdParams, [
+        ("--d", int, True, "krylov_dim"), ("--shots", int, True, "shots_per_state"),
+        ("--dt-multiplier", float, False, "dt_multiplier"),
+        ("--evolution", str, False, "evolution"), ("--seed", int, False, "rng_seed")]),
+}
+
+
+def _params(solver: str, opts: dict, dim_cap: int):
+    """The solver's Params from the options given, keyed by flag name with
+    underscores.  An option that is not one of the solver's flags is an
+    error, except `seed`, which a sweep gives every run."""
+    _, make, flags = _SOLVERS[solver]
+    known = {flag[2:].replace("-", "_"): (required, name) for flag, _, required, name in flags}
+    unknown = sorted(set(opts) - set(known) - {"seed"})
+    if unknown:
+        raise ValueError(f"{solver} takes no option {', '.join(unknown)}")
+    kw = {}
+    for key, (required, name) in known.items():
+        if key in opts:
+            kw[name] = opts[key]
+        elif required:
+            raise ValueError(f"{solver} needs option {key}")
+    return make(**kw, dim_cap=dim_cap)
 
 
 def _summary(solver: str, opts: dict, meta: dict, **run) -> dict:
@@ -196,42 +205,22 @@ def _summary(solver: str, opts: dict, meta: dict, **run) -> dict:
 
 def _run(h, cert, meta: dict, solver: str, opts: dict, dim_cap: int):
     """Run one solver; returns (summary, trace, shot_record), the last two
-    None when the run exceeded its budget.  `converged` is the final
-    eigenpair's flag, and an unconverged final pair sets the status to
-    `unconverged`."""
+    None when the run exceeded its budget and the shot record None except
+    for SKQD.  Every run field but SKQD's coverage comes from the trace."""
     t0 = time.perf_counter()
     try:
-        eig, trace, shots = _solver_run(h, cert.initial_config, solver, opts, dim_cap)
+        params = _params(solver, opts, dim_cap)
+        out = globals()[_SOLVERS[solver][0]](h, cert.initial_config, params)
     except BudgetExceeded as e:
         return _summary(solver, opts, meta, status="budget_exceeded", error=str(e)), None, None
+    trace, shots = out[1], (out[-1] if isinstance(out[-1], ShotRecord) else None)
     run = {"final_energy": trace.final_energy, "final_dim": trace.final_dim,
-           "status": trace.status if eig is None or eig.converged else STATUS_UNCONVERGED,
-           "converged": None if eig is None else bool(eig.converged),
-           "flops": trace.total_flops}
+           "status": trace.status, "converged": trace.converged, "flops": trace.total_flops}
     if shots is not None:
         run["support_coverage"] = int(support_coverage(shots, cert)[-1])
         run["support_size"] = len(cert.support)
     run["wall_s"] = time.perf_counter() - t0
     return _summary(solver, opts, meta, **run), trace, shots
-
-
-_SOLVER_FLAGS = {
-    "cipsi": [("--eps", float, True), ("--core-cap", int, False), ("--iters", int, False)],
-    "hci": [("--eps", float, True), ("--core-cap", int, False), ("--iters", int, False)],
-    "asci": [("--d-cap", int, True), ("--core-cap", int, True), ("--iters", int, False)],
-    "trimci": [
-        ("--eps", float, False), ("--f", float, False), ("--n-subsets", int, True),
-        ("--keep-per-subset", int, True), ("--core-cap", int, False),
-        ("--iters", int, False), ("--seed", int, False), ("--first-phase", str, False),
-    ],
-    "diag-ranking": [("--d", int, True), ("--r", int, False), ("--iters", int, False)],
-    "tarnoldi": [("--m", int, True), ("--iters", int, False)],
-    "tpm": [("--k", int, True), ("--iters", int, False), ("--mode", str, False)],
-    "skqd": [
-        ("--d", int, True), ("--shots", int, True), ("--dt-multiplier", float, False),
-        ("--evolution", str, False), ("--seed", int, False),
-    ],
-}
 
 
 def _solve(args) -> int:
@@ -367,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--out", default=None)
     sol.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
     ssub = sol.add_subparsers(dest="solver", required=True)
-    for solver, flags in _SOLVER_FLAGS.items():
+    for solver, (_, _, flags) in _SOLVERS.items():
         sp = ssub.add_parser(solver)
-        for flag, typ, required in flags:
+        for flag, typ, required, _ in flags:
             sp.add_argument(flag, type=typ, required=required)
         sp.set_defaults(func=_solve)
 

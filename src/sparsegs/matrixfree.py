@@ -25,12 +25,14 @@ BREAKDOWN_TOL = 1e-12  # truncated Arnoldi stops when the new vector's norm is t
 @dataclass(frozen=True)
 class DiagRankParams:
     working_cap: int  # D
-    reservoir_cap: int  # R
-    iters: int  # T
+    reservoir_cap: int | None = None  # R; None means 10 * working_cap
+    iters: int = 100  # T
     per_iteration_energies: bool = False  # diagnostic diagonalizations
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
+        if self.reservoir_cap is None:
+            object.__setattr__(self, "reservoir_cap", 10 * self.working_cap)
         if not 1 <= self.working_cap <= self.reservoir_cap:
             raise ValueError("need reservoir_cap >= working_cap >= 1")
         if self.iters < 1:
@@ -77,20 +79,19 @@ def run_diag_ranking(
         res_keep = order[: p.reservoir_cap]
         res_bits, res_energy = res_bits[res_keep], res_energy[res_keep]
 
-        energy = float("nan")
-        if p.per_iteration_energies:
-            eig = basis_eigenpair(h, next_work, trace)
-            energy = eig.value
-        trace.add(mu, next_work.size, energy, t0)
-        unchanged = new_bits.size == 0 and np.array_equal(next_work, work_bits)
-        work_bits = next_work
-        if unchanged:
+        same_work = np.array_equal(next_work, work_bits)
+        if not same_work:
+            work_bits, eig = next_work, None  # eig, if any, was the old set's
+        if p.per_iteration_energies and eig is None:
+            eig = basis_eigenpair(h, work_bits, trace)
+        trace.add(mu, work_bits.size, float("nan") if eig is None else eig.value, t0)
+        if new_bits.size == 0 and same_work:
             trace.status = STATUS_STALLED
             break
 
     if eig is None:
         eig = basis_eigenpair(h, work_bits, trace)
-    trace.finish(eig.value, work_bits.size)
+    trace.finish(eig.value, work_bits.size, eig.converged)
     return eig, trace
 
 
@@ -148,17 +149,17 @@ def run_truncated_arnoldi(
             trace.add(it, union.size, float("nan"), t0)
             break
         vecs.append((ub, ua * (1.0 / nrm)))
-        union = unique_bits(np.concatenate((union, ub)))
-        trace.check_dim(union.size, "support union")
-        energy = float("nan")
-        if p.per_iteration_energies:
+        grown = unique_bits(np.concatenate((union, ub)))
+        trace.check_dim(grown.size, "support union")
+        if grown.size > union.size:
+            union, eig = grown, None  # eig, if any, was the old union's
+        if p.per_iteration_energies and eig is None:
             eig = basis_eigenpair(h, union, trace)
-            energy = eig.value
-        trace.add(it, union.size, energy, t0)
+        trace.add(it, union.size, float("nan") if eig is None else eig.value, t0)
 
     if eig is None:
         eig = basis_eigenpair(h, union, trace)
-    trace.finish(eig.value, union.size)
+    trace.finish(eig.value, union.size, eig.converged)
     return eig, trace, union
 
 
@@ -168,9 +169,9 @@ def run_truncated_arnoldi(
 @dataclass(frozen=True)
 class TpmParams:
     sparsity_cutoff: int  # k
-    iters: int  # L
+    iters: int = 100  # L
     shift: float | None = None  # None: coefficient 1-norm + 1
-    mode: str = "expectation"  # or "diagonalize_support"
+    mode: str = "diagonalize_support"  # or "expectation"
     dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
@@ -218,10 +219,12 @@ def run_tpm(
         amps = amps / np.linalg.norm(amps)
         energy = _rayleigh(h, bits, amps, trace)
         if p.mode == "diagonalize_support":
-            energy = basis_eigenpair(h, bits, trace).value
+            eig = basis_eigenpair(h, bits, trace)
+            energy = eig.value
         trace.add(t, bits.size, energy, t0)
 
-    trace.finish(energy, bits.size)  # p.iters >= 1, so a row reported it
+    # p.iters >= 1, so a row reported the energy and, in diagonalize_support mode, set eig
+    trace.finish(energy, bits.size, eig.converged if p.mode == "diagonalize_support" else None)
     return energy, trace, bits
 
 

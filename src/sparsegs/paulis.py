@@ -12,7 +12,6 @@ which reproduces Y|0> = i|1>, Y|1> = -i|0>.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,25 +219,6 @@ class PauliSum:
 
     # -- serialization ----------------------------------------------------
 
-    def to_text(self) -> str:
-        lines = [f"{c.real!r} {c.imag!r} {s.label}" for c, s in self.terms]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def from_text(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
-        terms = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            re_s, im_s, label = line.split()
-            if n_qubits is None:
-                n_qubits = len(label)
-            terms.append((complex(float(re_s), float(im_s)), PauliString.from_label(label)))
-        if n_qubits is None:
-            raise ValueError("empty serialization with no qubit count")
-        return cls(terms, n_qubits)
-
     def to_json_dict(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
@@ -254,13 +234,6 @@ class PauliSum:
             for t in d["terms"]
         ]
         return cls(terms, d["n_qubits"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PauliSum":
-        return cls.from_json_dict(json.loads(text))
 
 
 # -- vectorized action kernels -------------------------------------------

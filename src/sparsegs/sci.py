@@ -109,8 +109,6 @@ def _hci_scores(
     cancellation applies within a single matrix element but not across
     core members."""
     best = np.zeros(cand_bits.size)
-    if cand_bits.size == 0:
-        return best
     trace.count(core_bits.size * len(h))
     for lo, img, d in group_images(h, core_bits):
         pos = index_in(cand_bits, img)
@@ -118,6 +116,17 @@ def _hci_scores(
         vals = np.abs(d * core_amps[None, lo : lo + img.shape[1]])
         np.maximum.at(best, pos[hit], vals[hit])
     return best
+
+
+def _scores(rule: str, h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray,
+            e0: float | None, cand_bits: np.ndarray, trace: SolverTrace) -> np.ndarray:
+    """Candidate scores by the CIPSI-form (perturbative) or HCI-form
+    (heat-bath) rule; empty, and uncounted, when there are no candidates."""
+    if cand_bits.size == 0:
+        return np.zeros(0)
+    if rule == "hci":
+        return _hci_scores(h, core_bits, core_amps, cand_bits, trace)
+    return _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
 
 
 # -- selection rules -----------------------------------------------------------
@@ -132,35 +141,23 @@ def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.nda
                  e0: float, h: PauliSum, epsilon: float, trace: SolverTrace) -> np.ndarray:
     """First-order perturbation-theory thresholding; the core is always
     retained."""
-    if cand_bits.size:
-        scores = _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
-        passed = cand_bits[scores > epsilon]
-    else:
-        passed = cand_bits
-    return unique_bits(np.concatenate((core_bits, passed)))
+    scores = _scores("cipsi", h, core_bits, core_amps, e0, cand_bits, trace)
+    return unique_bits(np.concatenate((core_bits, cand_bits[scores > epsilon])))
 
 
 def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                h: PauliSum, epsilon: float, trace: SolverTrace) -> np.ndarray:
     """Heat-bath criterion: largest single matrix element times amplitude;
     the core is always retained."""
-    if cand_bits.size:
-        scores = _hci_scores(h, core_bits, core_amps, cand_bits, trace)
-        passed = cand_bits[scores > epsilon]
-    else:
-        passed = cand_bits
-    return unique_bits(np.concatenate((core_bits, passed)))
+    scores = _scores("hci", h, core_bits, core_amps, None, cand_bits, trace)
+    return unique_bits(np.concatenate((core_bits, cand_bits[scores > epsilon])))
 
 
 def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
                 e0: float, h: PauliSum, d_cap: int, trace: SolverTrace) -> np.ndarray:
     """Rank core amplitudes and candidate perturbative estimates on equal
     footing; keep the top d_cap."""
-    cand_scores = (
-        _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
-        if cand_bits.size
-        else np.zeros(0)
-    )
+    cand_scores = _scores("cipsi", h, core_bits, core_amps, e0, cand_bits, trace)
     all_bits = np.concatenate([core_bits, cand_bits])
     all_scores = np.concatenate([np.abs(core_amps), cand_scores])
     order = _sort_by_amplitude(all_bits, all_scores)[:d_cap]
@@ -178,18 +175,7 @@ def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.nd
     partitions core + filtered into n_subsets equal subsets, diagonalizes
     each, and keeps the keep_per_subset largest amplitudes from each.
     """
-    if trim.first_phase == "cipsi":
-        scores = (
-            _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
-            if cand_bits.size
-            else np.zeros(0)
-        )
-    else:
-        scores = (
-            _hci_scores(h, core_bits, core_amps, cand_bits, trace)
-            if cand_bits.size
-            else np.zeros(0)
-        )
+    scores = _scores(trim.first_phase, h, core_bits, core_amps, e0, cand_bits, trace)
 
     if trim.expansion_factor is None:
         filtered = cand_bits[scores > epsilon]
@@ -286,5 +272,5 @@ def run_sci(
         current = nxt
     else:
         eig = basis_eigenpair(h, current, trace)
-    trace.finish(eig.value, current.size)
+    trace.finish(eig.value, current.size, eig.converged)
     return eig, trace, current

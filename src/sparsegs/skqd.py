@@ -330,7 +330,7 @@ def run_skqd(
             dim_k = kept.size
         trace.add(k, dim_k, eig.value, t0)
 
-    trace.finish(eig.value, dim_k)
+    trace.finish(eig.value, dim_k, eig.converged)
     return eig, trace, record
 
 

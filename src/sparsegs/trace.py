@@ -50,6 +50,7 @@ class SolverTrace:
     final_energy: float = float("nan")
     final_dim: int = 0
     total_flops: float = 0.0
+    converged: bool | None = None  # the final eigenpair's flag; None without one
 
     def count(self, n: float) -> None:
         self.flops += float(n)
@@ -65,10 +66,14 @@ class SolverTrace:
         self.rows.append(TraceRow(iteration, subspace_dim, energy,
                                   (time.perf_counter() - t0) * 1e3, self.flops))
 
-    def finish(self, energy: float, dim: int) -> None:
+    def finish(self, energy: float, dim: int, converged: bool | None = None) -> None:
+        """Record the final fields; an unconverged final eigenpair sets `unconverged`."""
         self.final_energy = energy
         self.final_dim = dim
         self.total_flops = self.flops
+        self.converged = None if converged is None else bool(converged)
+        if self.converged is False:
+            self.status = STATUS_UNCONVERGED
 
     def write_csv(self, path: Path | str) -> None:
         with open(path, "w", newline="") as f:

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import sparsegs
+import sparsegs.cli
 import sparsegs.eigensolver
-from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, main
+from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _run_one, main
+from sparsegs.trace import DEFAULT_DIM_CAP
 
 
 @pytest.fixture(scope="module")
@@ -71,17 +73,21 @@ def test_solve_cipsi_stalls(patch_bundle, tmp_path, capsys):
 
 TRACE_HEADER = ["variant", "iter", "subspace_dim", "energy", "wall_ms", "status", "flops"]
 
+# one small solve per CLI solver, with the `run_*` function it calls
+SOLVES = [
+    ("run_sci", ("cipsi", "--eps", "1e-6")),
+    ("run_sci", ("hci", "--eps", "1e-6")),
+    ("run_sci", ("asci", "--d-cap", "8", "--core-cap", "4", "--iters", "3")),
+    ("run_sci", ("trimci", "--eps", "1e-8", "--n-subsets", "2", "--keep-per-subset", "3",
+                 "--iters", "3")),
+    ("run_diag_ranking", ("diag-ranking", "--d", "8", "--iters", "4")),
+    ("run_truncated_arnoldi", ("tarnoldi", "--m", "16", "--iters", "4")),
+    ("run_tpm", ("tpm", "--k", "8", "--iters", "4")),
+    ("run_skqd", ("skqd", "--d", "2", "--shots", "200")),
+]
 
-@pytest.mark.parametrize("args", [
-    ("cipsi", "--eps", "1e-6"),
-    ("hci", "--eps", "1e-6"),
-    ("asci", "--d-cap", "8", "--core-cap", "4", "--iters", "3"),
-    ("trimci", "--eps", "1e-8", "--n-subsets", "2", "--keep-per-subset", "3", "--iters", "3"),
-    ("diag-ranking", "--d", "8", "--iters", "4"),
-    ("tarnoldi", "--m", "16", "--iters", "4"),
-    ("tpm", "--k", "8", "--iters", "4"),
-    ("skqd", "--d", "2", "--shots", "200"),
-], ids=lambda a: a[0])
+
+@pytest.mark.parametrize("args", [a for _, a in SOLVES], ids=lambda a: a[0])
 def test_solve_writes_trace_csv(patch_bundle, tmp_path, args):
     out = tmp_path / "run"
     assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out), *args]) == EXIT_OK
@@ -92,6 +98,18 @@ def test_solve_writes_trace_csv(patch_bundle, tmp_path, args):
     assert {(r[0], r[5]) for r in rows} == {(args[0], summary["status"])}
     flops = [float(r[6]) for r in rows]  # a plain number, not np.float64(...)
     assert flops == sorted(flops) and flops[-1] <= summary["flops"]
+
+
+@pytest.mark.parametrize("runner, args", SOLVES, ids=[a[0] for _, a in SOLVES])
+def test_solve_calls_the_runner_bound_in_cli(patch_bundle, tmp_path, monkeypatch, runner, args):
+    # a solve calls the `run_*` binding of `sparsegs.cli` when it runs, so a
+    # wrapper bound over it there (as a tracer binds one) sees every run
+    calls = []
+    real = getattr(sparsegs.cli, runner)
+    monkeypatch.setattr(sparsegs.cli, runner, lambda *a: calls.append(a[2]) or real(*a))
+    out = tmp_path / "run"
+    assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out), *args]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_solve_tarnoldi_reaches_zero(patch_bundle, tmp_path):
@@ -212,6 +230,24 @@ def test_sweep_rows_share_columns(patch_bundle, tmp_path):
         assert r[2:5] == ["", "", ""] and r[6] == ""
 
 
+def test_sweep_key_the_solver_does_not_take_is_an_error(patch_bundle, tmp_path):
+    # `eps` and `iter` are no ASCI flags; `seed` is given to every sweep job
+    params = {"d_cap": 8, "core_cap": 4, "eps": 0.5, "iter": 2}
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"bundle": str(patch_bundle),
+                                     "runs": [{"solver": "asci", "params": params},
+                                              {"solver": "asci", "params": {"d_cap": 8,
+                                                                            "core_cap": 4}}]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert [r["status"] for r in rows] == ["error", "stalled"]
+    assert json.loads(rows[0]["params"]) == {**params, "seed": 0}
+    summary = _run_one((str(patch_bundle), "asci", params, DEFAULT_DIM_CAP))
+    assert summary["status"] == "error"
+    assert summary["error"] == "ValueError: asci takes no option eps, iter"
+
+
 def test_sweep_empty_grid(tmp_path, patch_bundle):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"bundle": str(patch_bundle), "runs": []}))
@@ -236,21 +272,27 @@ def test_sweep_reproducible_energy(tmp_path, patch_bundle):
 
 
 def test_unconverged_final_eigenpair_is_surfaced(patch_bundle, tmp_path, monkeypatch):
-    out = tmp_path / "run"
-    assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
-                 "cipsi", "--eps", "1e-6"]) == EXIT_OK
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["converged"] is True
-    assert summary["status"] != "unconverged"
+    def solve(*args):
+        out = tmp_path / args[0]
+        assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out), *args]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        _, *rows = csv.reader((out / "trace.csv").read_text().splitlines())
+        assert {r[5] for r in rows} == {summary["status"]}  # trace.csv agrees
+        return summary
+
+    solves = [("cipsi", "--eps", "1e-6"), ("tpm", "--k", "8", "--iters", "4")]
+    for args in solves:
+        summary = solve(*args)
+        assert summary["converged"] is True
+        assert summary["status"] != "unconverged"
 
     real = sparsegs.eigensolver.lowest_eigenpair
     monkeypatch.setattr(sparsegs.eigensolver, "lowest_eigenpair",
                         lambda m, **kw: dataclasses.replace(real(m, **kw), converged=False))
-    assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
-                 "cipsi", "--eps", "1e-6"]) == EXIT_OK
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["converged"] is False
-    assert summary["status"] == "unconverged"
+    for args in solves:
+        summary = solve(*args)
+        assert summary["converged"] is False
+        assert summary["status"] == "unconverged"
 
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bundle": str(patch_bundle),

@@ -280,9 +280,17 @@ def test_xi_recursion_matches_manual():
         assert seq[t] == pytest.approx(x)
 
 
+def test_params_defaults():
+    p = DiagRankParams(8)
+    assert (p.reservoir_cap, p.iters) == (80, 100)
+    assert DiagRankParams(8, 20).reservoir_cap == 20
+    p = TpmParams(4)
+    assert (p.iters, p.mode) == (100, "diagonalize_support")
+
+
 def test_flop_accounting_present(patch_instance):
     h, cert = patch_instance
-    _, trace, _ = run_tpm(h, cert.initial_config, TpmParams(8, 5))
+    _, trace, _ = run_tpm(h, cert.initial_config, TpmParams(8, 5, mode="expectation"))
     assert trace.total_flops > 0
     assert all(r.flops > 0 for r in trace.rows)
 
@@ -295,23 +303,38 @@ def test_budget_guards():
                               TruncArnoldiParams(100, 30, dim_cap=8))
 
 
-@pytest.mark.parametrize("run", [
-    lambda h, x0: run_sci(h, x0, SciParams("cipsi", epsilon=1e-9, max_iters=10)),
-    lambda h, x0: run_tpm(h, x0, TpmParams(60, 5, mode="diagonalize_support")),
-    lambda h, x0: run_truncated_arnoldi(h, x0, TruncArnoldiParams(40, 5,
-                                                                  per_iteration_energies=True)),
-    lambda h, x0: run_diag_ranking(h, x0, DiagRankParams(8, 80, 4, per_iteration_energies=True)),
-], ids=["cipsi-stalled", "tpm-diagonalize-support", "tarnoldi-per-iteration",
-        "diag-ranking-per-iteration"])
-def test_the_final_basis_is_not_solved_twice(run, monkeypatch):
-    # each row solves a new basis and the last row's basis is the final
-    # one, so the final eigenpair is that row's
+@pytest.mark.parametrize("run, n_bases", [
+    pytest.param(lambda h, x0: run_sci(h, x0, SciParams("cipsi", epsilon=1e-9, max_iters=10)),
+                 None, id="cipsi-stalled"),
+    pytest.param(lambda h, x0: run_tpm(h, x0, TpmParams(60, 5, mode="diagonalize_support")),
+                 None, id="tpm-diagonalize-support"),
+    pytest.param(lambda h, x0: run_truncated_arnoldi(h, x0, TruncArnoldiParams(
+        40, 5, per_iteration_energies=True)), None, id="tarnoldi-per-iteration"),
+    pytest.param(lambda h, x0: run_diag_ranking(h, x0, DiagRankParams(
+        8, 80, 4, per_iteration_energies=True)), None, id="diag-ranking-per-iteration"),
+    # the union stops growing after 6 of the 8 rows
+    pytest.param(lambda h, x0: run_truncated_arnoldi(h, x0, TruncArnoldiParams(
+        40, 8, per_iteration_energies=True)), 6, id="tarnoldi-union-stops-growing"),
+    # the working set repeats on the row where the run stalls
+    pytest.param(lambda h, x0: run_diag_ranking(h, x0, DiagRankParams(
+        50, 500, 8, per_iteration_energies=True)), 6, id="diag-ranking-stalls"),
+])
+def test_the_final_basis_is_not_solved_twice(run, n_bases, monkeypatch):
+    # each distinct basis is projected and solved once: a row whose basis
+    # did not change reuses the eigenpair of the row before, and the final
+    # eigenpair is the last row's; n_bases=None means every row has a new basis
     h, cert = layout_instance("path16")
     projected = []
     real = eigensolver.project_fast
     monkeypatch.setattr(eigensolver, "project_fast",
                         lambda h, b: projected.append(b.tobytes()) or real(h, b))
     trace = run(h, cert.initial_config)[1]
-    assert len(projected) == len(set(projected)) == len(trace.rows)
+    monkeypatch.undo()
+    expected = len(trace.rows) if n_bases is None else n_bases
+    assert len(projected) == len(set(projected)) == expected
+    # every row's energy is, bit for bit, a fresh solve of one of the bases
+    fresh = {eigensolver.lowest_eigenpair(real(h, np.frombuffer(b, np.uint64)).rows).value
+             for b in projected}
+    assert {r.energy for r in trace.rows} == fresh
     assert trace.final_energy == trace.rows[-1].energy
     assert trace.total_flops == trace.rows[-1].flops

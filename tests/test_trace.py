@@ -4,7 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from sparsegs.trace import STATUS_MAX_ITERS, BudgetExceeded, SolverTrace
+from sparsegs.trace import (STATUS_MAX_ITERS, STATUS_STALLED, STATUS_UNCONVERGED,
+                            BudgetExceeded, SolverTrace)
 
 
 def test_check_dim_allows_the_cap_and_names_what_crossed_it():
@@ -36,3 +37,17 @@ def test_finish_sets_the_three_final_fields():
     trace.finish(-0.25, 12)
     assert (trace.final_energy, trace.final_dim, trace.total_flops) == (-0.25, 12, 7.0)
     assert type(trace.total_flops) is float
+
+
+def test_finish_records_the_final_eigenpairs_flag(tmp_path):
+    trace = SolverTrace("t")
+    trace.finish(0.5, 3)
+    assert trace.converged is None and trace.status == STATUS_MAX_ITERS
+    trace.status = STATUS_STALLED
+    trace.finish(0.5, 3, np.bool_(True))
+    assert trace.converged is True and trace.status == STATUS_STALLED
+    trace.add(0, 3, 0.5, time.perf_counter())
+    trace.finish(0.5, 3, False)
+    assert trace.converged is False and trace.status == STATUS_UNCONVERGED
+    trace.write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text().splitlines()[1].split(",")[5] == "unconverged"
