@@ -245,7 +245,7 @@ def _solve(args) -> int:
 def _expand_grid(entry: dict):
     solver = entry["solver"]
     grid = entry.get("grid", {})
-    fixed = entry.get("params", {})
+    fixed = {k.replace("-", "_"): v for k, v in entry.get("params", {}).items()}
     keys = sorted(grid)
     if not keys:
         yield solver, dict(fixed)

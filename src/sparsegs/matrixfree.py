@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolver import EigResult, basis_eigenpair
-from .paulis import (Configuration, PauliSum, add_scaled, apply_sum_to_vector,
-                     diagonal_element, index_in, sparse_vdot, truncate_top, unique_bits)
+from .paulis import (Configuration, PauliSum, _merge_bases, add_scaled, apply_sum_to_vector,
+                     diagonal_element, index_in, sparse_vdot, truncate_top)
 from .subspace import connected_bits
 from .trace import DEFAULT_DIM_CAP, STATUS_CONVERGED, STATUS_STALLED, SolverTrace
 
@@ -149,7 +149,7 @@ def run_truncated_arnoldi(
             trace.add(it, union.size, float("nan"), t0)
             break
         vecs.append((ub, ua * (1.0 / nrm)))
-        grown = unique_bits(np.concatenate((union, ub)))
+        grown = _merge_bases(union, ub)[0]
         trace.check_dim(grown.size, "support union")
         if grown.size > union.size:
             union, eig = grown, None  # eig, if any, was the old union's
@@ -194,7 +194,8 @@ def run_tpm(
     equals the Rayleigh quotient of H and stays above the true ground
     energy; diagonalize_support mode instead projects H onto the support
     of the iterate and diagonalizes, which can only do better.  The
-    iterate's support is returned as a sorted array.
+    iterate's support is returned as a sorted array.  H is applied once per
+    iterate: its Rayleigh quotient's H phi also gives the next A phi.
     """
     one_norm = h.coeff_one_norm()
     shift = p.shift if p.shift is not None else one_norm + 1.0
@@ -208,16 +209,14 @@ def run_tpm(
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
     bits, amps = np.array([x0.bits], dtype=np.uint64), np.ones(1, dtype=complex)
-    energy = _rayleigh(h, bits, amps, trace)
+    hb, ha, energy = _rayleigh(h, bits, amps, trace)
 
     for t in range(1, p.iters + 1):
         t0 = time.perf_counter()
-        hb, ha = apply_sum_to_vector(h, bits, amps)
-        trace.count(bits.size * len(h))
         bits, amps = add_scaled(bits, amps * shift, hb, ha, -1.0)  # A phi
         bits, amps = truncate_top(bits, amps, p.sparsity_cutoff)
         amps = amps / np.linalg.norm(amps)
-        energy = _rayleigh(h, bits, amps, trace)
+        hb, ha, energy = _rayleigh(h, bits, amps, trace)
         if p.mode == "diagonalize_support":
             eig = basis_eigenpair(h, bits, trace)
             energy = eig.value
@@ -228,10 +227,11 @@ def run_tpm(
     return energy, trace, bits
 
 
-def _rayleigh(h: PauliSum, bits: np.ndarray, amps: np.ndarray, trace: SolverTrace) -> float:
+def _rayleigh(h: PauliSum, bits: np.ndarray, amps: np.ndarray, trace: SolverTrace):
+    """(H phi bits, H phi amps, <phi|H|phi>) for phi = (bits, amps)."""
     hb, ha = apply_sum_to_vector(h, bits, amps)
     trace.count(bits.size * len(h) + min(bits.size, hb.size))
-    return float(sparse_vdot(bits, amps, hb, ha).real)
+    return hb, ha, float(sparse_vdot(bits, amps, hb, ha).real)
 
 
 # -- convergence-theory constants --------------------------------------------

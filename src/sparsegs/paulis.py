@@ -361,22 +361,24 @@ def apply_sum_to_vector(h: PauliSum, bits: np.ndarray, amps: np.ndarray):
     return out_bits[keep], out[keep]
 
 
+def _merge_bases(bu: np.ndarray, bv: np.ndarray):
+    """(union, insertion points in bu, each bv entry's index in the union)
+    of two bases, without a sort: bv's missing entries are inserted into bu."""
+    pos = np.searchsorted(bu, bv)
+    new = bu.take(pos, mode="clip") != bv if bu.size else np.ones(bv.size, dtype=bool)
+    at = pos[new]
+    return np.insert(bu, at, bv[new]), at, pos + np.cumsum(new) - new
+
+
 def add_scaled(bu: np.ndarray, au: np.ndarray, bv: np.ndarray, av: np.ndarray,
                factor: complex):
     """u + factor * v over the union of the two supports, exact zeros
     dropped.  A shared entry is u + (factor * v), rounded once."""
-    both = np.concatenate((bu, bv))
-    order = np.argsort(both, kind="stable")  # timsort: a linear merge of two sorted runs
-    merged = both[order]
-    first = np.ones(both.size, dtype=bool)
-    first[1:] = merged[1:] != merged[:-1]
-    slot = np.empty(both.size, dtype=np.int64)
-    slot[order] = np.cumsum(first) - 1  # each entry's index in the union
-    amps = np.zeros(np.count_nonzero(first), dtype=complex)
-    amps[slot[: bu.size]] = au
-    amps[slot[bu.size :]] += factor * av
+    merged, at, slot = _merge_bases(bu, bv)
+    amps = np.insert(np.asarray(au, dtype=complex), at, 0)
+    amps[slot] += factor * av
     keep = amps != 0
-    return merged[first][keep], amps[keep]
+    return merged[keep], amps[keep]
 
 
 def sparse_vdot(ba: np.ndarray, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray) -> complex:
@@ -389,10 +391,14 @@ def sparse_vdot(ba: np.ndarray, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray) 
 
 def truncate_top(bits: np.ndarray, amps: np.ndarray, k: int):
     """The k largest-magnitude entries, ties broken by ascending bit value,
-    kept in bit order."""
+    kept in bit order.  A partition finds the k-th largest magnitude; every
+    entry above it is kept, and the lowest-bit entries at it fill up to k."""
     if bits.size <= k:
         return bits, amps
-    keep = np.sort(np.lexsort((bits, -np.abs(amps)))[:k])
+    mags = np.abs(amps)
+    cut = np.partition(mags, bits.size - k)[bits.size - k]
+    keep = mags > cut
+    keep[np.flatnonzero(mags == cut)[: k - np.count_nonzero(keep)]] = True
     return bits[keep], amps[keep]
 
 

@@ -248,6 +248,24 @@ def test_sweep_key_the_solver_does_not_take_is_an_error(patch_bundle, tmp_path):
     assert summary["error"] == "ValueError: asci takes no option eps, iter"
 
 
+def test_sweep_params_and_grid_keys_take_hyphens_alike(patch_bundle, tmp_path):
+    # `d-cap` is the solve flag's spelling; under `params` it is the same
+    # option as under `grid`, so both rows run and agree
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"bundle": str(patch_bundle), "runs": [
+        {"solver": "asci", "params": {"d-cap": 8, "core-cap": 4}},
+        {"solver": "asci", "grid": {"d-cap": [8]}, "params": {"core-cap": 4}},
+    ]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+    assert [r["status"] for r in rows] == ["stalled", "stalled"]
+    assert json.loads(rows[0]["params"]) == {"d_cap": 8, "core_cap": 4, "seed": 0}
+    for r in rows:
+        del r["wall_s"]
+    assert rows[0] == rows[1]
+
+
 def test_sweep_empty_grid(tmp_path, patch_bundle):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"bundle": str(patch_bundle), "runs": []}))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import kron_dense, layout_instance, random_pauli_sum, support_covered
-from sparsegs import eigensolver
+from sparsegs import eigensolver, matrixfree
+from sparsegs.eigensolver import basis_eigenpair
 from sparsegs.matrixfree import (
     DiagRankParams,
     TpmParams,
@@ -14,10 +15,11 @@ from sparsegs.matrixfree import (
     tpm_theory,
     xi_recursion,
 )
-from sparsegs.paulis import Configuration, diagonal_element
+from sparsegs.paulis import (Configuration, add_scaled, apply_sum_to_vector, diagonal_element,
+                             sparse_vdot, truncate_top)
 from sparsegs.sci import SciParams, run_sci
 from sparsegs.subspace import connected_bits
-from sparsegs.trace import BudgetExceeded
+from sparsegs.trace import BudgetExceeded, SolverTrace
 
 
 # -- diagonal ranking ---------------------------------------------------------
@@ -196,6 +198,47 @@ def test_tpm_variational(patch_instance):
     for mode in ("expectation", "diagonalize_support"):
         e, _, _ = run_tpm(h, cert.initial_config, TpmParams(8, 30, mode=mode))
         assert e >= -1e-9
+
+
+def _tpm_applying_h_twice(h, x0, p):
+    """The power method with H applied twice per iterate, once for A phi
+    and once more for the Rayleigh quotient: (energy, row energies, iterates)."""
+    shift = h.coeff_one_norm() + 1.0
+    bits, amps = np.array([x0.bits], dtype=np.uint64), np.ones(1, dtype=complex)
+    iterates, energies = [(bits, amps)], []
+    for _ in range(p.iters):
+        hb, ha = apply_sum_to_vector(h, bits, amps)
+        bits, amps = add_scaled(bits, amps * shift, hb, ha, -1.0)
+        bits, amps = truncate_top(bits, amps, p.sparsity_cutoff)
+        amps = amps / np.linalg.norm(amps)
+        hb, ha = apply_sum_to_vector(h, bits, amps)
+        energy = float(sparse_vdot(bits, amps, hb, ha).real)
+        if p.mode == "diagonalize_support":
+            energy = basis_eigenpair(h, bits, SolverTrace("tpm")).value
+        iterates.append((bits, amps))
+        energies.append(energy)
+    return energy, energies, iterates
+
+
+@pytest.mark.parametrize("mode", ["expectation", "diagonalize_support"])
+@pytest.mark.parametrize("layout, k, iters", [("path16", 6, 12), ("flagship", 40, 5)])
+def test_tpm_applies_h_once_per_iterate(layout, k, iters, mode, monkeypatch):
+    # each iterate's H phi serves its Rayleigh quotient and the next A phi;
+    # every output equals the two-application loop's, bit for bit
+    h, cert = layout_instance(layout)
+    p = TpmParams(k, iters, mode=mode)
+    want_energy, want_rows, want_iterates = _tpm_applying_h_twice(h, cert.initial_config, p)
+    applied = []
+    real = matrixfree.apply_sum_to_vector
+    monkeypatch.setattr(matrixfree, "apply_sum_to_vector",
+                        lambda h, b, a: applied.append((b, a)) or real(h, b, a))
+    energy, trace, support = run_tpm(h, cert.initial_config, p)
+    assert len(applied) == iters + 1
+    assert energy == want_energy
+    assert [r.energy for r in trace.rows] == want_rows
+    assert np.array_equal(support, want_iterates[-1][0])
+    for (b, a), (want_b, want_a) in zip(applied, want_iterates, strict=True):
+        assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
 
 
 def test_tpm_rejects_uncertified_shift():

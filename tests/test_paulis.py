@@ -383,6 +383,93 @@ def test_vector_algebra_matches_dense(seed, integer):
         assert np.array_equal(amps, du[bits.astype(np.int64)])
 
 
+def _add_scaled_by_sort(bu, au, bv, av, factor):
+    """add_scaled as a stable argsort of both supports: the sort-based form
+    the binary-search merge replaced."""
+    both = np.concatenate((bu, bv))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    first = np.ones(both.size, dtype=bool)
+    first[1:] = merged[1:] != merged[:-1]
+    slot = np.empty(both.size, dtype=np.int64)
+    slot[order] = np.cumsum(first) - 1
+    amps = np.zeros(np.count_nonzero(first), dtype=complex)
+    amps[slot[: bu.size]] = au
+    amps[slot[bu.size :]] += factor * av
+    keep = amps != 0
+    return merged[first][keep], amps[keep]
+
+
+def _truncate_top_by_sort(bits, amps, k):
+    """truncate_top as a full lexsort: the form the partition replaced."""
+    if bits.size <= k:
+        return bits, amps
+    keep = np.sort(np.lexsort((bits, -np.abs(amps)))[:k])
+    return bits[keep], amps[keep]
+
+
+def _assert_same(got, want):
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_add_scaled_bit_identical_to_sort_merge(integer):
+    rng = np.random.default_rng(91)
+
+    def vec(*bits):
+        bits = np.array(bits, dtype=np.uint64)
+        if integer:
+            return bits, rng.integers(-3, 4, size=bits.size)
+        return bits, rng.standard_normal(bits.size) + 1j * rng.standard_normal(bits.size)
+
+    u, v = vec(*range(0, 40, 3)), vec(*range(1, 40, 5))
+    cases = [
+        (vec(), vec()), (vec(), v), (u, vec()),  # empty u or v
+        (u, (u[0][2:9:2], v[1][:4])), ((u[0][2:9:2], v[1][:4]), u),  # v in u, u in v
+        (u, vec(*range(41, 60, 2))), (vec(*range(41, 60, 2)), u),  # disjoint, one above the other
+        (vec(1, 3, 5), vec(0, 2, 4, 6)),  # disjoint, interleaved
+        (u, v), (v, u),  # partly shared
+        (u, u),
+    ]
+    for factor in (-1.0, 0.5, 0.3 - 0.7j, 2):
+        for a, b in cases:
+            _assert_same(add_scaled(*a, *b, factor), _add_scaled_by_sort(*a, *b, factor))
+    assert add_scaled(*u, *u, -1)[0].size == 0  # u - u cancels everywhere
+    _assert_same(add_scaled(*u, *u, -1), _add_scaled_by_sort(*u, *u, -1))
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        a = _random_sparse(r, 7, int(r.integers(0, 60)), integer)
+        b = _random_sparse(r, 7, int(r.integers(0, 60)), integer)
+        _assert_same(add_scaled(*a, *b, -1.0), _add_scaled_by_sort(*a, *b, -1.0))
+        _assert_same(add_scaled(*a, *b, 0.25 + 1j), _add_scaled_by_sort(*a, *b, 0.25 + 1j))
+        # the same merge grows truncated Arnoldi's union
+        assert np.array_equal(pl._merge_bases(a[0], b[0])[0],
+                              pl.unique_bits(np.concatenate((a[0], b[0]))))
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_truncate_top_bit_identical_to_lexsort(integer):
+    bits = np.arange(3, 3 + 7 * 24, 7, dtype=np.uint64)
+    n = bits.size
+    rng = np.random.default_rng(17)
+    tied = np.array([5, 1, 3, 3, 5, 2, 3, 5, 3, 1, 3, 4, 3, 2, 5, 3, 0, 3, 1, 4, 3, 2, 3, 4])
+    amps = [
+        tied,  # magnitude 3 straddles most cut-offs
+        -tied,
+        np.full(n, 2),  # every magnitude equal
+        np.zeros(n),
+        rng.integers(-4, 5, size=n),
+    ]
+    if not integer:
+        amps = [a * (0.6 - 0.8j) for a in amps]  # same magnitudes, complex phases
+        amps += [rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                 np.where(rng.random(n) < 0.5, 1j, -1) * tied]  # ties across phases
+    for a in amps:
+        for k in (1, 2, 5, 8, 12, 17, n - 1, n, n + 3):
+            _assert_same(truncate_top(bits, a, k), _truncate_top_by_sort(bits, a, k))
+
+
 def test_group_elements_match_matrix_element():
     rng = np.random.default_rng(23)
     n = 5
