@@ -193,9 +193,11 @@ def run_tpm(
     is a certified choice.  The expectation estimate shift - <phi|A|phi>
     equals the Rayleigh quotient of H and stays above the true ground
     energy; diagonalize_support mode instead projects H onto the support
-    of the iterate and diagonalizes, which can only do better.  The
-    iterate's support is returned as a sorted array.  H is applied once per
-    iterate: its Rayleigh quotient's H phi also gives the next A phi.
+    of the iterate and diagonalizes, which can only do better, each solve
+    reusing the one before it (see `basis_eigenpair`).  The iterate's
+    support is returned as a sorted array.  H is applied once per iterate:
+    the H phi of the expectation also gives the next A phi, and
+    diagonalize_support mode applies H only for that next A phi.
     """
     one_norm = h.coeff_one_norm()
     shift = p.shift if p.shift is not None else one_norm + 1.0
@@ -209,29 +211,34 @@ def run_tpm(
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
     bits, amps = np.array([x0.bits], dtype=np.uint64), np.ones(1, dtype=complex)
-    hb, ha, energy = _rayleigh(h, bits, amps, trace)
+    hb, ha = _apply_h(h, bits, amps, trace)
+    eig = None
 
     for t in range(1, p.iters + 1):
         t0 = time.perf_counter()
         bits, amps = add_scaled(bits, amps * shift, hb, ha, -1.0)  # A phi
         bits, amps = truncate_top(bits, amps, p.sparsity_cutoff)
         amps = amps / np.linalg.norm(amps)
-        hb, ha, energy = _rayleigh(h, bits, amps, trace)
-        if p.mode == "diagonalize_support":
-            eig = basis_eigenpair(h, bits, trace)
+        if p.mode == "expectation":
+            hb, ha = _apply_h(h, bits, amps, trace)
+            energy = float(sparse_vdot(bits, amps, hb, ha).real)
+            trace.count(min(bits.size, hb.size))
+        else:
+            eig = basis_eigenpair(h, bits, trace, eig)
             energy = eig.value
+            if t < p.iters:
+                hb, ha = _apply_h(h, bits, amps, trace)
         trace.add(t, bits.size, energy, t0)
 
     # p.iters >= 1, so a row reported the energy and, in diagonalize_support mode, set eig
-    trace.finish(energy, bits.size, eig.converged if p.mode == "diagonalize_support" else None)
+    trace.finish(energy, bits.size, None if eig is None else eig.converged)
     return energy, trace, bits
 
 
-def _rayleigh(h: PauliSum, bits: np.ndarray, amps: np.ndarray, trace: SolverTrace):
-    """(H phi bits, H phi amps, <phi|H|phi>) for phi = (bits, amps)."""
-    hb, ha = apply_sum_to_vector(h, bits, amps)
-    trace.count(bits.size * len(h) + min(bits.size, hb.size))
-    return hb, ha, float(sparse_vdot(bits, amps, hb, ha).real)
+def _apply_h(h: PauliSum, bits: np.ndarray, amps: np.ndarray, trace: SolverTrace):
+    """H phi as (bits, amps) for phi = (bits, amps), counted."""
+    trace.count(bits.size * len(h))
+    return apply_sum_to_vector(h, bits, amps)
 
 
 # -- convergence-theory constants --------------------------------------------

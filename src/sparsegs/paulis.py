@@ -280,7 +280,12 @@ def check_basis(h: PauliSum, bits: np.ndarray) -> None:
 
 def pauli_signs(bits: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
     """(-1)^popcount(bits & z) as floats, shape (len(z_masks), len(bits))."""
-    return 1.0 - 2.0 * (np.bitwise_count(bits[None, :] & z_masks[:, None]) & 1)
+    return _parity_signs(bits[None, :], z_masks[:, None])
+
+
+def _parity_signs(bits: np.ndarray, z_masks: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(bits & z_masks) as floats, broadcast."""
+    return 1.0 - 2.0 * (np.bitwise_count(bits & z_masks) & 1)
 
 
 def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -> np.ndarray:
@@ -297,6 +302,22 @@ def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -
         a, b = starts[g], starts[g + 1]
         for w, signs in zip(h._weights[a:b], pauli_signs(bits, h._zm[a:b])):
             out[g - lo] += w * signs
+    return out
+
+
+def pair_elements(h: PauliSum, groups: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """D_g(x) for each pair of group index g = groups[i] and configuration
+    x = bits[i]: group_elements read pairwise and summed the same way."""
+    starts = h.x_groups[1]
+    first = starts[groups]
+    size = starts[groups + 1] - first
+    out = np.zeros(bits.size, dtype=h.dtype)
+    at, r = np.flatnonzero(size), 0
+    while at.size:  # term r of every pair's group that has one
+        t = first[at] + r
+        out[at] += h._weights[t] * _parity_signs(bits[at], h._zm[t])
+        r += 1
+        at = at[size[at] > r]
     return out
 
 
@@ -361,22 +382,33 @@ def apply_sum_to_vector(h: PauliSum, bits: np.ndarray, amps: np.ndarray):
     return out_bits[keep], out[keep]
 
 
-def _merge_bases(bu: np.ndarray, bv: np.ndarray):
-    """(union, insertion points in bu, each bv entry's index in the union)
-    of two bases, without a sort: bv's missing entries are inserted into bu."""
-    pos = np.searchsorted(bu, bv)
-    new = bu.take(pos, mode="clip") != bv if bu.size else np.ones(bv.size, dtype=bool)
-    at = pos[new]
-    return np.insert(bu, at, bv[new]), at, pos + np.cumsum(new) - new
+def _merge_bases(bl: np.ndarray, bs: np.ndarray):
+    """(union, new, pos) of two bases, without a sort: `pos` is each bs
+    entry's place in bl, and bs's missing entries (mask `new`) are
+    inserted there.  The binary search and the insert are cheapest when
+    bs is the shorter."""
+    pos = np.searchsorted(bl, bs)
+    new = bl.take(pos, mode="clip") != bs if bl.size else np.ones(bs.size, dtype=bool)
+    return np.insert(bl, pos[new], bs[new]), new, pos
 
 
 def add_scaled(bu: np.ndarray, au: np.ndarray, bv: np.ndarray, av: np.ndarray,
                factor: complex):
     """u + factor * v over the union of the two supports, exact zeros
-    dropped.  A shared entry is u + (factor * v), rounded once."""
-    merged, at, slot = _merge_bases(bu, bv)
-    amps = np.insert(np.asarray(au, dtype=complex), at, 0)
-    amps[slot] += factor * av
+    dropped.  factor * v is added onto u's entries and onto zeros
+    elsewhere: a shared entry is u + (factor * v), rounded once.  The
+    shorter support is searched in the longer."""
+    au, fv = np.asarray(au, dtype=complex), factor * av
+    if bu.size >= bv.size:
+        merged, new, pos = _merge_bases(bu, bv)
+        amps = np.insert(au, pos[new], 0)
+        amps[pos + np.cumsum(new) - new] += fv
+    else:
+        merged, new, pos = _merge_bases(bv, bu)
+        # fv + 0: factor * v added onto zeros, down to the sign of a zero part
+        amps = np.insert(np.asarray(fv + 0, dtype=complex), pos[new], au[new])
+        shared = ~new
+        amps[(pos + np.cumsum(new) - new)[shared]] = au[shared] + fv[pos[shared]]
     keep = amps != 0
     return merged[keep], amps[keep]
 

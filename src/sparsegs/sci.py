@@ -230,7 +230,8 @@ def run_sci(
 
     Terminates early when an iteration adds and removes nothing; the
     reported eigenpair comes from diagonalizing in the final basis, which
-    is returned as a sorted array.  Flops follow SolverTrace's convention.
+    is returned as a sorted array.  Each solve reuses the one before it
+    (see `basis_eigenpair`).  Flops follow SolverTrace's convention.
     """
     if isinstance(x0, Configuration):
         initial = [x0]
@@ -241,10 +242,11 @@ def run_sci(
 
     current = unique_bits(np.array([c.bits for c in initial], dtype=np.uint64))
     trace = SolverTrace(p.variant, p.dim_cap)
+    eig = None
 
     for mu in range(p.max_iters):
         t0 = time.perf_counter()
-        eig = basis_eigenpair(h, current, trace)
+        eig = basis_eigenpair(h, current, trace, eig)
         amps = eig.vector
 
         order = _sort_by_amplitude(current, amps)
@@ -271,6 +273,6 @@ def run_sci(
             break
         current = nxt
     else:
-        eig = basis_eigenpair(h, current, trace)
+        eig = basis_eigenpair(h, current, trace, eig)
     trace.finish(eig.value, current.size, eig.converged)
     return eig, trace, current

@@ -16,10 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .paulis import (Configuration, PauliSum, check_basis, group_elements, group_images,
-                     index_in, matrix_element, unique_bits)
+                     index_in, matrix_element, pair_elements, unique_bits)
 from .trace import BudgetExceeded
 
 ZERO_TOL = 1e-14
+_LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images an update looks up at once
 
 
 @dataclass
@@ -34,7 +35,8 @@ class ProjectedMatrix:
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
-def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
+def project_fast(h: PauliSum, bits: np.ndarray,
+                 prev: tuple[np.ndarray, sp.csr_matrix] | None = None) -> ProjectedMatrix:
     """Row-wise projection onto the basis `bits`, written straight into
     CSR in h's dtype.  For x-mask group g, one address lookup gives every
     row i whose image j = bits[i] ^ x_g lies in the basis, and the entry
@@ -43,12 +45,17 @@ def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
     column, and distinct groups distinct columns, so no entry is written
     twice.  Elements below ZERO_TOL are dropped group by group; the kept
     entries per row give `indptr`, the entries are filled into `indices`
-    and `data` in place, and each row is sorted by column at the end."""
+    and `data` in place, and each row is sorted by column at the end.
+
+    `prev = (old_bits, old_rows)`, an earlier projection of the same H,
+    gives the same matrix, bit for bit, with less work: see
+    `_project_update`."""
     check_basis(h, bits)
+    if prev is not None:
+        return _project_update(h, bits, *prev)
     dim = bits.size
     gx = h.x_groups[0]
-    # int32 indices, as SciPy would choose, whenever nnz <= dim * groups fits
-    idx = np.int32 if dim * gx.size <= np.iinfo(np.int32).max else np.int64
+    idx = _index_dtype(dim, gx.size)
     counts = np.zeros(dim, dtype=idx)
     found = []
     for g, x in enumerate(gx):
@@ -76,6 +83,69 @@ def project_fast(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
     m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     m.sort_indices()
     return ProjectedMatrix(dim, m)
+
+
+def _index_dtype(dim: int, groups: int):
+    """int32 indices, as SciPy would choose, whenever nnz <= dim * groups fits."""
+    return np.int32 if dim * groups <= np.iinfo(np.int32).max else np.int64
+
+
+def _project_update(h: PauliSum, bits: np.ndarray, old_bits: np.ndarray,
+                    old_rows: sp.csr_matrix) -> ProjectedMatrix:
+    """project_fast(h, bits) from the projection `old_rows` onto
+    `old_bits`: the block among members of both bases is copied, and the
+    rest is looked up from the new members (`_new_entries`).  Each row
+    takes its copied entries first and its new ones after, in place, and
+    is sorted by column at the end."""
+    dim = bits.size
+    at = index_in(bits, old_bits)  # each old member's index in bits, or -1
+    old = np.zeros(dim, dtype=bool)
+    old[at[at >= 0]] = True
+    rows, cols = np.repeat(at, np.diff(old_rows.indptr)), at[old_rows.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    pieces = [(rows[keep], cols[keep], old_rows.data[keep]), _new_entries(h, bits, old)]
+    del rows, cols, keep
+    idx = _index_dtype(dim, h.x_groups[0].size)
+    counts = [np.bincount(rows, minlength=dim) for rows, _, _ in pieces]
+    indptr = np.zeros(dim + 1, dtype=idx)
+    np.cumsum(counts[0] + counts[1], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=idx)
+    data = np.empty(indptr[-1], dtype=h.dtype)
+    fill = indptr[:-1].copy()  # each row's next free slot
+    for (rows, cols, vals), n in zip(pieces, counts):  # each piece is in row order
+        at = fill[rows] + np.arange(rows.size) - (np.cumsum(n) - n)[rows]
+        indices[at] = cols
+        data[at] = vals
+        fill += n
+    m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    m.sort_indices()
+    return ProjectedMatrix(dim, m)
+
+
+def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray):
+    """The entries of H projected onto `bits` in the rows and columns of
+    the members outside the mask `old`, as (rows, cols, values) in row
+    order.  The new members' images are looked up under every group at
+    once: the image x_k = x_j ^ x_g of new member j gives the entry
+    (j, k) = D_g(x_k) and, when k is old, the entry (k, j) = D_g(x_j), so
+    no Hermiticity is assumed.  Elements below ZERO_TOL are dropped."""
+    gx = h.x_groups[0]
+    new = np.flatnonzero(~old)
+    step = max(1, _LOOKUP_BLOCK // max(gx.size, 1))
+    found = [(np.zeros(0, dtype=np.int64),) * 3]  # rows, cols, groups
+    for lo in range(0, new.size, step):
+        j = new[lo : lo + step]
+        addr = index_in(bits, bits[j][None, :] ^ gx[:, None])
+        g, s = np.nonzero(addr >= 0)
+        k, j = addr[g, s], j[s]
+        back = old[k]
+        found.append((np.concatenate((j, k[back])), np.concatenate((k, j[back])),
+                      np.concatenate((g, g[back]))))
+    rows, cols, g = map(np.concatenate, zip(*found))
+    vals = pair_elements(h, g, bits[cols])
+    keep = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
+    keep = keep[np.argsort(rows[keep])]
+    return rows[keep], cols[keep], vals[keep]
 
 
 def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:

@@ -126,6 +126,27 @@ def test_lowest_eigenpair_dispatch():
     assert abs(r.value - np.linalg.eigvalsh(b)[0]) < 1e-9
 
 
+def test_basis_eigenpair_reuses_the_previous_projection():
+    # the previous projection is updated, not rebuilt, and then released;
+    # the eigenpair is a fresh solve's, bit for bit
+    h, cert = layout_instance("flagship")
+    support = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
+    old = np.union1d(support, connected_bits(h, support))
+    new = np.union1d(old[::2], connected_bits(h, old)[::7])
+    assert min(old.size, new.size) > DENSE_CAP
+    prev = basis_eigenpair(h, old, SolverTrace("t"))
+    assert np.array_equal(prev.bits, old)
+    cold_trace, warm_trace = SolverTrace("t"), SolverTrace("t")
+    cold = basis_eigenpair(h, new, cold_trace)
+    warm = basis_eigenpair(h, new, warm_trace, prev)
+    assert prev.rows is None and np.array_equal(warm.bits, new)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(warm.rows, attr), getattr(cold.rows, attr))
+    assert (warm.value, warm.iterations) == (cold.value, cold.iterations)
+    assert warm.vector.tobytes() == cold.vector.tobytes()
+    assert warm_trace.flops == cold_trace.flops
+
+
 def test_real_and_complex_arpack_agree_on_flagship_projection():
     # a real projection runs ARPACK's real symmetric driver, its complex
     # cast the complex one
@@ -166,7 +187,7 @@ def test_basis_eigenpair_checks_the_cap_before_projecting(monkeypatch):
     projected = []
     real = eigensolver.project_fast
     monkeypatch.setattr(eigensolver, "project_fast",
-                        lambda h, b: projected.append(b.size) or real(h, b))
+                        lambda h, b, *a: projected.append(b.size) or real(h, b, *a))
     basis_eigenpair(h, bits[:4], SolverTrace("t", dim_cap=4))
     with pytest.raises(BudgetExceeded, match="basis of 5 exceeds cap 4"):
         basis_eigenpair(h, bits, SolverTrace("t", dim_cap=4))

@@ -410,7 +410,7 @@ def _truncate_top_by_sort(bits, amps, k):
 
 def _assert_same(got, want):
     assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("integer", [False, True])
@@ -424,7 +424,10 @@ def test_add_scaled_bit_identical_to_sort_merge(integer):
         return bits, rng.standard_normal(bits.size) + 1j * rng.standard_normal(bits.size)
 
     u, v = vec(*range(0, 40, 3)), vec(*range(1, 40, 5))
+    long = vec(*range(0, 3000, 2))  # shares u's even entries
+    real_long = (long[0], long[1].real.astype(complex))  # factor -1 gives -0.0 parts
     cases = [
+        (u, long), (long, u), (u, real_long), (real_long, u),  # v >> u and u >> v
         (vec(), vec()), (vec(), v), (u, vec()),  # empty u or v
         (u, (u[0][2:9:2], v[1][:4])), ((u[0][2:9:2], v[1][:4]), u),  # v in u, u in v
         (u, vec(*range(41, 60, 2))), (vec(*range(41, 60, 2)), u),  # disjoint, one above the other
@@ -501,7 +504,12 @@ def test_group_elements_fold_terms_in_order():
     for k in range(len(h)):
         signs = 1.0 - 2.0 * (np.bitwise_count(bits & zm[k]).astype(np.int64) & 1)
         want[np.searchsorted(gx, xm[k])] += coeff[k] * phase[k] * signs
-    assert np.array_equal(group_elements(h, bits), want)
+    got = group_elements(h, bits)
+    assert np.array_equal(got, want)
+    # read pairwise, the same sums bit for bit
+    g, x = rng.integers(0, gx.size, 300), rng.integers(0, 1 << n, 300)
+    pairs = pl.pair_elements(h, g, x.astype(np.uint64))
+    assert pairs.dtype == got.dtype and pairs.tobytes() == got[g, x].tobytes()
 
 
 def test_diagonal_element_is_dense_diagonal():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum, support_covered
+import sparsegs.eigensolver as eigensolver
+import sparsegs.sci as sci
+from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
+                      support_covered)
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
@@ -56,6 +59,39 @@ def test_run_sci_counts_flops(patch_instance):
         assert trace.total_flops > 0
         assert flops[0] > 0 and all(b >= a for a, b in zip(flops, flops[1:]))
         assert trace.total_flops >= flops[-1]
+
+
+@pytest.mark.parametrize("p, final", [
+    # grows past DENSE_CAP to 1,441, where the certified state (E = 0) appears
+    (SciParams("cipsi", epsilon=1e-9, max_iters=8), 0.0),
+    (SciParams("asci", d_cap=600, core_cap=150, max_iters=8), 0.126),  # 397 to 484 on ARPACK
+], ids=["cipsi", "asci"])
+def test_each_solve_reuses_the_previous_projection(p, final, monkeypatch):
+    # a run that projects every basis afresh selects the same bases and
+    # reports the same rows, bit for bit
+    h, cert = layout_instance("path16-coupled")
+
+    def run():
+        projected = []
+        real = eigensolver.project_fast
+        monkeypatch.setattr(eigensolver, "project_fast",
+                            lambda h, b, *a: projected.append((b, a)) or real(h, b, *a))
+        eig, trace, _ = run_sci(h, cert.initial_config, p)
+        monkeypatch.undo()
+        return eig, trace, projected
+
+    eig, trace, warm = run()
+    real = sci.basis_eigenpair
+    monkeypatch.setattr(sci, "basis_eigenpair", lambda h, b, t, prev=None: real(h, b, t))
+    cold_eig, cold_trace, cold = run()
+    assert max(b.size for b, _ in warm) > eigensolver.DENSE_CAP
+    assert [a == () for _, a in warm] == [True] + [False] * (len(warm) - 1)
+    assert all(a == () for _, a in cold)
+    assert len(warm) == len(cold)
+    assert all(np.array_equal(w, c) for (w, _), (c, _) in zip(warm, cold))
+    rows = lambda t: [(r.iteration, r.subspace_dim, r.energy, r.flops) for r in t.rows]
+    assert rows(trace) == rows(cold_trace)
+    assert eig.value == cold_eig.value == pytest.approx(final, abs=1e-3)
 
 
 def test_cipsi_infinite_threshold_stops_at_reference(patch_instance):

@@ -323,3 +323,57 @@ def test_reachable_bits_of_patch_support(patch_instance):
     r = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 10**7)
     assert r.size == 16
     assert {c.bits for c in cert.support} <= set(r.tolist())
+
+
+def _assert_same_csr(got, want):
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _basis_pairs(rng, universe):
+    """(old, new) bases drawn from the sorted `universe`: grow, shrink,
+    same, disjoint, mixed, an empty old or new basis, a dim-1 old basis."""
+    pick = lambda k: np.sort(rng.choice(universe, size=k, replace=False))
+    a = pick(universe.size // 2)
+    rest = universe[index_in(a, universe) < 0]
+    return [
+        (a, np.union1d(a, rest[: rest.size // 2])),  # grow
+        (a, a[rng.random(a.size) < 0.6]),  # shrink
+        (a, a),  # same
+        (a, rest),  # disjoint
+        (a, np.union1d(a[::2], rest[::3])),  # mixed
+        (a[:0], a), (a, a[:0]),  # empty old, empty new
+        (a[:1], a), (a[:1], rest[:5]),  # dim-1 old basis, shared or not
+    ]
+
+
+@pytest.mark.parametrize("kind", ["real", "hermitian", "non-hermitian"])
+@pytest.mark.parametrize("seed", range(3))
+def test_incremental_projection_is_bit_identical(seed, kind):
+    # complex coefficients make H non-Hermitian, so the reverse entries
+    # (k, j) must come from D_g(x_j), not from (j, k)
+    rng = np.random.default_rng(340 + seed)
+    n = 7
+    h = random_pauli_sum(rng, n, 24, real=kind != "non-hermitian")
+    if kind == "real":
+        h = without_odd_y(h)
+    assert (h.dtype == np.float64) == (kind == "real")
+    universe = np.arange(1 << n, dtype=np.uint64)
+    for old, new in _basis_pairs(rng, universe):
+        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows,
+                         project_fast(h, new).rows)
+
+
+def test_incremental_projection_on_the_flagship_ball():
+    h, cert = layout_instance("flagship")
+    balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
+    for _ in range(4):
+        balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
+    assert [b.size for b in balls[-2:]] == [580, 2531]
+    rng = np.random.default_rng(350)
+    pairs = list(zip(balls, balls[1:])) + [(balls[-1], balls[-2])]
+    pairs += _basis_pairs(rng, balls[-1])
+    for old, new in pairs:
+        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows,
+                         project_fast(h, new).rows)
