@@ -37,8 +37,8 @@ class EigResult:
     residual: float
     converged: bool = True
     degenerate: bool = False
-    bits: np.ndarray | None = None  # basis_eigenpair's basis and projection;
-    rows: sp.csr_matrix | None = None  # None from the bare solvers
+    bits: np.ndarray | None = None  # basis_eigenpair's basis and projection,
+    rows: sp.csr_matrix | None = None  # when kept for the next solve
 
 
 def dense_lowest(m) -> EigResult:
@@ -133,26 +133,28 @@ def lowest_eigenpair(m) -> EigResult:
 
 
 def basis_eigenpair(h, bits: np.ndarray, trace: SolverTrace,
-                    prev: EigResult | None = None) -> EigResult:
+                    prev: EigResult | None = None, keep: bool = False) -> EigResult:
     """Lowest eigenpair of H projected onto the basis `bits`, the one
     project-and-solve step of every solver; the vector is indexed like
-    `bits`, and the result keeps `bits` and the projection.  Checks `bits`
-    against the run's `dim_cap` before projecting, and counts the
-    projection's nonzeros, once plus once per operator application, as the
-    run's flops.
+    `bits`.  Checks `bits` against the run's `dim_cap` before projecting,
+    and counts the projection's nonzeros, once plus once per operator
+    application, as the run's flops.
 
-    `prev`, the run's previous result, saves work: its projection is
-    updated to `bits` (the same matrix, bit for bit) and then released.
-    Its vector does not start ARPACK: on the certified instances the
-    previous vector can miss the new ground state entirely, and ARPACK
-    then converges to an excited state."""
+    A loop of solves saves work by passing `keep=True`, so that the result
+    keeps `bits` and the projection, and passing that result back as the
+    next call's `prev`: its projection is updated to `bits` (the same
+    matrix, bit for bit) and then released.  Its vector does not start
+    ARPACK: on the certified instances the previous vector can miss the
+    new ground state entirely, and ARPACK then converges to an excited
+    state."""
     trace.check_dim(bits.size, "basis")
     if prev is None:
         proj = project_fast(h, bits)
     else:
         proj = project_fast(h, bits, (prev.bits, prev.rows))
-        prev.rows = None  # only the newest projection is kept
+        prev.bits = prev.rows = None  # only the newest projection is kept
     eig = lowest_eigenpair(proj.rows)
     trace.count((1 + eig.iterations) * proj.rows.nnz)
-    eig.bits, eig.rows = bits, proj.rows
+    if keep:
+        eig.bits, eig.rows = bits, proj.rows
     return eig

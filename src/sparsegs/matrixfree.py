@@ -224,7 +224,7 @@ def run_tpm(
             energy = float(sparse_vdot(bits, amps, hb, ha).real)
             trace.count(min(bits.size, hb.size))
         else:
-            eig = basis_eigenpair(h, bits, trace, eig)
+            eig = basis_eigenpair(h, bits, trace, eig, keep=t < p.iters)
             energy = eig.value
             if t < p.iters:
                 hb, ha = _apply_h(h, bits, amps, trace)

@@ -246,7 +246,7 @@ def run_sci(
 
     for mu in range(p.max_iters):
         t0 = time.perf_counter()
-        eig = basis_eigenpair(h, current, trace, eig)
+        eig = basis_eigenpair(h, current, trace, eig, keep=True)
         amps = eig.vector
 
         order = _sort_by_amplitude(current, amps)
@@ -270,6 +270,7 @@ def run_sci(
         trace.add(mu, current.size, eig.value, t0)
         if np.array_equal(nxt, current):
             trace.status = STATUS_STALLED  # eig is already the final basis's
+            eig.bits = eig.rows = None  # and no later solve reuses it
             break
         current = nxt
     else:

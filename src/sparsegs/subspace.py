@@ -20,7 +20,8 @@ from .paulis import (Configuration, PauliSum, check_basis, group_elements, group
 from .trace import BudgetExceeded
 
 ZERO_TOL = 1e-14
-_LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images an update looks up at once
+_LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images an update looks up per block
+_UPDATE_MAX_NEW = 2 / 3  # measured break-even share of new members, update against afresh
 
 
 @dataclass
@@ -94,58 +95,87 @@ def _project_update(h: PauliSum, bits: np.ndarray, old_bits: np.ndarray,
                     old_rows: sp.csr_matrix) -> ProjectedMatrix:
     """project_fast(h, bits) from the projection `old_rows` onto
     `old_bits`: the block among members of both bases is copied, and the
-    rest is looked up from the new members (`_new_entries`).  Each row
-    takes its copied entries first and its new ones after, in place, and
-    is sorted by column at the end."""
+    rest is looked up from the new members (`_new_entries`).  Both come
+    in pieces of index dtype, each holding its entries in row order as
+    (rows, entries per row, cols, values); the counts give `indptr`, the
+    pieces are filled into `indices` and `data` in place, and each row is
+    sorted by column at the end.
+
+    A new member costs the update more than a member costs a fresh
+    projection, so above `_UPDATE_MAX_NEW` new members afresh is faster
+    and is done instead, unless the new members fit in two lookup blocks:
+    then the whole update costs less than afresh's pass over every group."""
     dim = bits.size
-    at = index_in(bits, old_bits)  # each old member's index in bits, or -1
+    idx = _index_dtype(dim, h.x_groups[0].size)
+    at = index_in(bits, old_bits).astype(idx)  # each old member's index in bits, or -1
     old = np.zeros(dim, dtype=bool)
     old[at[at >= 0]] = True
-    rows, cols = np.repeat(at, np.diff(old_rows.indptr)), at[old_rows.indices]
-    keep = (rows >= 0) & (cols >= 0)
-    pieces = [(rows[keep], cols[keep], old_rows.data[keep]), _new_entries(h, bits, old)]
-    del rows, cols, keep
-    idx = _index_dtype(dim, h.x_groups[0].size)
-    counts = [np.bincount(rows, minlength=dim) for rows, _, _ in pieces]
+    new = dim - np.count_nonzero(old)
+    if new > _UPDATE_MAX_NEW * dim and new * h.x_groups[0].size > 2 * _LOOKUP_BLOCK:
+        return project_fast(h, bits)
+    pieces = _new_entries(h, bits, old, idx)
+    pieces.append(_shared_entries(old_rows, at))
+    counts = np.zeros(dim, dtype=idx)
+    for r, n, _, _ in pieces:
+        counts[r] += n
     indptr = np.zeros(dim + 1, dtype=idx)
-    np.cumsum(counts[0] + counts[1], out=indptr[1:])
+    np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1], dtype=h.dtype)
     fill = indptr[:-1].copy()  # each row's next free slot
-    for (rows, cols, vals), n in zip(pieces, counts):  # each piece is in row order
-        at = fill[rows] + np.arange(rows.size) - (np.cumsum(n) - n)[rows]
-        indices[at] = cols
-        data[at] = vals
-        fill += n
+    while pieces:  # released piece by piece as the CSR fills
+        r, n, cols, vals = pieces.pop()
+        slot = np.repeat(fill[r] - np.cumsum(n, dtype=idx) + n, n)
+        slot += np.arange(cols.size, dtype=idx)  # row's next free slot + rank in the row
+        indices[slot] = cols
+        data[slot] = vals
+        fill[r] += n
     m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     m.sort_indices()
     return ProjectedMatrix(dim, m)
 
 
-def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray):
+def _shared_entries(old_rows: sp.csr_matrix, at: np.ndarray):
+    """The entries of `old_rows` among the members it shares with the new
+    basis, as a piece (rows, counts, cols, values) renumbered by `at`,
+    each old member's index in the new basis or -1."""
+    cols = at[old_rows.indices]
+    keep = cols >= 0
+    keep &= np.repeat(at >= 0, np.diff(old_rows.indptr))
+    kept = np.zeros(keep.size + 1, dtype=at.dtype)
+    np.cumsum(keep, out=kept[1:])
+    n = np.diff(kept[old_rows.indptr])  # each old row's kept entries
+    rows = np.flatnonzero(n)
+    return at[rows], n[rows], cols[keep], old_rows.data[keep]
+
+
+def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
     """The entries of H projected onto `bits` in the rows and columns of
-    the members outside the mask `old`, as (rows, cols, values) in row
-    order.  The new members' images are looked up under every group at
-    once: the image x_k = x_j ^ x_g of new member j gives the entry
-    (j, k) = D_g(x_k) and, when k is old, the entry (k, j) = D_g(x_j), so
-    no Hermiticity is assumed.  Elements below ZERO_TOL are dropped."""
+    the members outside the mask `old`, as pieces (rows, counts, cols,
+    values) of index dtype `idx`, one per block of new members.  A
+    block's images are looked up under every group at once: the image
+    x_k = x_j ^ x_g of new member j gives the entry (j, k) = D_g(x_k) and,
+    when k is old, the entry (k, j) = D_g(x_j), so no Hermiticity is
+    assumed.  Elements below ZERO_TOL are dropped."""
     gx = h.x_groups[0]
     new = np.flatnonzero(~old)
     step = max(1, _LOOKUP_BLOCK // max(gx.size, 1))
-    found = [(np.zeros(0, dtype=np.int64),) * 3]  # rows, cols, groups
+    pieces = []
     for lo in range(0, new.size, step):
         j = new[lo : lo + step]
         addr = index_in(bits, bits[j][None, :] ^ gx[:, None])
         g, s = np.nonzero(addr >= 0)
         k, j = addr[g, s], j[s]
         back = old[k]
-        found.append((np.concatenate((j, k[back])), np.concatenate((k, j[back])),
-                      np.concatenate((g, g[back]))))
-    rows, cols, g = map(np.concatenate, zip(*found))
-    vals = pair_elements(h, g, bits[cols])
-    keep = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
-    keep = keep[np.argsort(rows[keep])]
-    return rows[keep], cols[keep], vals[keep]
+        rows, cols = np.concatenate((j, k[back])), np.concatenate((k, j[back]))
+        vals = pair_elements(h, np.concatenate((g, g[back])), bits[cols])
+        keep = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
+        keep = keep[np.argsort(rows[keep])]
+        rows = rows[keep].astype(idx)
+        head = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first entry
+        pieces.append((rows[head], np.diff(head, append=rows.size).astype(idx),
+                       cols[keep].astype(idx), vals[keep]))
+    return pieces
 
 
 def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:

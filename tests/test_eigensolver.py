@@ -127,19 +127,20 @@ def test_lowest_eigenpair_dispatch():
 
 
 def test_basis_eigenpair_reuses_the_previous_projection():
-    # the previous projection is updated, not rebuilt, and then released;
-    # the eigenpair is a fresh solve's, bit for bit
+    # a kept projection is updated, not rebuilt, and then released; the
+    # eigenpair is a fresh solve's, bit for bit
     h, cert = layout_instance("flagship")
     support = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
     old = np.union1d(support, connected_bits(h, support))
     new = np.union1d(old[::2], connected_bits(h, old)[::7])
     assert min(old.size, new.size) > DENSE_CAP
-    prev = basis_eigenpair(h, old, SolverTrace("t"))
+    assert basis_eigenpair(h, old, SolverTrace("t")).rows is None  # not kept
+    prev = basis_eigenpair(h, old, SolverTrace("t"), keep=True)
     assert np.array_equal(prev.bits, old)
     cold_trace, warm_trace = SolverTrace("t"), SolverTrace("t")
-    cold = basis_eigenpair(h, new, cold_trace)
-    warm = basis_eigenpair(h, new, warm_trace, prev)
-    assert prev.rows is None and np.array_equal(warm.bits, new)
+    cold = basis_eigenpair(h, new, cold_trace, keep=True)
+    warm = basis_eigenpair(h, new, warm_trace, prev, keep=True)
+    assert prev.bits is None and prev.rows is None and np.array_equal(warm.bits, new)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(warm.rows, attr), getattr(cold.rows, attr))
     assert (warm.value, warm.iterations) == (cold.value, cold.iterations)

@@ -46,6 +46,7 @@ def test_cipsi_stalls_on_patch(patch_instance):
         eig, trace, basis = run_sci(h, cert.initial_config, SciParams("cipsi", epsilon=eps))
         assert eig.value > 0.1
         assert trace.status == "stalled"
+        assert eig.rows is None  # the stalled loop's projection is not carried out
         support_found = support_covered(basis, cert)
         assert support_found < 8  # never exhausts the support
 
@@ -82,7 +83,7 @@ def test_each_solve_reuses_the_previous_projection(p, final, monkeypatch):
 
     eig, trace, warm = run()
     real = sci.basis_eigenpair
-    monkeypatch.setattr(sci, "basis_eigenpair", lambda h, b, t, prev=None: real(h, b, t))
+    monkeypatch.setattr(sci, "basis_eigenpair", lambda h, b, t, prev=None, keep=False: real(h, b, t))
     cold_eig, cold_trace, cold = run()
     assert max(b.size for b, _ in warm) > eigensolver.DENSE_CAP
     assert [a == () for _, a in warm] == [True] + [False] * (len(warm) - 1)
@@ -92,6 +93,7 @@ def test_each_solve_reuses_the_previous_projection(p, final, monkeypatch):
     rows = lambda t: [(r.iteration, r.subspace_dim, r.energy, r.flops) for r in t.rows]
     assert rows(trace) == rows(cold_trace)
     assert eig.value == cold_eig.value == pytest.approx(final, abs=1e-3)
+    assert eig.rows is None  # the final projection is not carried out of the run
 
 
 def test_cipsi_infinite_threshold_stops_at_reference(patch_instance):

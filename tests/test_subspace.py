@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsegs.paulis as pl
+import sparsegs.subspace as subspace
 from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
                       without_odd_y)
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
@@ -348,24 +349,32 @@ def _basis_pairs(rng, universe):
     ]
 
 
+def _assert_update_matches(h, pairs):
+    for old, new in pairs:
+        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows,
+                         project_fast(h, new).rows)
+
+
+# max_new 1.0 updates every pair, however few members it shares
+@pytest.mark.parametrize("max_new", [subspace._UPDATE_MAX_NEW, 1.0])
 @pytest.mark.parametrize("kind", ["real", "hermitian", "non-hermitian"])
 @pytest.mark.parametrize("seed", range(3))
-def test_incremental_projection_is_bit_identical(seed, kind):
+def test_incremental_projection_is_bit_identical(seed, kind, max_new, monkeypatch):
     # complex coefficients make H non-Hermitian, so the reverse entries
     # (k, j) must come from D_g(x_j), not from (j, k)
+    monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", max_new)
     rng = np.random.default_rng(340 + seed)
     n = 7
     h = random_pauli_sum(rng, n, 24, real=kind != "non-hermitian")
     if kind == "real":
         h = without_odd_y(h)
     assert (h.dtype == np.float64) == (kind == "real")
-    universe = np.arange(1 << n, dtype=np.uint64)
-    for old, new in _basis_pairs(rng, universe):
-        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows,
-                         project_fast(h, new).rows)
+    _assert_update_matches(h, _basis_pairs(rng, np.arange(1 << n, dtype=np.uint64)))
 
 
-def test_incremental_projection_on_the_flagship_ball():
+@pytest.mark.parametrize("max_new", [subspace._UPDATE_MAX_NEW, 1.0])
+def test_incremental_projection_on_the_flagship_ball(max_new, monkeypatch):
+    monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", max_new)
     h, cert = layout_instance("flagship")
     balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
     for _ in range(4):
@@ -373,7 +382,45 @@ def test_incremental_projection_on_the_flagship_ball():
     assert [b.size for b in balls[-2:]] == [580, 2531]
     rng = np.random.default_rng(350)
     pairs = list(zip(balls, balls[1:])) + [(balls[-1], balls[-2])]
-    pairs += _basis_pairs(rng, balls[-1])
-    for old, new in pairs:
-        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows,
-                         project_fast(h, new).rows)
+    _assert_update_matches(h, pairs + _basis_pairs(rng, balls[-1]))
+
+
+def test_a_mostly_new_basis_is_projected_afresh(monkeypatch):
+    h, cert = layout_instance("flagship")
+    balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
+    for _ in range(4):
+        balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
+    small, bits = balls[3], balls[4]
+    looked_up = []
+    real = subspace._new_entries
+    monkeypatch.setattr(subspace, "_new_entries",
+                        lambda h, b, old, idx: looked_up.append(b.size) or real(h, b, old, idx))
+    k = int(np.ceil(bits.size / 3))  # new members: just above and at 2/3
+    cases = [(bits[:k - 1], bits, False), (bits[:k], bits, True),
+             (small[:1], small, True)]  # 579 new members fit in two lookup blocks
+    assert (small.size - 1) * h.x_groups[0].size <= 2 * subspace._LOOKUP_BLOCK
+    for old, new, updated in cases:
+        looked_up.clear()
+        _assert_update_matches(h, [(old, new)])
+        assert looked_up == ([new.size] if updated else [])
+
+
+@pytest.mark.parametrize("new_share", [0.0, 0.1, 0.5, 1.0])
+def test_update_peak_memory_stays_under_three_times_the_csr(new_share, monkeypatch):
+    # the new members' entries are held as index-dtype pieces, block by
+    # block, as a fresh projection holds its groups' (the bound of
+    # test_projection_memory_is_a_small_multiple_of_the_matrix)
+    monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", 1.0)
+    h, cert = layout_instance("path16-coupled")
+    bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
+    old = bits[int(new_share * bits.size):]
+    prev = (old, project_fast(h, old).rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = project_fast(h, bits, prev).rows
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert m.indices.dtype == np.int32
+    assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
