@@ -194,7 +194,8 @@ def run_tpm(
     equals the Rayleigh quotient of H and stays above the true ground
     energy; diagonalize_support mode instead projects H onto the support
     of the iterate and diagonalizes, which can only do better, each solve
-    reusing the one before it (see `basis_eigenpair`).  The iterate's
+    reusing the one before it (see `basis_eigenpair`), and an iterate whose
+    support did not change reusing its eigenpair.  The iterate's
     support is returned as a sorted array.  H is applied once per iterate:
     the H phi of the expectation also gives the next A phi, and
     diagonalize_support mode applies H only for that next A phi.
@@ -224,7 +225,8 @@ def run_tpm(
             energy = float(sparse_vdot(bits, amps, hb, ha).real)
             trace.count(min(bits.size, hb.size))
         else:
-            eig = basis_eigenpair(h, bits, trace, eig, keep=t < p.iters)
+            if eig is None or not np.array_equal(bits, eig.bits):  # else the same solve
+                eig = basis_eigenpair(h, bits, trace, eig, keep=t < p.iters)
             energy = eig.value
             if t < p.iters:
                 hb, ha = _apply_h(h, bits, amps, trace)

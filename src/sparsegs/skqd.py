@@ -6,10 +6,13 @@ the closure of x0 under H's nonzero matrix elements, which H maps into
 itself.  They are computed there, on a |R|-vector, by the Chebyshev
 propagator of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)) for H_R,
 H projected onto R.  H_R is Hermitian, so its spectrum lies in the interval
-[c - r, c + r] spanned by its Gershgorin discs; with a = r dt, the series in
-the Chebyshev polynomials of (H_R - c)/r has coefficients 2 (-i)^k J_k(a)
-and is cut at the first K terms whose tail bound 2 sum_{k >= K} (a/2)^k / k!
-is at most 2^-53, so a step costs K - 1 = a + O(a^{1/3}) sparse products.
+[c - r, c + r] spanned by its Gershgorin discs; with a = r dt, the series
+of e^{-iH_R k dt} in the Chebyshev polynomials of (H_R - c)/r has
+coefficients 2 (-i)^j J_j(ka) and is cut at the first K(ka) terms whose
+tail 2 sum_{j >= K} |J_j(ka)| is at most 2^-53.  All d - 1 evolved states
+are combinations of the same vectors T_j((H_R - c)/r)|x0>, so one
+recurrence in H_R's own dtype (real on every real instance) gives them all
+for K((d - 1) a) - 1 = (d - 1) a + O(a^{1/3}) sparse products.
 `evolve_exact` keeps SciPy's `expm_multiply` on the full 2^n statevector as
 the tests' independent oracle.  Trotterized variants, kept to study
 approximation effects, evolve the full 2^n statevector, because a single
@@ -117,41 +120,34 @@ def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
     return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))
 
 
-def _bessel_j(a: float, count: int) -> np.ndarray:
-    """J_0(a), ..., J_{count-1}(a) as Fourier coefficients of the
-    Jacobi-Anger expansion e^{ia sin tau} = sum_k J_k(a) e^{ik tau}, from
-    2 count samples, so each value aliases only orders count and above."""
-    n = 2 * count
-    return np.fft.fft(np.exp(1j * a * np.sin(2 * np.pi * np.arange(n) / n))).real[:count] / n
-
-
 def _chebyshev_order(a: float) -> int:
-    """Smallest K with 2 sum_{k >= K} (a/2)^k / k! <= 2^-53, for a > 0.
+    """Smallest K with 2 sum_{k >= K} |J_k(a)| <= 2^-53, for a >= 0: the
+    first K terms of the Chebyshev series of e^{-ia x} leave a tail of at
+    most 2^-53 on [-1, 1].  The sum runs to e a + 64, past which
+    |J_k(a)| <= (a/2)^k / k! (DLMF 10.14.4) adds less than 2^-63."""
+    from scipy.special import jv  # on first use: every command pays the package import
 
-    |J_k(a)| <= (a/2)^k / k! (DLMF 10.14.4), so this bounds the tail
-    2 sum_{k >= K} |J_k(a)| of the Chebyshev series.  The sum runs to
-    e a + 64, past which the terms add less than 2^-63; terms above 1 are
-    clipped, since the tail there is far above 2^-53 anyway."""
     k = np.arange(int(np.e * a) + 64)
-    log_term = k * np.log(a / 2) - np.cumsum(np.log(np.maximum(k, 1)))
-    tail = 2 * np.cumsum(np.exp(np.minimum(log_term, 0.0))[::-1])[::-1]
+    tail = 2 * np.cumsum(np.abs(jv(k, a))[::-1])[::-1]
     return int(np.argmax(tail <= 2.0**-53))
 
 
 class ChebyshevPropagator:
-    """e^{-iH dt} on vectors, for a Hermitian sparse matrix H, by the
-    Chebyshev expansion of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967
-    (1984)), set up once and applied to any number of vectors.
+    """The Krylov states e^{-iH k dt} v, k = 0, 1, ..., for a Hermitian
+    sparse matrix H, by the Chebyshev expansion of Tal-Ezer & Kosloff
+    (J. Chem. Phys. 81, 3967 (1984)).
 
     Every eigenvalue of H lies in its Gershgorin interval [c - r, c + r],
     so H~ = (H - c)/r has its spectrum in [-1, 1], and with a = r dt,
-    e^{-iH dt} = e^{-ic dt} (J_0(a) + 2 sum_{k >= 1} (-i)^k J_k(a) T_k(H~)).
-    The series is cut at the first K terms whose tail is at most 2^-53
-    (`_chebyshev_order`), and a step runs the recurrence
-    T_{k+1} = 2 H~ T_k - T_{k-1}: K - 1 sparse products.  When r dt = 0 the
-    step is the phase e^{-ic dt} alone.  The operator 2H/r is built once,
-    in complex and on H's own index arrays, as SciPy would otherwise upcast
-    a real H on every product with a complex vector.  H is left unchanged.
+    e^{-iH k dt} = e^{-ick dt} (J_0(ka) + 2 sum_{j >= 1} (-i)^j J_j(ka) T_j(H~)).
+    Every state is a combination of the same vectors T_j(H~) v, so one
+    recurrence T_{j+1} = 2 H~ T_j - T_{j-1} serves them all: state k takes
+    its first K(ka) terms (`_chebyshev_order`), and d states cost
+    K((d - 1) a) - 1 sparse products.  The recurrence runs in the dtype of H
+    and v, so a real H evolves a real v in real arithmetic; the complex
+    factors (-i)^j and e^{-ick dt} are applied to two real partial sums, one
+    over even j and one over odd j.  H is used as given, neither copied nor
+    changed.  When r dt = 0 every state is v times the phase e^{-ick dt}.
     """
 
     def __init__(self, h: sp.csr_matrix, dt: float):
@@ -160,29 +156,45 @@ class ChebyshevPropagator:
         radius = np.asarray(row_abs).ravel() - np.abs(diag)
         lo, hi = float((diag.real - radius).min()), float((diag.real + radius).max())
         self.center, self.radius = (hi + lo) / 2, (hi - lo) / 2
-        a = self.radius * dt
-        j = _bessel_j(a, _chebyshev_order(abs(a))) if a else np.ones(1)
-        coef = 2 * j * np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4]
-        coef[0] = j[0]
-        self.coef = np.exp(-1j * self.center * dt) * coef
-        self.products = j.size - 1
-        self.flops = float(self.products * h.nnz)
-        if self.products:  # after the interval: its scratch is freed by now
-            data = np.multiply(h.data, 2 / self.radius, dtype=complex)
-            self._h = sp.csr_matrix((data, h.indices, h.indptr), shape=h.shape)
-            self._shift = 2 * self.center / self.radius
+        self.dt = dt
+        self._h = h
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        c = self.coef
-        if not self.products:
-            return c[0] * v
-        h = self._h
-        prev, cur = v, (h @ v - self._shift * v) / 2
-        out = c[0] * prev + c[1] * cur
-        for ck in c[2:]:
-            prev, cur = cur, h @ cur - self._shift * cur - prev
-            out += ck * cur
-        return out
+    def krylov_states(self, phi0: np.ndarray, d: int):
+        """Yield (e^{-iH k dt} phi0, flops) for k = 0, ..., d - 1, where
+        flops counts the sparse products run since the state before, by
+        SolverTrace's convention.  State k is yielded as soon as the
+        recurrence has passed its K(ka) terms."""
+        from scipy.special import jv  # on first use, as in _chebyshev_order
+
+        a = self.radius * self.dt
+        orders = [_chebyshev_order(k * a) for k in range(d)]
+        # (-i)^j = (-1)^{floor(j/2)} for even j and -i (-1)^{floor(j/2)} for odd j
+        signs = np.array([1.0, 1.0, -1.0, -1.0])
+        dtype = np.result_type(self._h.dtype, phi0.dtype)
+        pending = []  # (k, the weights of state k's terms, its even-j and odd-j sums)
+        for k in range(1, d):
+            w = 2 * jv(np.arange(orders[k]), k * a) * signs[np.arange(orders[k]) % 4]
+            w[0] /= 2  # the j = 0 term has no factor 2
+            pending.append((k, w, np.zeros((2, phi0.size), dtype)))
+        h, c, r = self._h, self.center, self.radius
+        prev, cur = None, phi0
+        yield phi0, 0.0
+        for j in range(orders[-1]):
+            if j == 1:
+                prev, cur = cur, (h @ cur - c * cur) / r
+            elif j > 1:
+                nxt = h @ cur
+                nxt -= c * cur
+                nxt *= 2 / r
+                nxt -= prev
+                prev, cur = cur, nxt
+            for _, w, sums in pending:
+                if j < w.size:
+                    sums[j % 2] += w[j] * cur
+            while pending and pending[0][1].size <= j + 1:
+                k, _, (even, odd) = pending.pop(0)
+                yield (np.exp(-1j * c * k * self.dt) * (even - 1j * odd),
+                       float((orders[k] - orders[k - 1]) * h.nnz))
 
 
 class TrotterPropagator:
@@ -243,6 +255,15 @@ class TrotterPropagator:
                 out += pv
         return out.reshape(-1)
 
+    def krylov_states(self, phi0: np.ndarray, d: int):
+        """Yield (the state after k steps, flops) for k = 0, ..., d - 1, as
+        `ChebyshevPropagator.krylov_states` does, by stepping."""
+        phi = phi0
+        yield phi, 0.0
+        for _ in range(1, d):
+            phi = self(phi)
+            yield phi, self.flops
+
 
 def evolve_trotter(
     h: PauliSum, v: np.ndarray, t: float, order: int = 2, steps: int = 1
@@ -262,10 +283,11 @@ def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
 
 
 def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
-    """(states, step): the sorted configurations that index the evolved
-    vector, and one time step dt on such a vector, whose `flops` is its cost
-    by SolverTrace's flop convention.  Exact evolution runs in the reachable
-    subspace of x0; Trotter evolution on the full register."""
+    """(states, propagator): the sorted configurations that index the
+    evolved vector, and the time step dt on such a vector, whose
+    `krylov_states` yields the Krylov states with their costs.  Exact
+    evolution runs in the reachable subspace of x0; Trotter evolution on
+    the full register."""
     if p.evolution == "exact":
         if not h.is_hermitian():
             raise ValueError("exact evolution needs a Hermitian H (real coefficients)")
@@ -292,20 +314,18 @@ def run_skqd(
     sched = p.schedule()
     dt = default_dt(h, p.dt_multiplier)
 
-    states, step = _propagator(h, x0, p, dt)
+    states, prop = _propagator(h, x0, p, dt)
     seed_seq = np.random.SeedSequence(p.rng_seed)
     children = seed_seq.spawn(p.krylov_dim)
     record = ShotRecord(n_qubits=n)
     trace = SolverTrace("skqd", p.dim_cap)
 
-    phi = (states == np.uint64(x0.bits)).astype(complex)
+    phi0 = (states == np.uint64(x0.bits)).astype(float)
     pool = np.array([x0.bits], dtype=np.uint64)
 
-    for k in range(p.krylov_dim):
-        t0 = time.perf_counter()
-        if k > 0:
-            phi = step(phi)
-            trace.count(step.flops)
+    t0 = time.perf_counter()  # a row's time includes the evolution to its state
+    for k, (phi, flops) in enumerate(prop.krylov_states(phi0, p.krylov_dim)):
+        trace.count(flops)
         rng = np.random.default_rng(children[k])
         samples = states[_sample_indices(phi, sched[k], rng)]
         if p.bitflip_probability > 0.0:
@@ -329,6 +349,7 @@ def run_skqd(
             eig = basis_eigenpair(h, kept, trace)
             dim_k = kept.size
         trace.add(k, dim_k, eig.value, t0)
+        t0 = time.perf_counter()
 
     trace.finish(eig.value, dim_k, eig.converged)
     return eig, trace, record

@@ -243,6 +243,24 @@ def test_tpm_applies_h_once_per_iterate(layout, k, iters, mode, monkeypatch):
         assert np.array_equal(b, want_b) and np.array_equal(a, want_a)
 
 
+def test_tpm_reuses_the_eigenpair_of_an_unchanged_support(monkeypatch):
+    # on the flagship at --k 2000 --iters 8, iterates 5 and 8 keep the
+    # support of the iterate before, so 6 of the 8 rows solve; every energy
+    # equals a fresh solve of its iterate's support, bit for bit
+    h, cert = layout_instance("flagship")
+    p = TpmParams(2000, 8, mode="diagonalize_support")
+    want_energy, want_rows, want_iterates = _tpm_applying_h_twice(h, cert.initial_config, p)
+    solved = []
+    real = eigensolver.lowest_eigenpair
+    monkeypatch.setattr(eigensolver, "lowest_eigenpair", lambda m: solved.append(m.shape) or real(m))
+    energy, trace, _ = run_tpm(h, cert.initial_config, p)
+    unchanged = [np.array_equal(a[0], b[0]) for a, b in zip(want_iterates, want_iterates[1:])]
+    assert unchanged == [False] * 4 + [True, False, False, True]
+    assert len(solved) == 6
+    assert energy == want_energy
+    assert [r.energy for r in trace.rows] == want_rows
+
+
 def test_tpm_rejects_uncertified_shift():
     rng = np.random.default_rng(6)
     h = random_pauli_sum(rng, 4, 8)

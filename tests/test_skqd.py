@@ -19,7 +19,6 @@ from sparsegs.skqd import (
     ShotRecord,
     SkqdParams,
     TrotterPropagator,
-    _bessel_j,
     _chebyshev_order,
     _propagator,
     _sample_indices,
@@ -315,16 +314,17 @@ def test_reachable_krylov_states_match_full_statevector(cli_patch):
     h, cert, reach = cli_patch
     x0 = cert.initial_config
     dt = default_dt(h)
-    states, step = _propagator(h, x0, SkqdParams(krylov_dim=3, shots_per_state=1), dt)
+    states, prop = _propagator(h, x0, SkqdParams(krylov_dim=3, shots_per_state=1), dt)
     assert states.size == reach
     idx = states.astype(np.int64)
     outside = np.ones(1 << 16, dtype=bool)
     outside[idx] = False
-    phi = (states == x0.bits).astype(complex)
     full = np.zeros(1 << 16, dtype=complex)
     full[x0.bits] = 1.0
-    for _ in range(2):
-        phi, full = step(phi), evolve_exact(h, full, dt)
+    krylov = prop.krylov_states((states == x0.bits).astype(float), 3)
+    assert np.array_equal(next(krylov)[0], full[idx])
+    for phi, _ in krylov:
+        full = evolve_exact(h, full, dt)
         assert np.abs(full[idx] - phi).max() < 1e-12
         assert not full[outside].any()  # exact zeros outside R(x0)
 
@@ -416,7 +416,8 @@ def test_trotter_propagator_matches_per_term_loop():
 
 @pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 32.67, 100.0])
 def test_chebyshev_propagator_matches_dense_exponential(a):
-    # complex Hermitian sums (Y terms give imaginary entries), a = r dt
+    # complex Hermitian sums (Y terms give imaginary entries), a = r dt;
+    # states 1..9 share one recurrence, cut at K(9a) for the last
     for seed in range(3):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 9))
@@ -429,24 +430,37 @@ def test_chebyshev_propagator_matches_dense_exponential(a):
         assert prop.center - prop.radius <= vals[0] and vals[-1] <= prop.center + prop.radius
         v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         v /= np.linalg.norm(v)
-        want = sla.expm(-1j * dt * dense) @ v
-        assert np.linalg.norm(prop(v) - want) < 1e-13
+        krylov = prop.krylov_states(v, 10)
+        assert next(krylov)[0] is v
+        for k, (phi, _) in enumerate(krylov, start=1):
+            want = sla.expm(-1j * k * dt * dense) @ v
+            assert np.linalg.norm(phi - want) < 1e-13
 
 
-def test_chebyshev_propagator_holds_a_complex_operator():
-    # a real H_R is cast once, not upcast on every product, on the caller's
-    # index arrays; the caller's matrix is left unscaled
+def test_chebyshev_propagator_evolves_a_real_operator_in_float64():
+    # a real H_R and a real start run the recurrence in float64 on the
+    # caller's matrix itself: no complex copy, and the matrix is unchanged
+    products = []
+
+    class Recorded(sp.csr_matrix):
+        def __matmul__(self, other):
+            products.append(other.dtype)
+            return super().__matmul__(other)
+
     rng = np.random.default_rng(5)
     a = rng.standard_normal((40, 40))
-    real = sp.csr_matrix(a + a.T)
-    before = real.copy()
+    real = Recorded(a + a.T)
+    before = sp.csr_matrix(real, copy=True)
     prop = ChebyshevPropagator(real, 0.3)
-    assert prop._h.dtype == np.complex128 and prop.products > 0
-    assert real.dtype == np.float64 and (real != before).nnz == 0
-    assert np.shares_memory(prop._h.indices, real.indices)
-    assert np.shares_memory(prop._h.indptr, real.indptr)
-    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    assert np.array_equal(prop(v), ChebyshevPropagator(before.astype(complex), 0.3)(v))
+    v = np.zeros(40)
+    v[3] = 1.0
+    states = [phi for phi, _ in prop.krylov_states(v, 4)]
+    assert products == [np.float64] * (_chebyshev_order(3 * prop.radius * 0.3) - 1)
+    assert prop._h is real and real.dtype == np.float64 and (real != before).nnz == 0
+    # the same states, to rounding, from the complex matrix and start
+    cplx = ChebyshevPropagator(before.astype(complex), 0.3)
+    for phi, want in zip(states, cplx.krylov_states(v.astype(complex), 4), strict=True):
+        assert np.abs(phi - want[0]).max() < 1e-15
 
 
 def test_chebyshev_scalar_operator_is_the_phase():
@@ -455,49 +469,57 @@ def test_chebyshev_scalar_operator_is_the_phase():
                   (0.2, PauliString.from_label("III"))], 3)
     x0 = Configuration(0b101, 3)
     dt = 0.41
-    states, step = _propagator(h, x0, SkqdParams(krylov_dim=2, shots_per_state=1), dt)
+    states, prop = _propagator(h, x0, SkqdParams(krylov_dim=2, shots_per_state=1), dt)
     assert states.tolist() == [x0.bits]
-    assert step.radius == 0.0 and step.products == 0 and step.flops == 0.0
-    assert step.center == float(diagonal_element(h, np.uint64(x0.bits)))
+    assert prop.radius == 0.0
+    assert prop.center == float(diagonal_element(h, np.uint64(x0.bits)))
     v = np.array([0.6 - 0.8j])
-    assert np.array_equal(step(v), np.exp(-1j * step.center * dt) * v)
+    for k, (phi, flops) in enumerate(prop.krylov_states(v, 4)):
+        assert flops == 0.0
+        assert np.array_equal(phi, np.exp(-1j * prop.center * k * dt) * v)
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 32.67, 100.0])
 def test_bessel_values_and_truncation_order(a):
     jv = pytest.importorskip("scipy.special").jv
     order = _chebyshev_order(a)
-    exact = jv(np.arange(order + 400), a)
-    # the samples' phase a sin(tau) is rounded to about a eps
-    assert np.abs(_bessel_j(a, order) - exact[:order]).max() <= max(a, 1.0) * 2.0**-52
+    values = jv(np.arange(order + 400), a)
+    # an independent oracle: J_k(a) as the Fourier coefficients of the
+    # Jacobi-Anger expansion e^{ia sin tau} = sum_k J_k(a) e^{ik tau}, from
+    # 2K samples, whose phase a sin(tau) is rounded to about a eps
+    m = 2 * order
+    fourier = np.fft.fft(np.exp(1j * a * np.sin(2 * np.pi * np.arange(m) / m))).real / m
+    assert np.abs(values[:order] - fourier[:order]).max() <= max(a, 1.0) * 2.0**-52
     bound = np.array([math.exp(k * math.log(a / 2) - math.lgamma(k + 1))
                       for k in range(order + 400)])
-    assert np.all(np.abs(exact) <= bound)  # DLMF 10.14.4
-    # the order is the first whose bounded tail is at most 2^-53
-    assert 2 * bound[order:].sum() <= 2.0**-53 < 2 * bound[order - 1:].sum()
+    assert np.all(np.abs(values) <= bound)  # DLMF 10.14.4
+    # the order is the first whose true tail is at most 2^-53
+    assert 2 * np.abs(values[order:]).sum() <= 2.0**-53 < 2 * np.abs(values[order - 1:]).sum()
 
 
 def test_chebyshev_keeps_the_norm_on_bare_three_patch(bare_three_patch):
     h, cert = bare_three_patch
     x0 = cert.initial_config
-    states, step = _propagator(h, x0, SkqdParams(krylov_dim=10, shots_per_state=1), default_dt(h))
-    phi = (states == x0.bits).astype(complex)
-    for _ in range(10):
-        phi = step(phi)
+    states, prop = _propagator(h, x0, SkqdParams(krylov_dim=11, shots_per_state=1), default_dt(h))
+    for phi, _ in prop.krylov_states((states == x0.bits).astype(float), 11):
         assert abs(np.linalg.norm(phi) - 1.0) < 1e-13
 
 
 def test_run_skqd_flops_formula(cli_patch):
-    # each step costs its sparse products times nnz(H_R); each state's
-    # projection costs its nonzeros once plus once per eigensolver application
+    # state k costs the sparse products of the shared recurrence past state
+    # k - 1's, K(ka) - K((k-1)a), times nnz(H_R); each state's projection
+    # costs its nonzeros once plus once per eigensolver application
     h, cert, _ = cli_patch
     x0 = cert.initial_config
     p = SkqdParams(krylov_dim=4, shots_per_state=2000, rng_seed=3)
     with pytest.warns(UserWarning):  # the lone x0 of the first state is filtered out
         eig, trace, record = run_skqd(h, x0, p)
-    states, step = _propagator(h, x0, p, default_dt(h))
+    dt = default_dt(h)
+    states, prop = _propagator(h, x0, p, dt)
     hr = project_fast(h, states).rows
-    assert step.products * hr.nnz == step.flops > 0
+    orders = [_chebyshev_order(k * prop.radius * dt) for k in range(4)]
+    assert orders[0] == 1 and orders[3] > orders[2] > orders[1]
+    evolve = [(orders[k] - orders[k - 1]) * hr.nnz if k else 0.0 for k in range(4)]
     pool = np.array([x0.bits], dtype=np.uint64)
     want = []
     for k, hist in enumerate(record.histograms):
@@ -507,7 +529,7 @@ def test_run_skqd_flops_formula(cli_patch):
         if kept.size:
             proj = project_fast(h, kept)
             solve = (1 + lowest_eigenpair(proj.rows).iterations) * proj.rows.nnz
-        want.append((want[-1] if want else 0.0) + (k > 0) * step.flops + solve)
+        want.append((want[-1] if want else 0.0) + evolve[k] + solve)
     assert [r.flops for r in trace.rows] == want
     assert trace.total_flops == want[-1]
     trotter = TrotterPropagator(h, 0.1, order=2, steps=3)
