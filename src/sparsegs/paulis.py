@@ -293,15 +293,15 @@ def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -
     on each configuration, shape (groups, len(bits)).
 
     Each element is summed from zero one term at a time, in term order (a
-    pairwise reduction would round differently).
+    pairwise reduction would round differently), so a term's signs are the
+    only scratch: O(len(bits)), not a (terms x configurations) array.
     """
     gx, starts = h.x_groups
     lo, hi, _ = groups.indices(gx.size)
     out = np.zeros((max(hi - lo, 0), bits.size), dtype=h.dtype)
     for g in range(lo, hi):
-        a, b = starts[g], starts[g + 1]
-        for w, signs in zip(h._weights[a:b], pauli_signs(bits, h._zm[a:b])):
-            out[g - lo] += w * signs
+        for k in range(starts[g], starts[g + 1]):
+            out[g - lo] += h._weights[k] * _parity_signs(bits, h._zm[k])
     return out
 
 
@@ -347,27 +347,28 @@ def group_images(h: PauliSum, bits: np.ndarray):
         yield lo, part[None, :] ^ gx[:, None], group_elements(h, part)
 
 
-def apply_sum_to_vector(h: PauliSum, bits: np.ndarray, amps: np.ndarray):
-    """H|v> computed exactly for v = (bits, amps), returned as (bits, amps):
-    sorted, complex128, exact zeros dropped; output sparsity at most
-    (x-mask groups) * len(bits).
+def image_index(h: PauliSum, bits: np.ndarray):
+    """(images, inverse): the sorted distinct images bits[i] ^ x_g of the
+    configurations under H's x-mask groups, and inverse[g, i], the index
+    of bits[i] ^ x_g in images."""
+    gx, _ = h.x_groups
+    images, inv = np.unique(bits[None, :] ^ gx[:, None], return_inverse=True)
+    return images, inv.reshape(gx.size, bits.size)
+
+
+def fold_images(h: PauliSum, bits: np.ndarray, amps: np.ndarray, inv: np.ndarray,
+                size: int) -> np.ndarray:
+    """<y|H|v> for v = (bits, amps) on each of `size` images y, as complex128,
+    given image_index's inverse.
 
     Each (term, entry) product (w_k s) a is binned to its image and added
     into one running sum per image in term-major order, so every image sums
     the same products in the same order whatever the block size.  Term
     blocks bound the product scratch by _APPLY_BLOCK.
     """
-    check_basis(h, bits)
     amps = np.asarray(amps, dtype=complex)
-    if amps.shape != bits.shape:
-        raise ValueError("bits/amps length mismatch")
-    if bits.size == 0 or len(h) == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=complex)
-    gx, _ = h.x_groups
-    out_bits, inv = np.unique(bits[None, :] ^ gx[:, None], return_inverse=True)
-    inv = inv.reshape(gx.size, bits.size)
-    re = np.zeros(out_bits.size)
-    im = np.zeros(out_bits.size)
+    re = np.zeros(size)
+    im = np.zeros(size)
     block = max(1, _APPLY_BLOCK // bits.size)
     for lo in range(0, len(h), block):
         hi = lo + block
@@ -376,8 +377,23 @@ def apply_sum_to_vector(h: PauliSum, bits: np.ndarray, amps: np.ndarray):
         bins = inv[h._gterm[lo:hi]].ravel()
         np.add.at(re, bins, prod.real)  # in index order, onto the earlier blocks
         np.add.at(im, bins, prod.imag)
-    out = np.empty(out_bits.size, dtype=complex)
+    out = np.empty(size, dtype=complex)
     out.real, out.imag = re, im
+    return out
+
+
+def apply_sum_to_vector(h: PauliSum, bits: np.ndarray, amps: np.ndarray):
+    """H|v> computed exactly for v = (bits, amps), returned as (bits, amps):
+    sorted, complex128, exact zeros dropped; output sparsity at most
+    (x-mask groups) * len(bits).  See fold_images for the summation order.
+    """
+    check_basis(h, bits)
+    if np.shape(amps) != bits.shape:
+        raise ValueError("bits/amps length mismatch")
+    if bits.size == 0 or len(h) == 0:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=complex)
+    out_bits, inv = image_index(h, bits)
+    out = fold_images(h, bits, amps, inv, out_bits.size)
     keep = out != 0
     return out_bits[keep], out[keep]
 

@@ -2,10 +2,14 @@
 
 One generic loop drives four selection rules (CIPSI, HCI, ASCI, TrimCI).
 Each iteration diagonalizes the current configuration basis, trims it to
-the core by amplitude, expands one Hamiltonian step outward, and asks the
-variant's selection function which candidates survive.  CIPSI and HCI
-grow without bound and terminate when the basis stops changing; ASCI and
-TrimCI hold the diagonalization dimension fixed.
+the core by amplitude, and walks the core's images under H's x-mask
+groups once: one image index and one pass of net elements give the
+candidates (the connected configurations outside the core), their CIPSI
+numerators <x|H|psi> and their HCI maxima max_i |<x|H|x_i> c_i|, as in
+heat-bath CI.  The variant's selection function then takes the scored
+candidates: CIPSI and HCI share one threshold rule, grow without bound
+and terminate when the basis stops changing; ASCI and TrimCI hold the
+diagonalization dimension fixed.
 
 Configurations are packed uint64 bits throughout: the selection functions
 take and return sorted, duplicate-free arrays, so large pools avoid
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import EigResult, basis_eigenpair
-from .paulis import (Configuration, PauliSum, apply_sum_to_vector, diagonal_element,
-                     group_images, index_in, unique_bits)
-from .subspace import connected_bits
+from .paulis import (Configuration, PauliSum, diagonal_element, fold_images, group_elements,
+                     image_index, index_in, unique_bits)
+from .subspace import ZERO_TOL
 from .trace import DEFAULT_DIM_CAP, STATUS_STALLED, SolverTrace
 
 DENOMINATOR_GUARD = 1e-12
@@ -83,121 +87,95 @@ def _sort_by_amplitude(bits: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return np.lexsort((bits, -np.abs(amps)))
 
 
-def _perturbative_scores(
-    h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, e0: float,
-    cand_bits: np.ndarray, trace: SolverTrace,
-) -> np.ndarray:
-    """|<x|H|psi> / (<x|H|x> - e0)| for each candidate, with the small-
-    denominator guard mapping near-zero gaps to +inf (always select)."""
-    hb, ha = apply_sum_to_vector(h, core_bits, core_amps)
-    trace.count((core_bits.size + cand_bits.size) * len(h))
-    idx = index_in(hb, cand_bits)
-    num = np.where(idx >= 0, np.abs(ha[idx]), 0.0)
-    den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)
-    out = np.empty(cand_bits.size)
-    guarded = den < DENOMINATOR_GUARD
-    out[guarded] = np.inf
-    out[~guarded] = num[~guarded] / den[~guarded]
-    return out
-
-
-def _hci_scores(
-    h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray, cand_bits: np.ndarray,
-    trace: SolverTrace,
-) -> np.ndarray:
-    """max_i |<x|H|x_i> c_i| per candidate (cand_bits must be sorted);
-    cancellation applies within a single matrix element but not across
-    core members."""
-    best = np.zeros(cand_bits.size)
-    trace.count(core_bits.size * len(h))
-    for lo, img, d in group_images(h, core_bits):
-        pos = index_in(cand_bits, img)
-        hit = pos >= 0
-        vals = np.abs(d * core_amps[None, lo : lo + img.shape[1]])
-        np.maximum.at(best, pos[hit], vals[hit])
-    return best
-
-
 def _scores(rule: str, h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray,
-            e0: float | None, cand_bits: np.ndarray, trace: SolverTrace) -> np.ndarray:
-    """Candidate scores by the CIPSI-form (perturbative) or HCI-form
-    (heat-bath) rule; empty, and uncounted, when there are no candidates."""
-    if cand_bits.size == 0:
-        return np.zeros(0)
+            e0: float, trace: SolverTrace) -> tuple[np.ndarray, np.ndarray]:
+    """(candidates, scores) from one walk of the core's images.
+
+    The candidates are the images outside the core with a net element of
+    magnitude at least ZERO_TOL to some core member, as connected_bits
+    finds them.  Rule "hci" scores them by the heat-bath form, max_i
+    |<x|H|x_i> c_i|, where terms cancel within a matrix element but not
+    across core members; any other rule by the CIPSI (perturbative) form,
+    |<x|H|psi> / (<x|H|x> - e0)|, with near-zero gaps mapped to +inf
+    (always select).  Both read the same image index; scoring is
+    uncounted when there are no candidates."""
+    trace.count(core_bits.size * len(h))
+    images, inv = image_index(h, core_bits)
+    d = group_elements(h, core_bits)
+    hit = np.zeros(images.size, dtype=bool)
+    hit[inv[np.abs(d) >= ZERO_TOL]] = True
+    at = index_in(images, core_bits)
+    hit[at[at >= 0]] = False
+    cand = np.flatnonzero(hit)
+    cand_bits = images[cand]
+    if cand.size == 0:
+        return cand_bits, np.zeros(0)
     if rule == "hci":
-        return _hci_scores(h, core_bits, core_amps, cand_bits, trace)
-    return _perturbative_scores(h, core_bits, core_amps, e0, cand_bits, trace)
+        trace.count(core_bits.size * len(h))
+        best = np.zeros(images.size)
+        np.maximum.at(best, inv.ravel(), np.abs(d * core_amps[None, :]).ravel())
+        return cand_bits, best[cand]
+    del d  # the fold's product scratch is the step's peak
+    trace.count((core_bits.size + cand.size) * len(h))
+    num = np.abs(fold_images(h, core_bits, core_amps, inv, images.size)[cand])
+    den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)
+    out = np.full(cand.size, np.inf)
+    gap = den >= DENOMINATOR_GUARD
+    out[gap] = num[gap] / den[gap]
+    return cand_bits, out
 
 
 # -- selection rules -----------------------------------------------------------
 #
-# Each rule takes the sorted candidates, the sorted core and the core's
-# eigenvector amplitudes aligned with it, and returns the next basis as a
-# sorted, duplicate-free array.  A member the eigenvector left at exactly
-# zero still belongs to the core; it just scores zero.
+# Each rule takes the sorted candidates with their scores from _scores, and
+# the sorted core, and returns the next basis as a sorted, duplicate-free
+# array.  A member the eigenvector left at exactly zero still belongs to
+# the core; it just drives nothing.
 
 
-def select_cipsi(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-                 e0: float, h: PauliSum, epsilon: float, trace: SolverTrace) -> np.ndarray:
-    """First-order perturbation-theory thresholding; the core is always
-    retained."""
-    scores = _scores("cipsi", h, core_bits, core_amps, e0, cand_bits, trace)
+def select_threshold(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarray,
+                     epsilon: float) -> np.ndarray:
+    """CIPSI and HCI: the core and every candidate scoring above epsilon."""
     return unique_bits(np.concatenate((core_bits, cand_bits[scores > epsilon])))
 
 
-def select_hci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-               h: PauliSum, epsilon: float, trace: SolverTrace) -> np.ndarray:
-    """Heat-bath criterion: largest single matrix element times amplitude;
-    the core is always retained."""
-    scores = _scores("hci", h, core_bits, core_amps, None, cand_bits, trace)
-    return unique_bits(np.concatenate((core_bits, cand_bits[scores > epsilon])))
-
-
-def select_asci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-                e0: float, h: PauliSum, d_cap: int, trace: SolverTrace) -> np.ndarray:
+def select_asci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarray,
+                core_amps: np.ndarray, d_cap: int) -> np.ndarray:
     """Rank core amplitudes and candidate perturbative estimates on equal
     footing; keep the top d_cap."""
-    cand_scores = _scores("cipsi", h, core_bits, core_amps, e0, cand_bits, trace)
     all_bits = np.concatenate([core_bits, cand_bits])
-    all_scores = np.concatenate([np.abs(core_amps), cand_scores])
+    all_scores = np.concatenate([np.abs(core_amps), scores])
     order = _sort_by_amplitude(all_bits, all_scores)[:d_cap]
     return np.sort(all_bits[order])
 
 
-def select_trimci(cand_bits: np.ndarray, core_bits: np.ndarray, core_amps: np.ndarray,
-                  e0: float, h: PauliSum, epsilon: float, trim: TrimParams,
+def select_trimci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarray,
+                  h: PauliSum, epsilon: float, trim: TrimParams,
                   trace: SolverTrace) -> np.ndarray:
     """Two-phase TrimCI selection.
 
-    Phase 1 filters candidates with the CIPSI-form rule (or HCI-form),
+    Phase 1 is the threshold rule on the CIPSI-form (or HCI-form) scores,
     either at the fixed threshold or at a dynamically bisected one
     targeting |core| + |filtered| = F |core| within 5%.  Phase 2 randomly
     partitions core + filtered into n_subsets equal subsets, diagonalizes
     each, and keeps the keep_per_subset largest amplitudes from each.
     """
-    scores = _scores(trim.first_phase, h, core_bits, core_amps, e0, cand_bits, trace)
-
-    if trim.expansion_factor is None:
-        filtered = cand_bits[scores > epsilon]
-    else:
+    eps = epsilon
+    if trim.expansion_factor is not None:
         target = (trim.expansion_factor - 1.0) * max(core_bits.size, 1)
         finite = scores[np.isfinite(scores) & (scores > 0)]
         lo, hi = 1e-20, float(finite.max()) * 2 if finite.size else 1.0
-        eps_dyn = epsilon
         for _ in range(40):
-            mid = np.sqrt(lo * hi)
-            got = int((scores > mid).sum())
+            eps = np.sqrt(lo * hi)
+            got = int((scores > eps).sum())
             if abs(got - target) <= 0.05 * target:
-                eps_dyn = mid
                 break
             if got > target:
-                lo = mid
+                lo = eps
             else:
-                hi = mid
-            eps_dyn = mid
-        filtered = cand_bits[scores > eps_dyn]
+                hi = eps
 
-    pool = unique_bits(np.concatenate((core_bits, filtered)))
+    pool = select_threshold(cand_bits, scores, core_bits, eps)
     rng = np.random.default_rng(trim.seed)
     perm = rng.permutation(pool.size)
     subsets = np.array_split(pool[perm], trim.n_subsets)
@@ -253,19 +231,14 @@ def run_sci(
         core_idx = np.sort(order if p.core_cap is None else order[: p.core_cap])
         core_bits, core_amps = current[core_idx], amps[core_idx]  # in bit order
 
-        cands = connected_bits(h, core_bits)
-        trace.count(core_bits.size * len(h))
-
-        if p.variant == "cipsi":
-            nxt = select_cipsi(cands, core_bits, core_amps, eig.value, h, p.epsilon, trace)
-        elif p.variant == "hci":
-            nxt = select_hci(cands, core_bits, core_amps, h, p.epsilon, trace)
-        elif p.variant == "asci":
-            nxt = select_asci(cands, core_bits, core_amps, eig.value, h, p.d_cap, trace)
+        rule = p.trim.first_phase if p.variant == "trimci" else p.variant
+        cands, scores = _scores(rule, h, core_bits, core_amps, eig.value, trace)
+        if p.variant == "asci":
+            nxt = select_asci(cands, scores, core_bits, core_amps, p.d_cap)
+        elif p.variant == "trimci":
+            nxt = select_trimci(cands, scores, core_bits, h, p.epsilon, p.trim, trace)
         else:
-            nxt = select_trimci(
-                cands, core_bits, core_amps, eig.value, h, p.epsilon, p.trim, trace
-            )
+            nxt = select_threshold(cands, scores, core_bits, p.epsilon)
 
         trace.add(mu, current.size, eig.value, t0)
         if np.array_equal(nxt, current):

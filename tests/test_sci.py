@@ -2,24 +2,28 @@ import numpy as np
 import pytest
 
 import sparsegs.eigensolver as eigensolver
+import sparsegs.paulis as paulis
 import sparsegs.sci as sci
+import sparsegs.subspace as subspace
 from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
                       support_covered)
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
+    PauliString,
     PauliSum,
+    apply_sum_to_vector,
     decompose_dense_block,
+    diagonal_element,
+    index_in,
     matrix_element,
 )
 from sparsegs.sci import (
     SciParams,
-    _hci_scores,
     TrimParams,
     run_sci,
     select_asci,
-    select_cipsi,
-    select_hci,
+    select_threshold,
     select_trimci,
 )
 from sparsegs.subspace import connected_bits
@@ -96,6 +100,38 @@ def test_each_solve_reuses_the_previous_projection(p, final, monkeypatch):
     assert eig.rows is None  # the final projection is not carried out of the run
 
 
+@pytest.mark.parametrize("p, heat_bath", [
+    (SciParams("cipsi", epsilon=1e-6, max_iters=5), False),
+    (SciParams("hci", epsilon=1e-6, max_iters=5), True),
+    (SciParams("asci", d_cap=300, core_cap=100, max_iters=5), False),
+    (SciParams("trimci", epsilon=1e-6, max_iters=4,
+               trim=TrimParams(2, 40, first_phase="cipsi")), False),
+    (SciParams("trimci", epsilon=1e-6, max_iters=4,
+               trim=TrimParams(2, 40, first_phase="hci")), True),
+], ids=["cipsi", "hci", "asci", "trimci-cipsi", "trimci-hci"])
+def test_each_iteration_walks_the_core_images_once(p, heat_bath, monkeypatch):
+    # one image index per iteration, of the core; the candidates, the CIPSI
+    # numerators and the HCI maxima all come from it, so neither expansion
+    # kernel nor a second walk is called
+    h, cert = layout_instance("path16-coupled")
+    walked, rules = [], set()
+    real, real_scores = sci.image_index, sci._scores
+    monkeypatch.setattr(sci, "image_index", lambda h, b: walked.append(b.size) or real(h, b))
+    monkeypatch.setattr(sci, "_scores", lambda rule, *a: rules.add(rule) or real_scores(rule, *a))
+
+    def second_walk(*args):
+        raise AssertionError("SCI walked the core's images again")
+
+    for mod in (paulis, subspace, sci, eigensolver):
+        for name in ("connected_bits", "group_images", "apply_sum_to_vector"):
+            monkeypatch.setattr(mod, name, second_walk, raising=False)
+    _, trace, _ = run_sci(h, cert.initial_config, p)
+    assert len(trace.rows) > 1
+    cores = [min(r.subspace_dim, p.core_cap or r.subspace_dim) for r in trace.rows]
+    assert walked == cores
+    assert (rules == {"hci"}) if heat_bath else ("hci" not in rules)
+
+
 def test_cipsi_infinite_threshold_stops_at_reference(patch_instance):
     h, cert = patch_instance
     eig, trace, basis = run_sci(h, cert.initial_config,
@@ -159,7 +195,57 @@ def test_stall_theorem_on_bare_core_block():
         assert trace.status == "stalled"
 
 
-# -- selection functions ------------------------------------------------------
+# -- scoring and selection ------------------------------------------------------
+
+
+def scored(rule, h, core, amps, e0=None):
+    """(candidates, scores) of a core by the CIPSI-form or HCI-form rule."""
+    return sci._scores(rule, h, core, np.asarray(amps), e0, SolverTrace("t"))
+
+
+@pytest.mark.parametrize("diagonal", [True, False], ids=["with-x0", "no-x0"])
+@pytest.mark.parametrize("seed", range(4))
+def test_one_pass_scores_match_oracles(seed, diagonal):
+    # exact cancellations and complex amplitudes; core member 2 is left at
+    # exactly zero, and without the x = 0 group no image is a core member
+    # by its own group
+    rng = np.random.default_rng(300 + seed)
+    n = 5
+    h = PauliSum([(c, s) for c, s in grouped_pauli_sum(rng, n, 5, 4).terms if s.x_mask], n)
+    if diagonal:
+        h = h + PauliSum([(float(rng.choice([-1.0, -0.5, 0.5, 1.0])), PauliString(0, int(z), n))
+                          for z in rng.choice(1 << n, size=4, replace=False)], n)
+    assert (h.x_groups[0][0] == 0) == diagonal
+    core = np.sort(rng.choice(1 << n, size=6, replace=False)).astype(np.uint64)
+    amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    amps[2] = 0
+    e0 = -0.3
+    want_cands = connected_bits(h, core)
+    assert want_cands.size
+    hb, ha = apply_sum_to_vector(h, core, amps)
+    at = index_in(hb, want_cands)
+    num = np.where(at >= 0, np.abs(ha[at]), 0.0)
+    den = np.abs(diagonal_element(h, want_cands) - e0)
+    config = lambda b: Configuration(int(b), n)
+    heat = [max(abs(matrix_element(h, config(x), config(b)) * a) for b, a in zip(core, amps))
+            for x in want_cands]
+    for rule, want, flops in (("cipsi", num / den, (2 * core.size + want_cands.size) * len(h)),
+                              ("hci", heat, 2 * core.size * len(h))):
+        trace = SolverTrace("t")
+        cands, scores = sci._scores(rule, h, core, amps, e0, trace)
+        assert np.array_equal(cands, want_cands)
+        if rule == "cipsi":
+            assert np.array_equal(scores, want)  # the same fold, bit for bit
+        else:
+            assert np.abs(scores - want).max() < 1e-13
+        assert trace.flops == flops
+    # a core closed under H has no candidates, and scoring is uncounted
+    closed = np.arange(1 << n, dtype=np.uint64)
+    for rule in ("cipsi", "hci"):
+        trace = SolverTrace("t")
+        cands, scores = sci._scores(rule, h, closed, np.ones(closed.size), e0, trace)
+        assert cands.size == scores.size == 0 and cands.dtype == np.uint64
+        assert trace.flops == closed.size * len(h)
 
 
 def test_select_cipsi_rejects_zero_numerator():
@@ -169,18 +255,20 @@ def test_select_cipsi_rejects_zero_numerator():
     p = CoreBlockParams()
     amp = np.array([-p.c, p.b])
     amp /= np.linalg.norm(amp)
-    cands = bits(2)
+    cands, scores = scored("cipsi", h, bits(0, 1), amp, 0.1261663)
+    assert 2 in cands
     for eps in (1e-12, 1e-6, 1e-2):
-        kept = select_cipsi(cands, bits(0, 1), amp, 0.1261663, h, eps, SolverTrace("t"))
+        kept = select_threshold(cands, scores, bits(0, 1), eps)
         assert 2 not in kept
         assert 0 in kept and 1 in kept
 
 
 def test_select_cipsi_zero_threshold_keeps_all_connected():
     h = core_block_as_pauli_sum()
-    cands = connected_bits(h, bits(0))
     e00 = float(matrix_element(h, Configuration(0, 3), Configuration(0, 3)).real)
-    kept = select_cipsi(cands, bits(0), np.ones(1), e00, h, 0.0, SolverTrace("t"))
+    cands, scores = scored("cipsi", h, bits(0), np.ones(1), e00)
+    assert np.array_equal(cands, connected_bits(h, bits(0)))
+    kept = select_threshold(cands, scores, bits(0), 0.0)
     assert np.isin(cands, kept).all()  # the documented full-CI limit
 
 
@@ -188,29 +276,39 @@ def test_select_cipsi_hand_computed_three_qubits():
     h = core_block_as_pauli_sum()
     dense = build_core_block(CoreBlockParams())
     e0 = dense[0, 0]
-    cands = connected_bits(h, bits(0))
+    cands, scores = scored("cipsi", h, bits(0), np.ones(1), e0)
     # by hand: |1> has score |1 / (a - (a+1/2))| = 2, |2> has |b / (a+2 - (a+1/2))| = |b|/1.5
-    scores = {
+    want = {
         1: abs(dense[1, 0] / (dense[1, 1] - e0)),
         2: abs(dense[2, 0] / (dense[2, 2] - e0)),
     }
+    assert dict(zip(cands.tolist(), scores)) == pytest.approx(want, abs=1e-12)
     eps = 0.53  # between the two hand-computed scores
-    assert scores[2] < eps < scores[1]
-    kept = select_cipsi(cands, bits(0), np.ones(1), e0, h, eps, SolverTrace("t"))
+    assert want[2] < eps < want[1]
+    kept = select_threshold(cands, scores, bits(0), eps)
     assert 1 in kept
     assert 2 not in kept
 
 
 def test_select_hci_zero_amplitude_core_rejected():
     h = core_block_as_pauli_sum()
-    # the member |1> stays in the core at amplitude exactly zero
-    kept = select_hci(bits(2), bits(0, 1), np.array([1.0, 0.0]), h, 1e-10, SolverTrace("t"))
-    # |2> couples to |0> (element b) and |1> (element c); with c_0 = 1 the
-    # max is |b| so it IS kept; now zero out the only coupled amplitude
-    assert 2 in kept
-    kept2 = select_hci(bits(3), bits(1), np.ones(1), h, 1e-10, SolverTrace("t"))  # only |1> in core
-    # <3|H|1> = 0, so nothing drives |3>
-    assert 3 not in kept2
+    # the member |1> stays in the core at amplitude exactly zero: |2>
+    # couples to |0> (element b) and |1> (element c); with c_0 = 1 the max
+    # is |b| so it IS kept
+    cands, scores = scored("hci", h, bits(0, 1), np.array([1.0, 0.0]))
+    assert 2 in select_threshold(cands, scores, bits(0, 1), 1e-10)
+    # <3|H|1> = 0, so nothing drives |3> from a core of |1> alone
+    cands, scores = scored("hci", h, bits(1), np.ones(1))
+    assert 3 not in select_threshold(cands, scores, bits(1), 1e-10)
+    # what only a zero-amplitude member drives scores exactly zero and is
+    # rejected even at threshold zero
+    h = random_pauli_sum(np.random.default_rng(0), 4, 8)
+    cands, scores = scored("hci", h, bits(0, 5), np.array([1.0, 0.0]))
+    kept = select_threshold(cands, scores, bits(0, 5), 0.0)
+    driven = np.array([matrix_element(h, Configuration(x, 4), Configuration(0, 4)) != 0
+                       for x in cands.tolist()])
+    assert not driven.all()
+    assert np.array_equal(kept, np.union1d(bits(0, 5), cands[driven]))
 
 
 def test_select_hci_matches_brute_force():
@@ -220,47 +318,32 @@ def test_select_hci_matches_brute_force():
     amps = rng.standard_normal(4)
     amps /= np.linalg.norm(amps)
     core_bits = [0, 3, 5, 6]
-    cands = bits(1, 2, 4, 7)
     eps = 0.2
-    kept = select_hci(cands, bits(*core_bits), amps, h, eps, SolverTrace("t"))
-    for cand in cands.tolist():
+    cands, scores = scored("hci", h, bits(*core_bits), amps)
+    kept = select_threshold(cands, scores, bits(*core_bits), eps)
+    for cand in (1, 2, 4, 7):
         brute = max(
             abs(dense[cand, b] * a) for b, a in zip(core_bits, amps)
         )
         assert (cand in kept) == (brute > eps)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_hci_scores_match_matrix_elements(seed):
-    rng = np.random.default_rng(300 + seed)
-    n = 5
-    h = grouped_pauli_sum(rng, n, 5, 4)
-    core = np.sort(rng.choice(1 << n, size=6, replace=False)).astype(np.uint64)
-    amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    cands = np.setdiff1d(np.arange(1 << n, dtype=np.uint64), core)
-    trace = SolverTrace("t")
-    got = _hci_scores(h, core, amps, cands, trace)
-    want = [
-        max(abs(matrix_element(h, Configuration(int(x), n), Configuration(int(b), n)) * a)
-            for b, a in zip(core, amps))
-        for x in cands
-    ]
-    assert np.abs(got - want).max() < 1e-13
-    assert trace.flops == core.size * len(h)
-
-
 def test_select_asci_keeps_everything_with_large_cap():
     rng = np.random.default_rng(9)
     h = random_pauli_sum(rng, 4, 8)
-    cands = bits(2, 3, 4)
-    kept = select_asci(cands, bits(0, 1), np.array([0.8, 0.6]), 0.0, h, 100, SolverTrace("t"))
-    assert np.array_equal(kept, bits(0, 1, 2, 3, 4))
+    amps = np.array([0.8, 0.6])
+    cands, scores = scored("cipsi", h, bits(0, 1), amps, 0.0)
+    assert cands.size >= 3
+    kept = select_asci(cands, scores, bits(0, 1), amps, 100)
+    assert np.array_equal(kept, np.union1d(bits(0, 1), cands))
 
 
 def test_select_asci_magnitude_order():
     h = core_block_as_pauli_sum()
     # candidate |1> gets a first-order estimate well below 0.9
-    kept = select_asci(bits(1), bits(0), np.array([0.9]), 2.0, h, 1, SolverTrace("t"))
+    cands, scores = scored("cipsi", h, bits(0), np.array([0.9]), 2.0)
+    assert 1 in cands and scores.max() < 0.9
+    kept = select_asci(cands, scores, bits(0), np.array([0.9]), 1)
     assert np.array_equal(kept, bits(0))
 
 
@@ -271,17 +354,18 @@ def test_select_asci_matches_brute_force_ranking():
     core_bits = [0, 5]
     amps = np.array([0.6, -0.8])
     e0 = -1.3
-    cands = sorted(set(range(16)) - set(core_bits))
     d = 5
-    kept = select_asci(bits(*cands), bits(*core_bits), amps, e0, h, d, SolverTrace("t"))
+    cands, cand_scores = scored("cipsi", h, bits(*core_bits), amps, e0)
+    kept = select_asci(cands, cand_scores, bits(*core_bits), amps, d)
     scores = {}
     for b in core_bits:
         scores[b] = abs(dict(zip(core_bits, amps))[b])
-    for b in cands:
+    for b in sorted(set(range(16)) - set(core_bits)):
         num = sum(dense[b, cb] * a for cb, a in zip(core_bits, amps))
         den = dense[b, b].real - e0
         scores[b] = abs(num / den) if abs(den) > 1e-12 else np.inf
     want = sorted(scores, key=lambda b: (-scores[b], b))[:d]
+    assert min(scores[b] for b in want) > 1e-12  # no ranking among zero scores
     assert set(kept.tolist()) == set(want)
 
 
@@ -290,9 +374,9 @@ def test_select_trimci_degenerate_partition_is_global_keep_all():
     h = random_pauli_sum(rng, 4, 10)
     amps = np.array([0.7, 0.5, 0.5091])
     amps /= np.linalg.norm(amps)
-    cands = connected_bits(h, bits(0, 1, 2))
+    cands, scores = scored("cipsi", h, bits(0, 1, 2), amps, -0.5)
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 4, seed=0)
-    kept = select_trimci(cands, bits(0, 1, 2), amps, -0.5, h, 0.0, trim, SolverTrace("t"))
+    kept = select_trimci(cands, scores, bits(0, 1, 2), h, 0.0, trim, SolverTrace("t"))
     assert set(kept.tolist()) == set(cands.tolist()) | {0, 1, 2}
 
 
@@ -300,10 +384,10 @@ def test_select_trimci_reproducible():
     rng = np.random.default_rng(12)
     h = random_pauli_sum(rng, 5, 12)
     amps = np.array([0.8, -0.6])
-    cands = connected_bits(h, bits(0, 1))
+    cands, scores = scored("cipsi", h, bits(0, 1), amps, -1.0)
     trim = TrimParams(n_subsets=3, keep_per_subset=2, seed=21)
-    a = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, SolverTrace("t"))
-    b = select_trimci(cands, bits(0, 1), amps, -1.0, h, 1e-8, trim, SolverTrace("t"))
+    a = select_trimci(cands, scores, bits(0, 1), h, 1e-8, trim, SolverTrace("t"))
+    b = select_trimci(cands, scores, bits(0, 1), h, 1e-8, trim, SolverTrace("t"))
     assert np.array_equal(a, b)
 
 
@@ -318,14 +402,14 @@ def test_select_trimci_against_independent_reimplementation():
     amps /= np.linalg.norm(amps)
     e0 = -0.7
     eps = 1e-3
-    cands = connected_bits(h, bits(*core_bits))
+    cands, scores = scored("cipsi", h, bits(*core_bits), amps, e0)
     trim = TrimParams(n_subsets=2, keep_per_subset=3, seed=5)
-    got = select_trimci(cands, bits(*core_bits), amps, e0, h, eps, trim, SolverTrace("t"))
+    got = select_trimci(cands, scores, bits(*core_bits), h, eps, trim, SolverTrace("t"))
 
     # oracle
     amp_map = dict(zip(core_bits, amps))
     filtered = []
-    for c in cands.tolist():
+    for c in connected_bits(h, bits(*core_bits)).tolist():
         num = sum(dense[c, b] * a for b, a in amp_map.items())
         den = dense[c, c].real - e0
         score = np.inf if abs(den) < 1e-12 else abs(num / den)
@@ -351,9 +435,9 @@ def test_trimci_dynamic_epsilon_targets_count():
     core_bits = list(range(8))
     amps = rng.standard_normal(8)
     amps /= np.linalg.norm(amps)
-    cands = connected_bits(h, bits(*core_bits))
+    cands, scores = scored("cipsi", h, bits(*core_bits), amps, -1.0)
     trim = TrimParams(n_subsets=2, keep_per_subset=20, expansion_factor=3.0, seed=1)
-    kept = select_trimci(cands, bits(*core_bits), amps, -1.0, h, 0.0, trim, SolverTrace("t"))
+    kept = select_trimci(cands, scores, bits(*core_bits), h, 0.0, trim, SolverTrace("t"))
     assert kept.size  # smoke: the bisection found a workable threshold
 
 
@@ -364,11 +448,11 @@ def test_trimci_target_counts_zero_amplitude_core_members():
     h = random_pauli_sum(rng, 6, 20)
     core = bits(0, 1, 2, 3)
     amps = np.array([0.6, 0.0, -0.5, 0.4])
-    cands = connected_bits(h, core)
+    cands, scores = scored("cipsi", h, core, amps, -1.0)
     assert cands.size > 8
     trim = TrimParams(n_subsets=1, keep_per_subset=1 << 6, expansion_factor=3.0, seed=2)
     with pytest.warns(UserWarning, match="keeping all members"):
-        kept = select_trimci(cands, core, amps, -1.0, h, 0.0, trim, SolverTrace("t"))
+        kept = select_trimci(cands, scores, core, h, 0.0, trim, SolverTrace("t"))
     assert kept.size == 3.0 * core.size
 
 
