@@ -47,6 +47,6 @@ from .paulis import (
     matrix_element,
 )
 from .sci import SciParams, TrimParams, run_sci, select_asci, select_threshold, select_trimci
-from .skqd import ShotRecord, SkqdParams, default_dt, evolve_exact, evolve_trotter, run_skqd, support_coverage
+from .skqd import ShotRecord, SkqdParams, default_dt, evolve_exact, run_skqd, support_coverage
 from .subspace import ProjectedMatrix, connectivity_filter, project_fast, project_naive
 from .trace import BudgetExceeded, SolverTrace

@@ -41,6 +41,7 @@ B_EXACT = -np.cos(_PHI)
 C_EXACT = -np.sin(_PHI)
 
 _DIAG_STEPS = (0.5, 0.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.0)
+CERTIFICATE_REL_TOL = 1e-7  # verify_certificate's residual bound per unit coefficient 1-norm
 
 
 def _core_matrix(a: float, b: float, c: float) -> np.ndarray:
@@ -393,15 +394,13 @@ class CertificateReport:
     coeff_one_norm: float
 
 
-def verify_certificate(
-    h: PauliSum, cert: GroundStateCertificate, rel_tol: float = 1e-7
-) -> CertificateReport:
-    """Check ||(H - E) |Psi>|| <= rel_tol * sum_k |alpha_k|."""
+def verify_certificate(h: PauliSum, cert: GroundStateCertificate) -> CertificateReport:
+    """Check ||(H - E) |Psi>|| <= CERTIFICATE_REL_TOL * sum_k |alpha_k|."""
     bits, amps = cert.state()
     _, resid = add_scaled(*apply_sum_to_vector(h, bits, amps), bits, amps, -cert.energy)
     residual = float(np.linalg.norm(resid))
     one_norm = h.coeff_one_norm()
-    tol = rel_tol * one_norm
+    tol = CERTIFICATE_REL_TOL * one_norm
     return CertificateReport(residual <= tol, residual, tol, one_norm)
 
 
@@ -440,13 +439,16 @@ def save_bundle(
 def load_bundle(path: Path | str):
     """Returns (hamiltonian, certificate, metadata).  Raises ValueError when
     the hash of hamiltonian.json's text is not metadata.json's
-    instance_hash."""
+    instance_hash, or when H is not Hermitian (a complex coefficient): every
+    eigensolve reads one triangle of the projection."""
     path = Path(path)
     ham_json = (path / HAMILTONIAN_FILE).read_text()
     meta = json.loads((path / METADATA_FILE).read_text())
     if meta.get("instance_hash") != instance_hash(ham_json):
         raise ValueError(f"{path / HAMILTONIAN_FILE} does not match the bundle's instance_hash")
     h = PauliSum.from_json_dict(json.loads(ham_json))
+    if not h.is_hermitian():
+        raise ValueError(f"{path / HAMILTONIAN_FILE} holds a non-Hermitian H")
     cert = GroundStateCertificate.from_json_dict(
         json.loads((path / CERTIFICATE_FILE).read_text())
     )

@@ -1,5 +1,5 @@
-"""Lowest-eigenpair solvers and `basis_eigenpair`, the one project-and-solve
-step every solver calls.
+"""Lowest-eigenpair solvers and `BasisSolver`, the one project-and-solve
+step every solver calls, which decides what a run's solves reuse.
 
 `lowest_eigenpair` sends a block of dimension at most `DENSE_CAP` to dense
 LAPACK (`dense_lowest`, which doubles as the oracle) and anything larger to
@@ -37,8 +37,6 @@ class EigResult:
     residual: float
     converged: bool = True
     degenerate: bool = False
-    bits: np.ndarray | None = None  # basis_eigenpair's basis and projection,
-    rows: sp.csr_matrix | None = None  # when kept for the next solve
 
 
 def dense_lowest(m) -> EigResult:
@@ -132,29 +130,39 @@ def lowest_eigenpair(m) -> EigResult:
     return lanczos_lowest(m)
 
 
-def basis_eigenpair(h, bits: np.ndarray, trace: SolverTrace,
-                    prev: EigResult | None = None, keep: bool = False) -> EigResult:
-    """Lowest eigenpair of H projected onto the basis `bits`, the one
-    project-and-solve step of every solver; the vector is indexed like
-    `bits`.  Checks `bits` against the run's `dim_cap` before projecting,
-    and counts the projection's nonzeros, once plus once per operator
-    application, as the run's flops.
+class BasisSolver:
+    """The project-and-solve step of one run: H projected onto a basis and
+    its lowest eigenpair, the vector indexed like the basis.  A run makes
+    one and calls `solve` for every basis it diagonalizes; the solver
+    keeps the last basis, its projection and its eigenpair, and decides
+    what a solve reuses.
 
-    A loop of solves saves work by passing `keep=True`, so that the result
-    keeps `bits` and the projection, and passing that result back as the
-    next call's `prev`: its projection is updated to `bits` (the same
-    matrix, bit for bit) and then released.  Its vector does not start
-    ARPACK: on the certified instances the previous vector can miss the
-    new ground state entirely, and ARPACK then converges to an excited
-    state."""
-    trace.check_dim(bits.size, "basis")
-    if prev is None:
-        proj = project_fast(h, bits)
-    else:
-        proj = project_fast(h, bits, (prev.bits, prev.rows))
-        prev.bits = prev.rows = None  # only the newest projection is kept
-    eig = lowest_eigenpair(proj.rows)
-    trace.count((1 + eig.iterations) * proj.rows.nnz)
-    if keep:
-        eig.bits, eig.rows = bits, proj.rows
-    return eig
+    A basis equal to the last one returns the last eigenpair and counts no
+    flops.  Any other is checked against the run's `dim_cap`, projected by
+    updating the last projection (the same matrix, bit for bit, as a fresh
+    one), and solved; the old projection is released before the
+    eigensolve, and the projection's nonzeros, once plus once per operator
+    application, count as the run's flops.  The last vector does not start
+    ARPACK: on the certified instances it can miss the new ground state
+    entirely, and ARPACK then converges to an excited state."""
+
+    def __init__(self, h, trace: SolverTrace):
+        self.h, self.trace = h, trace
+        self._last = None  # (bits, projection, eigenpair) of the last solve
+
+    def solve(self, bits: np.ndarray) -> EigResult:
+        if self._last is not None and np.array_equal(bits, self._last[0]):
+            return self._last[2]
+        self.trace.check_dim(bits.size, "basis")
+        last, self._last = self._last, None
+        rows = project_fast(self.h, bits, None if last is None else last[:2]).rows
+        del last  # the eigensolve holds no projection but the new one
+        eig = lowest_eigenpair(rows)
+        self.trace.count((1 + eig.iterations) * rows.nnz)
+        self._last = bits, rows, eig
+        return eig
+
+
+def basis_eigenpair(h, bits: np.ndarray, trace: SolverTrace) -> EigResult:
+    """A one-shot solve: `BasisSolver(h, trace).solve(bits)`."""
+    return BasisSolver(h, trace).solve(bits)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EMBED_MAX_EXPANSIONS = 10**6  # embed_patches' search budget
+
 
 @dataclass(frozen=True)
 class LayoutGraph:
@@ -147,7 +149,6 @@ def embed_patches(
     n_patch: int,
     path_len: int,
     seed: int = 0,
-    max_expansions: int = 10**6,
 ) -> PatchEmbedding:
     """Find n_patch vertex-disjoint paths of path_len qubits each.
 
@@ -157,7 +158,7 @@ def embed_patches(
     backtracking: candidates are ordered by step length, then by fewest
     onward moves with random tie-breaks, and branches that strand more
     distance-2-graph vertices than the padding budget are pruned.  Raises
-    EmbeddingError once the expansion budget is spent.
+    EmbeddingError once EMBED_MAX_EXPANSIONS expansions are spent.
     """
     if n_patch * path_len > g.n_qubits:
         raise EmbeddingError("not enough qubits for the requested patches")
@@ -168,7 +169,7 @@ def embed_patches(
     used = np.zeros(g.n_qubits, dtype=bool)
     pad_budget = g.n_qubits - n_patch * path_len
     paths: list[list[int]] = []
-    budget = [max_expansions]
+    budget = [EMBED_MAX_EXPANSIONS]
 
     def free_degree(v: int) -> int:
         return sum(1 for w in sq[v] if not used[w])
@@ -246,7 +247,7 @@ def embed_patches(
     if not place_next():
         raise EmbeddingError(
             f"no embedding of {n_patch} length-{path_len} paths found "
-            f"within {max_expansions} expansions (seed {seed})"
+            f"within {EMBED_MAX_EXPANSIONS} expansions (seed {seed})"
         )
     padding = tuple(v for v in range(g.n_qubits) if not used[v])
     emb = PatchEmbedding(tuple(tuple(p) for p in paths), padding)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigensolver import EigResult, basis_eigenpair
+from .eigensolver import BasisSolver, EigResult
 from .paulis import (Configuration, PauliSum, _merge_bases, add_scaled, apply_sum_to_vector,
                      diagonal_element, index_in, sparse_vdot, truncate_top)
 from .subspace import connected_bits
@@ -58,7 +58,8 @@ def run_diag_ranking(
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
     trace = SolverTrace("diag-ranking", p.dim_cap)
-    eig = None  # the eigenpair of work_bits, when per-iteration energies computed it
+    solver = BasisSolver(h, trace)
+    energy = float("nan")  # unless per-iteration energies are computed
 
     res_bits = np.array([x0.bits], dtype=np.uint64)
     res_energy = np.array([diagonal_element(h, np.uint64(x0.bits))], dtype=float)
@@ -80,17 +81,15 @@ def run_diag_ranking(
         res_bits, res_energy = res_bits[res_keep], res_energy[res_keep]
 
         same_work = np.array_equal(next_work, work_bits)
-        if not same_work:
-            work_bits, eig = next_work, None  # eig, if any, was the old set's
-        if p.per_iteration_energies and eig is None:
-            eig = basis_eigenpair(h, work_bits, trace)
-        trace.add(mu, work_bits.size, float("nan") if eig is None else eig.value, t0)
+        work_bits = next_work
+        if p.per_iteration_energies:
+            energy = solver.solve(work_bits).value
+        trace.add(mu, work_bits.size, energy, t0)
         if new_bits.size == 0 and same_work:
             trace.status = STATUS_STALLED
             break
 
-    if eig is None:
-        eig = basis_eigenpair(h, work_bits, trace)
+    eig = solver.solve(work_bits)
     trace.finish(eig.value, work_bits.size, eig.converged)
     return eig, trace
 
@@ -127,7 +126,8 @@ def run_truncated_arnoldi(
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
     trace = SolverTrace("tarnoldi", p.dim_cap)
-    eig = None  # the eigenpair of union, when per-iteration energies computed it
+    solver = BasisSolver(h, trace)
+    energy = float("nan")  # unless per-iteration energies are computed
 
     union = np.array([x0.bits], dtype=np.uint64)
     vecs = [(union, np.ones(1, dtype=complex))]
@@ -151,14 +151,12 @@ def run_truncated_arnoldi(
         vecs.append((ub, ua * (1.0 / nrm)))
         grown = _merge_bases(union, ub)[0]
         trace.check_dim(grown.size, "support union")
-        if grown.size > union.size:
-            union, eig = grown, None  # eig, if any, was the old union's
-        if p.per_iteration_energies and eig is None:
-            eig = basis_eigenpair(h, union, trace)
-        trace.add(it, union.size, float("nan") if eig is None else eig.value, t0)
+        union = grown
+        if p.per_iteration_energies:
+            energy = solver.solve(union).value
+        trace.add(it, union.size, energy, t0)
 
-    if eig is None:
-        eig = basis_eigenpair(h, union, trace)
+    eig = solver.solve(union)
     trace.finish(eig.value, union.size, eig.converged)
     return eig, trace, union
 
@@ -193,12 +191,12 @@ def run_tpm(
     is a certified choice.  The expectation estimate shift - <phi|A|phi>
     equals the Rayleigh quotient of H and stays above the true ground
     energy; diagonalize_support mode instead projects H onto the support
-    of the iterate and diagonalizes, which can only do better, each solve
-    reusing the one before it (see `basis_eigenpair`), and an iterate whose
-    support did not change reusing its eigenpair.  The iterate's
-    support is returned as a sorted array.  H is applied once per iterate:
-    the H phi of the expectation also gives the next A phi, and
-    diagonalize_support mode applies H only for that next A phi.
+    of the iterate and diagonalizes, which can only do better, with one
+    `BasisSolver` for every iterate (an unchanged support is not solved
+    again).  The iterate's support is returned as a sorted array.  H is
+    applied once per iterate: the H phi of the expectation also gives the
+    next A phi, and diagonalize_support mode applies H only for that next
+    A phi.
     """
     one_norm = h.coeff_one_norm()
     shift = p.shift if p.shift is not None else one_norm + 1.0
@@ -213,7 +211,7 @@ def run_tpm(
         raise ValueError("qubit-count mismatch")
     bits, amps = np.array([x0.bits], dtype=np.uint64), np.ones(1, dtype=complex)
     hb, ha = _apply_h(h, bits, amps, trace)
-    eig = None
+    solver, eig = BasisSolver(h, trace), None
 
     for t in range(1, p.iters + 1):
         t0 = time.perf_counter()
@@ -225,8 +223,7 @@ def run_tpm(
             energy = float(sparse_vdot(bits, amps, hb, ha).real)
             trace.count(min(bits.size, hb.size))
         else:
-            if eig is None or not np.array_equal(bits, eig.bits):  # else the same solve
-                eig = basis_eigenpair(h, bits, trace, eig, keep=t < p.iters)
+            eig = solver.solve(bits)
             energy = eig.value
             if t < p.iters:
                 hb, ha = _apply_h(h, bits, amps, trace)

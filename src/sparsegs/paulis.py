@@ -20,6 +20,7 @@ import scipy.sparse as sp
 MAX_QUBITS = 64
 COEFF_DROP_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
+BLOCK_MAX_QUBITS = 4  # decompose_dense_block's width limit
 _EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
 
 _PAULI_CHARS = "IXZY"  # index = x_bit + 2*z_bit
@@ -490,9 +491,6 @@ def decompose_dense_block(
     m: np.ndarray,
     qubits: list[int],
     n: int,
-    *,
-    max_block_qubits: int = 4,
-    hermiticity_tol: float = 1e-12,
 ) -> PauliSum:
     """Expand a dense Hermitian block into Pauli strings on the given qubits.
 
@@ -503,9 +501,9 @@ def decompose_dense_block(
     k = len(qubits)
     if m.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {m.shape} does not match {k} qubits")
-    if k > max_block_qubits:
-        raise ValueError(f"block on {k} qubits exceeds cap {max_block_qubits}")
-    if np.abs(m - m.conj().T).max() > hermiticity_tol:
+    if k > BLOCK_MAX_QUBITS:
+        raise ValueError(f"block on {k} qubits exceeds cap {BLOCK_MAX_QUBITS}")
+    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     if len(set(qubits)) != k:
         raise ValueError("duplicate qubits in block")

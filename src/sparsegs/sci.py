@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import EigResult, basis_eigenpair
+from .eigensolver import BasisSolver, EigResult, basis_eigenpair
 from .paulis import (Configuration, PauliSum, diagonal_element, fold_images, group_elements,
                      image_index, index_in, unique_bits)
 from .subspace import ZERO_TOL
@@ -208,8 +208,9 @@ def run_sci(
 
     Terminates early when an iteration adds and removes nothing; the
     reported eigenpair comes from diagonalizing in the final basis, which
-    is returned as a sorted array.  Each solve reuses the one before it
-    (see `basis_eigenpair`).  Flops follow SolverTrace's convention.
+    is returned as a sorted array.  One `BasisSolver` makes every solve
+    of the loop, so a stalled run's final basis is not solved again.
+    Flops follow SolverTrace's convention.
     """
     if isinstance(x0, Configuration):
         initial = [x0]
@@ -220,11 +221,11 @@ def run_sci(
 
     current = unique_bits(np.array([c.bits for c in initial], dtype=np.uint64))
     trace = SolverTrace(p.variant, p.dim_cap)
-    eig = None
+    solver = BasisSolver(h, trace)
 
     for mu in range(p.max_iters):
         t0 = time.perf_counter()
-        eig = basis_eigenpair(h, current, trace, eig, keep=True)
+        eig = solver.solve(current)
         amps = eig.vector
 
         order = _sort_by_amplitude(current, amps)
@@ -242,11 +243,9 @@ def run_sci(
 
         trace.add(mu, current.size, eig.value, t0)
         if np.array_equal(nxt, current):
-            trace.status = STATUS_STALLED  # eig is already the final basis's
-            eig.bits = eig.rows = None  # and no later solve reuses it
+            trace.status = STATUS_STALLED
             break
         current = nxt
-    else:
-        eig = basis_eigenpair(h, current, trace, eig)
+    eig = solver.solve(current)
     trace.finish(eig.value, current.size, eig.converged)
     return eig, trace, current

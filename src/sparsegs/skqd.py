@@ -32,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .builder import GroundStateCertificate
-from .eigensolver import EigResult, basis_eigenpair
+from .eigensolver import BasisSolver, EigResult
 from .paulis import (Configuration, PauliSum, diagonal_element, pauli_signs, pauli_sum_to_sparse,
                      unique_bits)
 from .subspace import connectivity_filter, project_fast, reachable_bits
@@ -265,13 +265,6 @@ class TrotterPropagator:
             yield phi, self.flops
 
 
-def evolve_trotter(
-    h: PauliSum, v: np.ndarray, t: float, order: int = 2, steps: int = 1
-) -> np.ndarray:
-    """Trotterized e^{-iHt} |v> (see TrotterPropagator)."""
-    return TrotterPropagator(h, t, order, steps)(v)
-
-
 def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
     """Born-rule draws of indices into v.  A draw above the rounded cdf[-1]
     goes to the last index with nonzero probability, not past the end."""
@@ -306,7 +299,9 @@ def run_skqd(
     The trace reports the energy after each Krylov state's samples join
     the cumulative pool; the returned eigenpair is the final entry.  Flops
     follow SolverTrace's convention: each time step's `flops`, and each
-    projection's nonzeros once plus once per eigensolver application.
+    projection's nonzeros once plus once per eigensolver application.  One
+    `BasisSolver` makes every solve, so a kept pool equal to the one
+    before is not solved again.
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
@@ -319,6 +314,7 @@ def run_skqd(
     children = seed_seq.spawn(p.krylov_dim)
     record = ShotRecord(n_qubits=n)
     trace = SolverTrace("skqd", p.dim_cap)
+    solver = BasisSolver(h, trace)
 
     phi0 = (states == np.uint64(x0.bits)).astype(float)
     pool = np.array([x0.bits], dtype=np.uint64)
@@ -346,7 +342,7 @@ def run_skqd(
             eig = EigResult(e0, np.ones(1, dtype=complex), 0, 0.0, True, False)
             dim_k = 1
         else:
-            eig = basis_eigenpair(h, kept, trace)
+            eig = solver.solve(kept)
             dim_k = kept.size
         trace.add(k, dim_k, eig.value, t0)
         t0 = time.perf_counter()

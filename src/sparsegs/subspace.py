@@ -2,10 +2,12 @@
 
 A basis is a sorted, duplicate-free uint64 array of packed configurations.
 Implements both the quadratic-cost all-pairs projection (the oracle) and
-the linear-cost row-wise projection that loops over the Hamiltonian's
-x-mask groups, looks up every basis member's image under each, and writes
-the group's net element on the image into that member's row of a CSR
-matrix, in place and in the Hamiltonian's dtype (real when H is).
+the linear-cost row-wise projection, an update of an earlier projection
+(of the empty basis when there is none): it looks up members' images
+under the Hamiltonian's x-mask groups and writes each group's net element
+on the image into the member's row of a CSR matrix, in place and in the
+Hamiltonian's dtype (real when H is).  One rule picks how the images are
+looked up, and one fill writes the CSR.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .paulis import (Configuration, PauliSum, check_basis, group_elements, group
 from .trace import BudgetExceeded
 
 ZERO_TOL = 1e-14
-_LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images an update looks up per block
-_UPDATE_MAX_NEW = 2 / 3  # measured break-even share of new members, update against afresh
+_LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images looked up per block
+_UPDATE_MAX_NEW = 2 / 3  # measured break-even share of new members, lookup against group pass
 
 
 @dataclass
@@ -39,82 +41,38 @@ class ProjectedMatrix:
 def project_fast(h: PauliSum, bits: np.ndarray,
                  prev: tuple[np.ndarray, sp.csr_matrix] | None = None) -> ProjectedMatrix:
     """Row-wise projection onto the basis `bits`, written straight into
-    CSR in h's dtype.  For x-mask group g, one address lookup gives every
-    row i whose image j = bits[i] ^ x_g lies in the basis, and the entry
-    <x_i|H|x_j> is the group's net element D_g(x_j) on the column's
-    configuration (no Hermiticity is assumed).  A group gives each row one
-    column, and distinct groups distinct columns, so no entry is written
-    twice.  Elements below ZERO_TOL are dropped group by group; the kept
-    entries per row give `indptr`, the entries are filled into `indices`
-    and `data` in place, and each row is sorted by column at the end.
+    CSR in h's dtype, as an update of `prev = (old_bits, old_rows)`, an
+    earlier projection of the same H; without `prev`, of the projection
+    onto the empty basis.  The result is the same matrix, bit for bit,
+    whatever `prev` is.  An entry <x_i|H|x_j> is the net element D_g(x_j)
+    of the x-mask group g with x_i ^ x_j = x_g, on the column's
+    configuration (no Hermiticity is assumed), and is dropped below
+    ZERO_TOL.
 
-    `prev = (old_bits, old_rows)`, an earlier projection of the same H,
-    gives the same matrix, bit for bit, with less work: see
-    `_project_update`."""
+    The block among members of both bases is copied from `old_rows`, and
+    the rest comes from the new members' images, looked up block by block
+    (`_new_entries`).  A new member costs that lookup more than a member
+    costs one pass over every group, which looks up all members
+    (`_group_entries`), so the pass is taken instead when more than
+    `_UPDATE_MAX_NEW` of the members are new and their images fill more
+    than two lookup blocks.  Either way the entries come in pieces of
+    index dtype, each holding its entries in row order; the counts give
+    `indptr`, the pieces are filled into `indices` and `data` in place,
+    and each row is sorted by column at the end."""
     check_basis(h, bits)
-    if prev is not None:
-        return _project_update(h, bits, *prev)
-    dim = bits.size
-    gx = h.x_groups[0]
-    idx = _index_dtype(dim, gx.size)
-    counts = np.zeros(dim, dtype=idx)
-    found = []
-    for g, x in enumerate(gx):
-        addr = index_in(bits, bits ^ x)
-        rows = np.flatnonzero(addr >= 0)
-        if rows.size == 0:
-            continue
-        cols = addr[rows]
-        d = group_elements(h, bits[cols], slice(g, g + 1))[0]
-        keep = np.abs(d) >= ZERO_TOL
-        rows, cols = rows[keep].astype(idx), cols[keep].astype(idx)
-        counts[rows] += 1
-        found.append((rows, cols, d[keep]))
-    indptr = np.zeros(dim + 1, dtype=idx)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=idx)
-    data = np.empty(indptr[-1], dtype=h.dtype)
-    fill = indptr[:-1].copy()  # each row's next free slot
-    while found:  # released group by group as the CSR fills
-        rows, cols, vals = found.pop()
-        at = fill[rows]
-        indices[at] = cols
-        data[at] = vals
-        fill[rows] += 1
-    m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    m.sort_indices()
-    return ProjectedMatrix(dim, m)
-
-
-def _index_dtype(dim: int, groups: int):
-    """int32 indices, as SciPy would choose, whenever nnz <= dim * groups fits."""
-    return np.int32 if dim * groups <= np.iinfo(np.int32).max else np.int64
-
-
-def _project_update(h: PauliSum, bits: np.ndarray, old_bits: np.ndarray,
-                    old_rows: sp.csr_matrix) -> ProjectedMatrix:
-    """project_fast(h, bits) from the projection `old_rows` onto
-    `old_bits`: the block among members of both bases is copied, and the
-    rest is looked up from the new members (`_new_entries`).  Both come
-    in pieces of index dtype, each holding its entries in row order as
-    (rows, entries per row, cols, values); the counts give `indptr`, the
-    pieces are filled into `indices` and `data` in place, and each row is
-    sorted by column at the end.
-
-    A new member costs the update more than a member costs a fresh
-    projection, so above `_UPDATE_MAX_NEW` new members afresh is faster
-    and is done instead, unless the new members fit in two lookup blocks:
-    then the whole update costs less than afresh's pass over every group."""
-    dim = bits.size
-    idx = _index_dtype(dim, h.x_groups[0].size)
-    at = index_in(bits, old_bits).astype(idx)  # each old member's index in bits, or -1
+    dim, groups = bits.size, h.x_groups[0].size
+    idx = _index_dtype(dim, groups)
     old = np.zeros(dim, dtype=bool)
-    old[at[at >= 0]] = True
+    if prev is not None:
+        at = index_in(bits, prev[0]).astype(idx)  # each old member's index in bits, or -1
+        old[at[at >= 0]] = True
     new = dim - np.count_nonzero(old)
-    if new > _UPDATE_MAX_NEW * dim and new * h.x_groups[0].size > 2 * _LOOKUP_BLOCK:
-        return project_fast(h, bits)
-    pieces = _new_entries(h, bits, old, idx)
-    pieces.append(_shared_entries(old_rows, at))
+    if new > _UPDATE_MAX_NEW * dim and new * groups > 2 * _LOOKUP_BLOCK:
+        pieces = _group_entries(h, bits, idx)
+    else:
+        pieces = _new_entries(h, bits, old, idx)
+        if prev is not None:
+            pieces.append(_shared_entries(prev[1], at))
     counts = np.zeros(dim, dtype=idx)
     for r, n, _, _ in pieces:
         counts[r] += n
@@ -125,14 +83,41 @@ def _project_update(h: PauliSum, bits: np.ndarray, old_bits: np.ndarray,
     fill = indptr[:-1].copy()  # each row's next free slot
     while pieces:  # released piece by piece as the CSR fills
         r, n, cols, vals = pieces.pop()
-        slot = np.repeat(fill[r] - np.cumsum(n, dtype=idx) + n, n)
-        slot += np.arange(cols.size, dtype=idx)  # row's next free slot + rank in the row
+        slot = fill[r]
+        if cols.size > r.size:  # a row with several entries: add each entry's rank in it
+            slot = np.repeat(slot - np.cumsum(n, dtype=idx) + n, n)
+            slot += np.arange(cols.size, dtype=idx)
         indices[slot] = cols
         data[slot] = vals
         fill[r] += n
     m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     m.sort_indices()
     return ProjectedMatrix(dim, m)
+
+
+def _index_dtype(dim: int, groups: int):
+    """int32 indices, as SciPy would choose, whenever nnz <= dim * groups fits."""
+    return np.int32 if dim * groups <= np.iinfo(np.int32).max else np.int64
+
+
+def _group_entries(h: PauliSum, bits: np.ndarray, idx) -> list:
+    """Every entry of H projected onto `bits`, as pieces (rows, 1, cols,
+    values) of index dtype `idx`, one per x-mask group: one address lookup
+    gives every row i whose image bits[i] ^ x_g lies in the basis.  A
+    group gives each row at most one column, and distinct groups distinct
+    columns, so no entry comes twice."""
+    pieces = []
+    for g, x in enumerate(h.x_groups[0]):
+        addr = index_in(bits, bits ^ x)
+        rows = np.flatnonzero(addr >= 0)
+        if rows.size == 0:
+            continue
+        cols = addr[rows]
+        d = group_elements(h, bits[cols], slice(g, g + 1))[0]
+        keep = np.abs(d) >= ZERO_TOL
+        rows, cols = rows[keep].astype(idx), cols[keep].astype(idx)
+        pieces.append((rows, 1, cols, d[keep]))
+    return pieces
 
 
 def _shared_entries(old_rows: sp.csr_matrix, at: np.ndarray):

@@ -12,7 +12,9 @@ import pytest
 import sparsegs
 import sparsegs.cli
 import sparsegs.eigensolver
+from sparsegs.builder import GroundStateCertificate, save_bundle
 from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _run_one, main
+from sparsegs.paulis import Configuration, PauliString, PauliSum
 from sparsegs.trace import DEFAULT_DIM_CAP
 
 
@@ -167,6 +169,27 @@ def test_bundle_hash_checked_on_load(patch_bundle, tmp_path):
             ["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")],
         ):
             assert main(argv) == EXIT_INVALID, argv
+
+
+@pytest.mark.parametrize("solver_args", [
+    ["cipsi", "--eps", "1e-4"], ["hci", "--eps", "1e-4"],
+    ["asci", "--d-cap", "4", "--core-cap", "2"],
+    ["trimci", "--n-subsets", "1", "--keep-per-subset", "2"],
+    ["diag-ranking", "--d", "2"], ["tarnoldi", "--m", "2"], ["tpm", "--k", "2"],
+    ["skqd", "--d", "2", "--shots", "10"],
+], ids=lambda a: a[0])
+def test_non_hermitian_bundle_rejected_on_load(solver_args, tmp_path, capsys):
+    # a bundle saved with one complex coefficient has a valid hash; every
+    # eigen path assumes a Hermitian H, so no solver may run on it
+    h = PauliSum([(1.0, PauliString.from_label("ZIII")), (0.5, PauliString.from_label("XXII")),
+                  (0.3 + 0.2j, PauliString.from_label("IZII"))], 4)
+    x0 = Configuration(0, 4)
+    save_bundle(tmp_path / "b", h, GroundStateCertificate(0.0, [x0], [1.0], x0, 1, 4), {})
+    rc = main(["solve", "--bundle", str(tmp_path / "b"), "--out", str(tmp_path / "run"),
+               *solver_args])
+    assert rc == EXIT_INVALID
+    assert "non-Hermitian" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_grid_and_frontier(patch_bundle, tmp_path):

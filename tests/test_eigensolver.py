@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,11 @@ import scipy.sparse as sp
 from conftest import kron_dense, layout_instance, random_pauli_sum
 import sparsegs.eigensolver as eigensolver
 from sparsegs.builder import CoreBlockParams, build_core_block
-from sparsegs.eigensolver import (DENSE_CAP, basis_eigenpair, dense_lowest, lanczos_lowest,
-                                  lowest_eigenpair)
+from sparsegs.eigensolver import (DENSE_CAP, BasisSolver, basis_eigenpair, dense_lowest,
+                                  lanczos_lowest, lowest_eigenpair)
 import sparsegs.subspace as subspace
 from sparsegs.paulis import unique_bits
+from sparsegs.sci import SciParams, run_sci
 from sparsegs.subspace import connected_bits, project_fast
 from sparsegs.trace import BudgetExceeded, SolverTrace
 
@@ -126,26 +128,64 @@ def test_lowest_eigenpair_dispatch():
     assert abs(r.value - np.linalg.eigvalsh(b)[0]) < 1e-9
 
 
-def test_basis_eigenpair_reuses_the_previous_projection():
-    # a kept projection is updated, not rebuilt, and then released; the
-    # eigenpair is a fresh solve's, bit for bit
+def test_basis_eigenpair_reuses_the_previous_projection(monkeypatch):
+    # a solver updates its last projection, not rebuilding it, and then
+    # releases it; the eigenpair is a fresh solve's, bit for bit, and the
+    # same basis again returns it without a solve
     h, cert = layout_instance("flagship")
     support = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
     old = np.union1d(support, connected_bits(h, support))
     new = np.union1d(old[::2], connected_bits(h, old)[::7])
     assert min(old.size, new.size) > DENSE_CAP
-    assert basis_eigenpair(h, old, SolverTrace("t")).rows is None  # not kept
-    prev = basis_eigenpair(h, old, SolverTrace("t"), keep=True)
-    assert np.array_equal(prev.bits, old)
+    made = []  # (bits, prev, projection) of every projection
+    real = eigensolver.project_fast
+    monkeypatch.setattr(eigensolver, "project_fast", lambda h, b, prev=None: made.append(
+        (b, prev, real(h, b, prev))) or made[-1][2])
     cold_trace, warm_trace = SolverTrace("t"), SolverTrace("t")
-    cold = basis_eigenpair(h, new, cold_trace, keep=True)
-    warm = basis_eigenpair(h, new, warm_trace, prev, keep=True)
-    assert prev.bits is None and prev.rows is None and np.array_equal(warm.bits, new)
+    cold = basis_eigenpair(h, new, cold_trace)
+    solver = BasisSolver(h, warm_trace)
+    solver.solve(old)
+    before = warm_trace.flops
+    warm = solver.solve(new)
+    assert [prev is None for _, prev, _ in made] == [True, True, False]
+    assert made[2][1][0] is old and made[2][1][1] is made[1][2].rows
     for attr in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(warm.rows, attr), getattr(cold.rows, attr))
+        assert np.array_equal(getattr(made[2][2].rows, attr), getattr(made[0][2].rows, attr))
     assert (warm.value, warm.iterations) == (cold.value, cold.iterations)
     assert warm.vector.tobytes() == cold.vector.tobytes()
-    assert warm_trace.flops == cold_trace.flops
+    assert warm_trace.flops - before == cold_trace.flops
+    flops = warm_trace.flops
+    assert solver.solve(new.copy()) is warm and len(made) == 3 and warm_trace.flops == flops
+
+
+@pytest.mark.parametrize("run", ["solver", "cipsi"])
+def test_an_eigensolve_holds_no_projection_but_the_new_one(run, monkeypatch):
+    # the solver releases its last projection once the update has read it,
+    # so no eigensolve runs beside an older projection
+    h, cert = layout_instance("flagship")
+    alive = []  # a weak reference to every projection made
+    real_project, real_solve = eigensolver.project_fast, eigensolver.lowest_eigenpair
+
+    def project(h, b, prev=None):
+        m = real_project(h, b, prev)
+        alive.append(weakref.ref(m.rows))
+        return m
+
+    held = []  # the projections alive at each eigensolve
+    monkeypatch.setattr(eigensolver, "project_fast", project)
+    monkeypatch.setattr(eigensolver, "lowest_eigenpair", lambda m: held.append(
+        [i for i, r in enumerate(alive) if r() is not None]) or real_solve(m))
+    if run == "solver":
+        balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
+        for _ in range(4):
+            balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
+        solver = BasisSolver(h, SolverTrace("t"))
+        for bits in balls[1:] + balls[2:3]:  # grow, then shrink
+            solver.solve(bits)
+    else:
+        run_sci(h, cert.initial_config, SciParams("cipsi", epsilon=1e-9, max_iters=4))
+    assert len(held) == len(alive) >= 4
+    assert held == [[i] for i in range(len(alive))]
 
 
 def test_real_and_complex_arpack_agree_on_flagship_projection():

@@ -24,7 +24,6 @@ from sparsegs.skqd import (
     _sample_indices,
     default_dt,
     evolve_exact,
-    evolve_trotter,
     run_skqd,
     support_coverage,
 )
@@ -88,7 +87,7 @@ def test_trotter_rejects_complex_coefficients():
     h = PauliSum([(1j, PauliString.from_label("X"))], 1)
     v = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="real coefficients"):
-        evolve_trotter(h, v, 0.1)
+        TrotterPropagator(h, 0.1)(v)
 
 
 def test_exact_evolution_rejects_non_hermitian():
@@ -134,7 +133,7 @@ def test_trotter_exact_for_commuting_terms():
     v /= np.linalg.norm(v)
     want = sla.expm(-1j * 0.9 * kron_dense(h)) @ v
     for order in (1, 2):
-        got = evolve_trotter(h, v, 0.9, order=order, steps=1)
+        got = TrotterPropagator(h, 0.9, order=order, steps=1)(v)
         assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -143,7 +142,7 @@ def test_trotter_single_term_exact():
     rng = np.random.default_rng(3)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     want = sla.expm(-1j * 1.3 * kron_dense(h)) @ v
-    got = evolve_trotter(h, v, 1.3, order=1, steps=1)
+    got = TrotterPropagator(h, 1.3, order=1, steps=1)(v)
     assert np.linalg.norm(got - want) < 1e-12
 
 
@@ -154,8 +153,8 @@ def test_trotter_error_scaling():
     v /= np.linalg.norm(v)
     t = 0.8
     want = sla.expm(-1j * t * kron_dense(h)) @ v
-    e1 = [np.linalg.norm(evolve_trotter(h, v, t, 1, s) - want) for s in (8, 16)]
-    e2 = [np.linalg.norm(evolve_trotter(h, v, t, 2, s) - want) for s in (8, 16)]
+    e1 = [np.linalg.norm(TrotterPropagator(h, t, 1, s)(v) - want) for s in (8, 16)]
+    e2 = [np.linalg.norm(TrotterPropagator(h, t, 2, s)(v) - want) for s in (8, 16)]
     assert 1.6 < e1[0] / e1[1] < 2.5   # first order: halving dt halves the error
     assert 3.2 < e2[0] / e2[1] < 5.0   # second order: quarter
 
@@ -409,7 +408,7 @@ def test_trotter_propagator_matches_per_term_loop():
         v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         for order in (1, 2):
             want = _per_term_trotter(h, v, 0.37, order, 3)
-            assert np.array_equal(evolve_trotter(h, v, 0.37, order, 3), want)
+            assert np.array_equal(TrotterPropagator(h, 0.37, order, 3)(v), want)
     with pytest.raises(ValueError):
         TrotterPropagator(h, 0.1)(np.ones(3, dtype=complex))
 
@@ -507,8 +506,9 @@ def test_chebyshev_keeps_the_norm_on_bare_three_patch(bare_three_patch):
 
 def test_run_skqd_flops_formula(cli_patch):
     # state k costs the sparse products of the shared recurrence past state
-    # k - 1's, K(ka) - K((k-1)a), times nnz(H_R); each state's projection
-    # costs its nonzeros once plus once per eigensolver application
+    # k - 1's, K(ka) - K((k-1)a), times nnz(H_R); a kept pool that differs
+    # from the last one solved costs its projection's nonzeros once plus once
+    # per eigensolver application, and a repeated one costs nothing
     h, cert, _ = cli_patch
     x0 = cert.initial_config
     p = SkqdParams(krylov_dim=4, shots_per_state=2000, rng_seed=3)
@@ -521,14 +521,15 @@ def test_run_skqd_flops_formula(cli_patch):
     assert orders[0] == 1 and orders[3] > orders[2] > orders[1]
     evolve = [(orders[k] - orders[k - 1]) * hr.nnz if k else 0.0 for k in range(4)]
     pool = np.array([x0.bits], dtype=np.uint64)
-    want = []
+    want, solved = [], None
     for k, hist in enumerate(record.histograms):
         pool = unique_bits(np.concatenate([pool, np.array(list(hist), dtype=np.uint64)]))
         kept = connectivity_filter(h, pool)
         solve = 0
-        if kept.size:
+        if kept.size and not (solved is not None and np.array_equal(kept, solved)):
             proj = project_fast(h, kept)
             solve = (1 + lowest_eigenpair(proj.rows).iterations) * proj.rows.nnz
+            solved = kept
         want.append((want[-1] if want else 0.0) + evolve[k] + solve)
     assert [r.flops for r in trace.rows] == want
     assert trace.total_flops == want[-1]

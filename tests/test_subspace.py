@@ -349,13 +349,34 @@ def _basis_pairs(rng, universe):
     ]
 
 
+def _projected_by_groups(h, bits):
+    """project_fast(h, bits) by the pass over every group, whatever the
+    basis size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subspace, "_UPDATE_MAX_NEW", 0.0)
+        mp.setattr(subspace, "_LOOKUP_BLOCK", 0)
+        return project_fast(h, bits)
+
+
 def _assert_update_matches(h, pairs):
+    # an update and a fresh call give the group pass's matrix, bit for bit,
+    # whichever lookup the rule picks for them
     for old, new in pairs:
-        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows,
-                         project_fast(h, new).rows)
+        want = _projected_by_groups(h, new).rows
+        _assert_same_csr(project_fast(h, new, (old, project_fast(h, old).rows)).rows, want)
+        _assert_same_csr(project_fast(h, new).rows, want)
 
 
-# max_new 1.0 updates every pair, however few members it shares
+def _flagship_balls(h, cert):
+    """The initial configuration and its first four neighbourhoods."""
+    balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
+    for _ in range(4):
+        balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
+    return balls
+
+
+# max_new 1.0 looks up the new members of every pair and every fresh basis,
+# however few members they share
 @pytest.mark.parametrize("max_new", [subspace._UPDATE_MAX_NEW, 1.0])
 @pytest.mark.parametrize("kind", ["real", "hermitian", "non-hermitian"])
 @pytest.mark.parametrize("seed", range(3))
@@ -376,9 +397,7 @@ def test_incremental_projection_is_bit_identical(seed, kind, max_new, monkeypatc
 def test_incremental_projection_on_the_flagship_ball(max_new, monkeypatch):
     monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", max_new)
     h, cert = layout_instance("flagship")
-    balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
-    for _ in range(4):
-        balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
+    balls = _flagship_balls(h, cert)
     assert [b.size for b in balls[-2:]] == [580, 2531]
     rng = np.random.default_rng(350)
     pairs = list(zip(balls, balls[1:])) + [(balls[-1], balls[-2])]
@@ -386,23 +405,33 @@ def test_incremental_projection_on_the_flagship_ball(max_new, monkeypatch):
 
 
 def test_a_mostly_new_basis_is_projected_afresh(monkeypatch):
+    # one rule for fresh and update calls, a fresh call being an update from
+    # the empty basis: the pass over every group when more than 2/3 of the
+    # members are new and their images fill more than two lookup blocks,
+    # block-wise lookups of the new members otherwise
     h, cert = layout_instance("flagship")
-    balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
-    for _ in range(4):
-        balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
+    balls = _flagship_balls(h, cert)
     small, bits = balls[3], balls[4]
-    looked_up = []
-    real = subspace._new_entries
-    monkeypatch.setattr(subspace, "_new_entries",
-                        lambda h, b, old, idx: looked_up.append(b.size) or real(h, b, old, idx))
+    groups = h.x_groups[0].size
+    assert small.size * groups <= 2 * subspace._LOOKUP_BLOCK < bits.size * groups
+    passes = []
+    real_lookup, real_groups = subspace._new_entries, subspace._group_entries
+    monkeypatch.setattr(subspace, "_new_entries", lambda h, b, old, idx: passes.append(
+        ("lookup", int(np.count_nonzero(~old)))) or real_lookup(h, b, old, idx))
+    monkeypatch.setattr(subspace, "_group_entries", lambda h, b, idx: passes.append(
+        ("groups", b.size)) or real_groups(h, b, idx))
     k = int(np.ceil(bits.size / 3))  # new members: just above and at 2/3
-    cases = [(bits[:k - 1], bits, False), (bits[:k], bits, True),
-             (small[:1], small, True)]  # 579 new members fit in two lookup blocks
-    assert (small.size - 1) * h.x_groups[0].size <= 2 * subspace._LOOKUP_BLOCK
-    for old, new, updated in cases:
-        looked_up.clear()
-        _assert_update_matches(h, [(old, new)])
-        assert looked_up == ([new.size] if updated else [])
+    cases = [(None, b, ("lookup", b.size)) for b in balls[1:4]]  # small fresh bases
+    cases += [(None, bits, ("groups", bits.size)),
+              (bits[:k - 1], bits, ("groups", bits.size)),
+              (bits[:k], bits, ("lookup", bits.size - k)),
+              (small[:1], small, ("lookup", small.size - 1))]  # fit in two lookup blocks
+    for old, new, how in cases:
+        prev = None if old is None else (old, _projected_by_groups(h, old).rows)
+        passes.clear()
+        got = project_fast(h, new, prev).rows
+        assert passes == [how]
+        _assert_same_csr(got, _projected_by_groups(h, new).rows)
 
 
 @pytest.mark.parametrize("new_share", [0.0, 0.1, 0.5, 1.0])
