@@ -44,9 +44,8 @@ from .paulis import (
     apply_sum_to_vector,
     conjugate_by_x_layer,
     decompose_dense_block,
-    matrix_element,
 )
 from .sci import SciParams, TrimParams, run_sci, select_asci, select_threshold, select_trimci
-from .skqd import ShotRecord, SkqdParams, default_dt, evolve_exact, run_skqd, support_coverage
-from .subspace import ProjectedMatrix, connectivity_filter, project_fast, project_naive
+from .skqd import ShotRecord, SkqdParams, default_dt, run_skqd, support_coverage
+from .subspace import ProjectedMatrix, connectivity_filter, project_fast
 from .trace import BudgetExceeded, SolverTrace

@@ -411,8 +411,14 @@ CERTIFICATE_FILE = "certificate.json"
 METADATA_FILE = "metadata.json"
 
 
-def instance_hash(hamiltonian_json: str) -> str:
-    return hashlib.sha256(hamiltonian_json.encode()).hexdigest()[:16]
+def instance_hash(text: str) -> str:
+    """The hash of a bundle file's text: the first 16 hex digits of its
+    SHA-256.  Of hamiltonian.json's text, it names the instance."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# metadata.json's key for the hash of each hashed bundle file
+_HASHED_FILES = ((HAMILTONIAN_FILE, "instance_hash"), (CERTIFICATE_FILE, "certificate_hash"))
 
 
 def save_bundle(
@@ -421,35 +427,34 @@ def save_bundle(
     cert: GroundStateCertificate,
     metadata: dict,
 ) -> str:
-    """Write hamiltonian + certificate + metadata; returns the instance hash."""
+    """Write hamiltonian + certificate + metadata, with the hash of each of
+    the first two in the metadata; returns the instance hash."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    ham_json = json.dumps(h.to_json_dict(), indent=1, sort_keys=True)
-    digest = instance_hash(ham_json)
-    (path / HAMILTONIAN_FILE).write_text(ham_json)
-    (path / CERTIFICATE_FILE).write_text(
-        json.dumps(cert.to_json_dict(), indent=1, sort_keys=True)
-    )
+    texts = {HAMILTONIAN_FILE: json.dumps(h.to_json_dict(), indent=1, sort_keys=True),
+             CERTIFICATE_FILE: json.dumps(cert.to_json_dict(), indent=1, sort_keys=True)}
     meta = dict(metadata)
-    meta["instance_hash"] = digest
+    for name, key in _HASHED_FILES:
+        (path / name).write_text(texts[name])
+        meta[key] = instance_hash(texts[name])
     (path / METADATA_FILE).write_text(json.dumps(meta, indent=1, sort_keys=True))
-    return digest
+    return meta["instance_hash"]
 
 
 def load_bundle(path: Path | str):
     """Returns (hamiltonian, certificate, metadata).  Raises ValueError when
-    the hash of hamiltonian.json's text is not metadata.json's
-    instance_hash, or when H is not Hermitian (a complex coefficient): every
-    eigensolve reads one triangle of the projection."""
+    the hash of hamiltonian.json's or certificate.json's text is missing
+    from metadata.json or differs from it, or when H is not Hermitian (a
+    complex coefficient): every eigensolve reads one triangle of the
+    projection."""
     path = Path(path)
-    ham_json = (path / HAMILTONIAN_FILE).read_text()
     meta = json.loads((path / METADATA_FILE).read_text())
-    if meta.get("instance_hash") != instance_hash(ham_json):
-        raise ValueError(f"{path / HAMILTONIAN_FILE} does not match the bundle's instance_hash")
-    h = PauliSum.from_json_dict(json.loads(ham_json))
+    texts = {name: (path / name).read_text() for name, _ in _HASHED_FILES}
+    for name, key in _HASHED_FILES:
+        if meta.get(key) != instance_hash(texts[name]):
+            raise ValueError(f"{path / name} does not match the bundle's {key}")
+    h = PauliSum.from_json_dict(json.loads(texts[HAMILTONIAN_FILE]))
     if not h.is_hermitian():
         raise ValueError(f"{path / HAMILTONIAN_FILE} holds a non-Hermitian H")
-    cert = GroundStateCertificate.from_json_dict(
-        json.loads((path / CERTIFICATE_FILE).read_text())
-    )
+    cert = GroundStateCertificate.from_json_dict(json.loads(texts[CERTIFICATE_FILE]))
     return h, cert, meta

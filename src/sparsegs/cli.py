@@ -11,7 +11,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -282,6 +281,8 @@ def _sweep(args) -> int:
 
     workers = args.workers
     if workers > 1 and jobs:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_run_one, jobs))
     else:

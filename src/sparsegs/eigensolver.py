@@ -17,8 +17,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .subspace import project_fast
 from .trace import SolverTrace
@@ -46,6 +44,8 @@ def dense_lowest(m) -> EigResult:
     a gap to the second eigenvalue below DEGENERACY_REL_TOL of the spectral
     scale.
     """
+    import scipy.sparse as sp  # on first use, as in subspace.project_fast
+
     if sp.issparse(m):
         m = m.toarray()
     m = np.asarray(m)
@@ -78,6 +78,8 @@ def lanczos_lowest(
     set: a single-vector Krylov space holds only one copy of a degenerate
     eigenvalue.
     """
+    import scipy.sparse.linalg as spla  # on first use: dense-only runs never load it
+
     dim = m.shape[0]
     if dim == 0:
         raise ValueError("empty matrix")

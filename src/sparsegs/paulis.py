@@ -12,16 +12,15 @@ which reproduces Y|0> = i|1>, Y|1> = -i|0>.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 MAX_QUBITS = 64
 COEFF_DROP_TOL = 1e-14
 HERMITICITY_TOL = 1e-12
 BLOCK_MAX_QUBITS = 4  # decompose_dense_block's width limit
-_EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
 
 _PAULI_CHARS = "IXZY"  # index = x_bit + 2*z_bit
 
@@ -105,7 +104,7 @@ class PauliString:
 
     def dense(self) -> np.ndarray:
         """2^n x 2^n matrix; basis index bit q = qubit q value."""
-        ops = [_SINGLE_QUBIT[self.label[q]] for q in range(self.n_qubits)]
+        ops = [_SINGLE_QUBIT[ch] for ch in self.label]
         out = ops[-1]
         for op in ops[-2::-1]:
             out = np.kron(out, op)
@@ -322,20 +321,6 @@ def pair_elements(h: PauliSum, groups: np.ndarray, bits: np.ndarray) -> np.ndarr
     return out
 
 
-def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
-    """Explicit 2^n sparse matrix, group by group; use only at moderate
-    widths.  Basis index bit q = qubit q value."""
-    if h.n_qubits > _EXPLICIT_MATRIX_QUBITS:
-        raise ValueError(f"explicit sparse matrix capped at {_EXPLICIT_MATRIX_QUBITS} qubits")
-    dim = 1 << h.n_qubits
-    cols = np.arange(dim, dtype=np.uint64)
-    gx, _ = h.x_groups
-    rows = np.concatenate([(cols ^ x).astype(np.int64) for x in gx])
-    vals = np.concatenate([group_elements(h, cols, slice(g, g + 1))[0] for g in range(gx.size)])
-    return sp.csr_matrix((vals, (rows, np.tile(cols.astype(np.int64), gx.size))),
-                         shape=(dim, dim))
-
-
 def group_images(h: PauliSum, bits: np.ndarray):
     """Yield (offset, images, elements) over chunks of the source
     configurations: images[g, i] = bits[offset + i] ^ x_g and elements the
@@ -451,18 +436,6 @@ def truncate_top(bits: np.ndarray, amps: np.ndarray, k: int):
     return bits[keep], amps[keep]
 
 
-def matrix_element(h: PauliSum, x: Configuration, y: Configuration) -> complex:
-    """<x|H|y> summed term by term, without the grouping; O(nL)."""
-    if h.n_qubits != x.n_qubits or h.n_qubits != y.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    xm, zm, _, _ = h.mask_arrays
-    hits = (np.uint64(y.bits) ^ xm) == np.uint64(x.bits)
-    if not hits.any():
-        return 0j
-    signs = pauli_signs(np.array([y.bits], dtype=np.uint64), zm[hits])[:, 0]
-    return complex(np.sum(h._weights[hits] * signs))
-
-
 def diagonal_element(h: PauliSum, bits) -> np.ndarray | float:
     """<x|H|x> for one packed configuration or an array of them: D_0."""
     scalar = not isinstance(bits, np.ndarray)
@@ -509,20 +482,29 @@ def decompose_dense_block(
         raise ValueError("duplicate qubits in block")
 
     terms = []
-    for code in range(4**k):
-        local_label = []
+    for code, local in enumerate(_local_paulis(k)):
         xm = zm = 0
-        cc = code
         for j in range(k):
-            p = cc % 4
-            cc //= 4
-            local_label.append(_PAULI_CHARS[p])
-            if p in (1, 3):
+            p = (code >> 2 * j) & 3  # base-4 digit j of the code: qubit j's Pauli
+            if p & 1:
                 xm |= 1 << qubits[j]
-            if p in (2, 3):
+            if p & 2:
                 zm |= 1 << qubits[j]
-        local = PauliString.from_label("".join(local_label))
-        coeff = np.trace(local.dense() @ m) / (1 << k)
+        coeff = np.trace(local @ m) / (1 << k)
         if abs(coeff) >= COEFF_DROP_TOL:
             terms.append((coeff, PauliString(xm, zm, n)))
     return PauliSum(terms, n)
+
+
+@functools.cache
+def _local_paulis(k: int) -> tuple[np.ndarray, ...]:
+    """The 4^k Pauli matrices on k qubits, read-only, indexed by a code
+    whose base-4 digit j (I, X, Z, Y) is qubit j's Pauli; built once per
+    width."""
+    out = []
+    for code in range(4**k):
+        label = "".join(_PAULI_CHARS[(code >> 2 * j) & 3] for j in range(k))
+        mat = PauliString.from_label(label).dense()
+        mat.flags.writeable = False
+        out.append(mat)
+    return tuple(out)

@@ -12,9 +12,9 @@ coefficients 2 (-i)^j J_j(ka) and is cut at the first K(ka) terms whose
 tail 2 sum_{j >= K} |J_j(ka)| is at most 2^-53.  All d - 1 evolved states
 are combinations of the same vectors T_j((H_R - c)/r)|x0>, so one
 recurrence in H_R's own dtype (real on every real instance) gives them all
-for K((d - 1) a) - 1 = (d - 1) a + O(a^{1/3}) sparse products.
-`evolve_exact` keeps SciPy's `expm_multiply` on the full 2^n statevector as
-the tests' independent oracle.  Trotterized variants, kept to study
+for K((d - 1) a) - 1 = (d - 1) a + O(a^{1/3}) sparse products.  The
+tests' independent oracle, SciPy's `expm_multiply` on the full 2^n
+statevector, lives with the tests.  Trotterized variants, kept to study
 approximation effects, evolve the full 2^n statevector, because a single
 Pauli term can leave R.  Shots are drawn per state from the Born
 distribution with a splittable seeded generator, and the pooled
@@ -26,17 +26,18 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .builder import GroundStateCertificate
 from .eigensolver import BasisSolver, EigResult
-from .paulis import (Configuration, PauliSum, diagonal_element, pauli_signs, pauli_sum_to_sparse,
-                     unique_bits)
+from .paulis import Configuration, PauliSum, diagonal_element, pauli_signs, unique_bits
 from .subspace import connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, SolverTrace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STATEVECTOR_QUBIT_BUDGET = 24  # Trotter evolution's full statevector
 
@@ -110,16 +111,6 @@ def default_dt(h: PauliSum, multiplier: float = 25.0) -> float:
     return multiplier * np.pi / one_norm
 
 
-def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
-    """e^{-iHt} |v> on the full 2^n statevector through the explicit sparse
-    matrix: the oracle for run_skqd's reachable-subspace evolution."""
-    if v.size != (1 << h.n_qubits):
-        raise ValueError("statevector size mismatch")
-    if t == 0.0:
-        return v.copy()
-    return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))
-
-
 def _chebyshev_order(a: float) -> int:
     """Smallest K with 2 sum_{k >= K} |J_k(a)| <= 2^-53, for a >= 0: the
     first K terms of the Chebyshev series of e^{-ia x} leave a tail of at
@@ -151,6 +142,8 @@ class ChebyshevPropagator:
     """
 
     def __init__(self, h: sp.csr_matrix, dt: float):
+        import scipy.sparse as sp  # on first use, as in _chebyshev_order
+
         diag = h.diagonal()
         row_abs = sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape).sum(axis=1)
         radius = np.asarray(row_abs).ravel() - np.abs(diag)

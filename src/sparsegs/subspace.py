@@ -1,25 +1,28 @@
 """Hamiltonian projection onto configuration bases, and expansion.
 
 A basis is a sorted, duplicate-free uint64 array of packed configurations.
-Implements both the quadratic-cost all-pairs projection (the oracle) and
-the linear-cost row-wise projection, an update of an earlier projection
-(of the empty basis when there is none): it looks up members' images
-under the Hamiltonian's x-mask groups and writes each group's net element
-on the image into the member's row of a CSR matrix, in place and in the
-Hamiltonian's dtype (real when H is).  One rule picks how the images are
-looked up, and one fill writes the CSR.
+The projection is row-wise, at linear cost, and an update of an earlier
+projection (of the empty basis when there is none): it looks up members'
+images under the Hamiltonian's x-mask groups and writes each group's net
+element on the image into the member's row of a CSR matrix, in place and
+in the Hamiltonian's dtype (real when H is).  One rule picks how the
+images are looked up, and one fill writes the CSR.  The all-pairs oracle
+it is tested against lives with the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
-from .paulis import (Configuration, PauliSum, check_basis, group_elements, group_images,
-                     index_in, matrix_element, pair_elements, unique_bits)
+from .paulis import (PauliSum, check_basis, group_elements, group_images, index_in,
+                     pair_elements, unique_bits)
 from .trace import BudgetExceeded
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 ZERO_TOL = 1e-14
 _LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images looked up per block
@@ -59,6 +62,8 @@ def project_fast(h: PauliSum, bits: np.ndarray,
     index dtype, each holding its entries in row order; the counts give
     `indptr`, the pieces are filled into `indices` and `data` in place,
     and each row is sorted by column at the end."""
+    import scipy.sparse as sp  # on first use: generate, verify and info never load SciPy
+
     check_basis(h, bits)
     dim, groups = bits.size, h.x_groups[0].size
     idx = _index_dtype(dim, groups)
@@ -161,24 +166,6 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
         pieces.append((rows[head], np.diff(head, append=rows.size).astype(idx),
                        cols[keep].astype(idx), vals[keep]))
     return pieces
-
-
-def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
-    """All-pairs matrix elements on the basis `bits`; the quadratic-cost
-    oracle."""
-    check_basis(h, bits)
-    members = [Configuration(int(x), h.n_qubits) for x in bits]
-    rows, cols, vals = [], [], []
-    for j, xj in enumerate(members):
-        for i, xi in enumerate(members):
-            v = matrix_element(h, xi, xj)
-            if abs(v) >= ZERO_TOL:
-                rows.append(i)
-                cols.append(j)
-                vals.append(v)
-    m = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
-                      shape=(bits.size, bits.size))
-    return ProjectedMatrix(bits.size, m)
 
 
 def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:

@@ -1,0 +1,66 @@
+"""Reference implementations the kernels are tested against, kept out of
+the package: no run uses them.  Each one computes its result a slower,
+more direct way than the kernel it checks."""
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from sparsegs.paulis import Configuration, PauliSum, check_basis, group_elements, pauli_signs
+from sparsegs.subspace import ZERO_TOL, ProjectedMatrix
+
+_EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
+
+
+def matrix_element(h: PauliSum, x: Configuration, y: Configuration) -> complex:
+    """<x|H|y> summed term by term, without the grouping; O(nL)."""
+    if h.n_qubits != x.n_qubits or h.n_qubits != y.n_qubits:
+        raise ValueError("qubit-count mismatch")
+    xm, zm, _, _ = h.mask_arrays
+    hits = (np.uint64(y.bits) ^ xm) == np.uint64(x.bits)
+    if not hits.any():
+        return 0j
+    signs = pauli_signs(np.array([y.bits], dtype=np.uint64), zm[hits])[:, 0]
+    return complex(np.sum(h._weights[hits] * signs))
+
+
+def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
+    """Explicit 2^n sparse matrix, group by group; use only at moderate
+    widths.  Basis index bit q = qubit q value."""
+    if h.n_qubits > _EXPLICIT_MATRIX_QUBITS:
+        raise ValueError(f"explicit sparse matrix capped at {_EXPLICIT_MATRIX_QUBITS} qubits")
+    dim = 1 << h.n_qubits
+    cols = np.arange(dim, dtype=np.uint64)
+    gx, _ = h.x_groups
+    rows = np.concatenate([(cols ^ x).astype(np.int64) for x in gx])
+    vals = np.concatenate([group_elements(h, cols, slice(g, g + 1))[0] for g in range(gx.size)])
+    return sp.csr_matrix((vals, (rows, np.tile(cols.astype(np.int64), gx.size))),
+                         shape=(dim, dim))
+
+
+def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
+    """All-pairs matrix elements on the basis `bits`; the quadratic-cost
+    oracle of project_fast."""
+    check_basis(h, bits)
+    members = [Configuration(int(x), h.n_qubits) for x in bits]
+    rows, cols, vals = [], [], []
+    for j, xj in enumerate(members):
+        for i, xi in enumerate(members):
+            v = matrix_element(h, xi, xj)
+            if abs(v) >= ZERO_TOL:
+                rows.append(i)
+                cols.append(j)
+                vals.append(v)
+    m = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
+                      shape=(bits.size, bits.size))
+    return ProjectedMatrix(bits.size, m)
+
+
+def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
+    """e^{-iHt} |v> on the full 2^n statevector through the explicit sparse
+    matrix: the oracle for run_skqd's reachable-subspace evolution."""
+    if v.size != (1 << h.n_qubits):
+        raise ValueError("statevector size mismatch")
+    if t == 0.0:
+        return v.copy()
+    return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))

@@ -17,6 +17,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import kron_dense, random_pauli_sum, support_covered
+from oracles import pauli_sum_to_sparse, project_naive
 from sparsegs.builder import (
     ConstructionParams,
     CoreBlockParams,
@@ -36,11 +37,10 @@ from sparsegs.matrixfree import (
     run_truncated_arnoldi,
     tpm_theory,
 )
-from sparsegs.paulis import (Configuration, decompose_dense_block, index_in, pauli_sum_to_sparse,
-                             unique_bits)
+from sparsegs.paulis import Configuration, decompose_dense_block, index_in, unique_bits
 from sparsegs.sci import SciParams, run_sci
 from sparsegs.skqd import SkqdParams, run_skqd, support_coverage
-from sparsegs.subspace import connected_bits, project_fast, project_naive
+from sparsegs.subspace import connected_bits, project_fast
 
 PRINTED_PSI0 = np.array([-0.018, -0.014, -0.049, 0.119, -0.298, 0.449, -0.559, 0.616])
 

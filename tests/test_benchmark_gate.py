@@ -54,6 +54,16 @@ def bundles(tmp_path_factory):
     return made
 
 
+def test_benchmark_bundles_keep_their_instance_hashes(bundles):
+    # regeneration at the reference seed must give the same bytes; these
+    # hashes were read with NumPy 2.4.6 on OpenBLAS
+    want = {"flagship": "b3c3b5f7fde83ba7", "path16": "9beb83e215a93cfc",
+            "path16-coupled": "b5b12b7651f7375e"}
+    got = {name: json.loads((path / "metadata.json").read_text())["instance_hash"]
+           for name, path in bundles.items()}
+    assert got == want
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_jobs_match_reference(name, bundles, tmp_path):
     refs = REFERENCE["jobs"][name]

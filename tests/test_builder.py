@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from conftest import kron_dense, layout_instance
+from oracles import pauli_sum_to_sparse
 from sparsegs.builder import (
     ConstructionParams,
     CoreBlockParams,
@@ -20,8 +21,7 @@ from sparsegs.builder import (
     verify_certificate,
 )
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
-from sparsegs.paulis import (Configuration, PauliString, PauliSum, apply_sum_to_vector,
-                             pauli_sum_to_sparse, unique_bits)
+from sparsegs.paulis import Configuration, PauliString, PauliSum, apply_sum_to_vector, unique_bits
 from sparsegs.subspace import project_fast
 
 PRINTED_PSI0 = np.array([-0.018, -0.014, -0.049, 0.119, -0.298, 0.449, -0.559, 0.616])

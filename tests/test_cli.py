@@ -158,17 +158,40 @@ def test_bundle_hash_checked_on_load(patch_bundle, tmp_path):
     del meta["instance_hash"]
     (unhashed / "metadata.json").write_text(json.dumps(meta))
     for bundle in (tampered, unhashed):
-        spec = tmp_path / f"{bundle.name}.json"
-        spec.write_text(json.dumps({"bundle": str(bundle),
-                                    "runs": [{"solver": "cipsi", "grid": {"eps": [1e-4]}}]}))
-        for argv in (
-            ["info", "--bundle", str(bundle)],
-            ["verify", "--bundle", str(bundle)],
-            ["solve", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
-             "cipsi", "--eps", "1e-4"],
-            ["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")],
-        ):
-            assert main(argv) == EXIT_INVALID, argv
+        _assert_rejected(bundle, tmp_path)
+
+
+def test_certificate_hash_checked_on_load(patch_bundle, tmp_path):
+    edited, unhashed = tmp_path / "edited", tmp_path / "unhashed"
+    shutil.copytree(patch_bundle, edited)
+    shutil.copytree(patch_bundle, unhashed)
+    text = (edited / "certificate.json").read_text()
+    amp = repr(json.loads(text)["amplitudes"][0])
+    assert text.count(amp) == 1 and amp[-1].isdigit()
+    text = text.replace(amp, amp[:-1] + str((int(amp[-1]) + 1) % 10))  # its last digit
+    (edited / "certificate.json").write_text(text)
+    # the edit passes the certificate's own checks: only the hash sees it
+    GroundStateCertificate.from_json_dict(json.loads(text))
+    meta = json.loads((unhashed / "metadata.json").read_text())
+    del meta["certificate_hash"]
+    (unhashed / "metadata.json").write_text(json.dumps(meta))
+    for bundle in (edited, unhashed):
+        _assert_rejected(bundle, tmp_path)
+
+
+def _assert_rejected(bundle, tmp_path):
+    """Every command that reads `bundle` exits with EXIT_INVALID."""
+    spec = tmp_path / f"{bundle.name}.json"
+    spec.write_text(json.dumps({"bundle": str(bundle),
+                                "runs": [{"solver": "cipsi", "grid": {"eps": [1e-4]}}]}))
+    for argv in (
+        ["info", "--bundle", str(bundle)],
+        ["verify", "--bundle", str(bundle)],
+        ["solve", "--bundle", str(bundle), "--out", str(tmp_path / "run"),
+         "cipsi", "--eps", "1e-4"],
+        ["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")],
+    ):
+        assert main(argv) == EXIT_INVALID, argv
 
 
 @pytest.mark.parametrize("solver_args", [
@@ -343,13 +366,20 @@ def test_unconverged_final_eigenpair_is_surfaced(patch_bundle, tmp_path, monkeyp
     assert [r["status"] for r in rows] == ["unconverged"]
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # every command pays the package import; scipy.special would add tens
-    # of milliseconds and a few MB to it
+def test_generate_verify_info_leave_scipy_unloaded(tmp_path):
+    # every command pays the package import; SciPy would add about 0.2 s to
+    # commands that never call it
     src = str(Path(sparsegs.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, sparsegs.cli; print(sorted(m for m in sys.modules"
-                          " if m.startswith('scipy.special')))"],
+    script = (
+        "import contextlib, io, sys\n"
+        "from sparsegs.cli import main\n"
+        "b = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rcs = [main(['generate', '--out', b]), main(['verify', '--bundle', b]),\n"
+        "           main(['info', '--bundle', b])]\n"
+        "print(rcs, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "flagship")],
                          capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == f"{[EXIT_OK] * 3} []"

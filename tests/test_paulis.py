@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sparsegs.paulis as pl
 from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum, without_odd_y
+from oracles import matrix_element, pauli_sum_to_sparse
 from sparsegs.paulis import (
     Configuration,
     PauliString,
@@ -18,8 +19,6 @@ from sparsegs.paulis import (
     decompose_dense_block,
     diagonal_element,
     group_elements,
-    matrix_element,
-    pauli_sum_to_sparse,
     sparse_vdot,
     truncate_top,
 )

@@ -8,6 +8,7 @@ import sparsegs.sci as sci
 import sparsegs.subspace as subspace
 from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
                       support_covered)
+from oracles import matrix_element
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
@@ -17,7 +18,6 @@ from sparsegs.paulis import (
     decompose_dense_block,
     diagonal_element,
     index_in,
-    matrix_element,
 )
 from sparsegs.sci import (
     SciParams,

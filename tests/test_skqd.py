@@ -9,11 +9,12 @@ import scipy.sparse.linalg as spla
 from scipy.stats import chisquare
 
 from conftest import kron_dense, random_pauli_sum
+from oracles import evolve_exact, matrix_element, pauli_sum_to_sparse
 from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.eigensolver import lowest_eigenpair
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
 from sparsegs.paulis import (Configuration, PauliString, PauliSum, diagonal_element, pauli_signs,
-                             pauli_sum_to_sparse, unique_bits)
+                             unique_bits)
 from sparsegs.skqd import (
     ChebyshevPropagator,
     ShotRecord,
@@ -23,7 +24,6 @@ from sparsegs.skqd import (
     _propagator,
     _sample_indices,
     default_dt,
-    evolve_exact,
     run_skqd,
     support_coverage,
 )
@@ -171,8 +171,6 @@ def test_run_skqd_patch_recovers_ground_state(patch_instance):
 
 def test_run_skqd_d1_energy_bounded_by_reference(patch_instance):
     h, cert = patch_instance
-    from sparsegs.paulis import matrix_element
-
     with pytest.warns(UserWarning):
         eig, trace, record = run_skqd(
             h, cert.initial_config, SkqdParams(krylov_dim=1, shots_per_state=100)

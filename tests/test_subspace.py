@@ -10,15 +10,14 @@ import sparsegs.paulis as pl
 import sparsegs.subspace as subspace
 from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
                       without_odd_y)
+from oracles import matrix_element, project_naive
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
-from sparsegs.paulis import (Configuration, PauliSum, PauliString, group_elements, index_in,
-                             matrix_element, unique_bits)
+from sparsegs.paulis import Configuration, PauliSum, PauliString, group_elements, index_in, unique_bits
 from sparsegs.subspace import (
     connected_bits,
     ZERO_TOL,
     connectivity_filter,
     project_fast,
-    project_naive,
     reachable_bits,
 )
 from sparsegs.trace import BudgetExceeded
