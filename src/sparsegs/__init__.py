@@ -40,7 +40,6 @@ from .paulis import (
     Configuration,
     PauliString,
     PauliSum,
-    apply_pauli_to_config,
     apply_sum_to_vector,
     conjugate_by_x_layer,
     decompose_dense_block,

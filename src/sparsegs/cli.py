@@ -192,11 +192,13 @@ def _params(solver: str, opts: dict, dim_cap: int):
 def _summary(solver: str, opts: dict, meta: dict, **run) -> dict:
     """The one result record of `solve` and `sweep`: `run` holds the fields
     a run produced, or a failed run's `status` and `error`, and the fields
-    it lacks stay None.  The instance hash, version and seed make the
-    record reproducible."""
+    it lacks stay None.  `energy_error` is the final energy minus the
+    certified one.  The instance hash, version and seed make the record
+    reproducible."""
     return {
-        "solver": solver, "params": opts, "final_energy": None, "final_dim": None,
-        "status": None, "converged": None, "flops": None, "wall_s": None, **run,
+        "solver": solver, "params": opts, "final_energy": None, "energy_error": None,
+        "final_dim": None, "status": None, "converged": None, "flops": None, "wall_s": None,
+        **run,
         "instance_hash": meta.get("instance_hash"), "version": __version__,
         "seed": opts.get("seed", 0),
     }
@@ -213,8 +215,9 @@ def _run(h, cert, meta: dict, solver: str, opts: dict, dim_cap: int):
     except BudgetExceeded as e:
         return _summary(solver, opts, meta, status="budget_exceeded", error=str(e)), None, None
     trace, shots = out[1], (out[-1] if isinstance(out[-1], ShotRecord) else None)
-    run = {"final_energy": trace.final_energy, "final_dim": trace.final_dim,
-           "status": trace.status, "converged": trace.converged, "flops": trace.total_flops}
+    run = {"final_energy": trace.final_energy, "energy_error": trace.final_energy - cert.energy,
+           "final_dim": trace.final_dim, "status": trace.status, "converged": trace.converged,
+           "flops": trace.total_flops}
     if shots is not None:
         run["support_coverage"] = int(support_coverage(shots, cert)[-1])
         run["support_size"] = len(cert.support)
@@ -292,8 +295,8 @@ def _sweep(args) -> int:
         if max_wall is not None and s.get("wall_s") and s["wall_s"] > max_wall:
             s["status"] = "wall_budget_exceeded"
 
-    cols = ["solver", "params", "final_energy", "final_dim", "flops", "status",
-            "wall_s", "seed", "instance_hash", "version"]
+    cols = ["solver", "params", "final_energy", "energy_error", "final_dim", "flops", "status",
+            "converged", "wall_s", "seed", "instance_hash", "version"]
     with open(outdir / "results.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(cols)

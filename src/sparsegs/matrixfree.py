@@ -275,15 +275,6 @@ def xi_recursion(gamma: float, rho: float, xi0: float, t_max: int) -> np.ndarray
     return out
 
 
-def tangent(v: np.ndarray, psi: np.ndarray) -> float:
-    """T(v) = ||(I - psi psi^dag) v|| / |<psi|v>|."""
-    ov = complex(np.vdot(psi, v))
-    if ov == 0:
-        return math.inf
-    perp = v - ov * psi
-    return float(np.linalg.norm(perp) / abs(ov))
-
-
 def tpm_theory(
     gamma: float,
     delta: float,

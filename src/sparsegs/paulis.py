@@ -13,6 +13,7 @@ which reproduces Y|0> = i|1>, Y|1> = -i|0>.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,17 +112,6 @@ class PauliString:
         return out
 
 
-def apply_pauli_to_config(p: PauliString, x: Configuration) -> tuple[complex, Configuration]:
-    """P|x> = phase * |y>; phase is a power of i."""
-    if p.n_qubits != x.n_qubits:
-        raise ValueError("qubit-count mismatch")
-    y = Configuration(x.bits ^ p.x_mask, x.n_qubits)
-    ny = popcount(p.x_mask & p.z_mask)
-    sz = popcount(x.bits & p.z_mask)
-    phase = (1j) ** (ny % 4) * (-1.0) ** (sz % 2)
-    return complex(phase), y
-
-
 class PauliSum:
     """Hamiltonian H = sum_k alpha_k T_k, canonicalized on construction.
 
@@ -135,7 +125,7 @@ class PauliSum:
     """
 
     __slots__ = ("n_qubits", "terms", "_xm", "_zm", "_coeff", "_phase", "_weights",
-                 "_gx", "_gstart", "_gterm")
+                 "_gx", "_gstart")
 
     def __init__(self, terms, n_qubits: int):
         _check_width(n_qubits)
@@ -166,9 +156,8 @@ class PauliSum:
         # terms are sorted by x-mask first, so each x-mask group is a run
         self._gx, self._gstart = np.unique(self._xm, return_index=True)
         self._gstart = np.append(self._gstart, self._xm.size)
-        self._gterm = np.repeat(np.arange(self._gx.size), np.diff(self._gstart))
         for arr in (self._xm, self._zm, self._coeff, self._phase, self._weights,
-                    self._gx, self._gstart, self._gterm):
+                    self._gx, self._gstart):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -240,15 +229,18 @@ class PauliSum:
 #
 # H|x> = sum_g D_g(x) |x ^ x_g>, with D_g(x) = sum_{k in g} w_k (-1)^popcount(x & z_k)
 # and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups, in the
-# weights' dtype: real arithmetic when H is real.  A sparse vector is a
-# sorted, duplicate-free uint64 `bits` array (a basis, as check_basis
-# defines it) plus an aligned `amps` array.  The amplitudes are complex128
-# even when H is real, because BLAS's real dot products and norms round
-# differently from the complex ones, which moves the Gram-Schmidt residue
-# that truncated Arnoldi keeps or cuts.
+# weights' dtype: real arithmetic when H is real.  The action's fold
+# (fold_images) still adds one product w_k (-1)^popcount(x & z_k) a(x) per
+# term, not D_g(x) a(x): a net element rounds differently, which would move
+# every matrix-free solver's iterates.  A sparse vector is a sorted,
+# duplicate-free uint64 `bits` array (a basis, as check_basis defines it)
+# plus an aligned `amps` array.  The amplitudes are complex128 even when H
+# is real, because BLAS's real dot products and norms round differently
+# from the complex ones, which moves the Gram-Schmidt residue that
+# truncated Arnoldi keeps or cuts.
 
 
-_APPLY_BLOCK = 1 << 23  # cap on the (terms x entries) broadcast scratch
+_APPLY_BLOCK = 1 << 23  # cap on terms x sources in each of group_images' chunks
 
 
 def unique_bits(bits: np.ndarray) -> np.ndarray:
@@ -347,24 +339,30 @@ def fold_images(h: PauliSum, bits: np.ndarray, amps: np.ndarray, inv: np.ndarray
     """<y|H|v> for v = (bits, amps) on each of `size` images y, as complex128,
     given image_index's inverse.
 
-    Each (term, entry) product (w_k s) a is binned to its image and added
-    into one running sum per image in term-major order, so every image sums
-    the same products in the same order whatever the block size.  Term
-    blocks bound the product scratch by _APPLY_BLOCK.
+    Group by group, the running sums at the group's images are gathered,
+    each of its terms' products (+-w_k) a is added onto them in term order,
+    and the sums are scattered back.  A group sends distinct entries to
+    distinct images, so every image sums the same products in the same
+    term-major order whatever the grouping.  When H and the amplitudes are
+    both real, the sums are real too: they are folded in float64 into the
+    real parts, and the imaginary parts stay +0.0, as the complex sums of
+    products with zero imaginary parts would.
     """
     amps = np.asarray(amps, dtype=complex)
-    re = np.zeros(size)
-    im = np.zeros(size)
-    block = max(1, _APPLY_BLOCK // bits.size)
-    for lo in range(0, len(h), block):
-        hi = lo + block
-        prod = (h._weights[lo:hi, None] * pauli_signs(bits, h._zm[lo:hi])
-                * amps[None, :]).ravel()
-        bins = inv[h._gterm[lo:hi]].ravel()
-        np.add.at(re, bins, prod.real)  # in index order, onto the earlier blocks
-        np.add.at(im, bins, prod.imag)
-    out = np.empty(size, dtype=complex)
-    out.real, out.imag = re, im
+    out = np.zeros(size, dtype=complex)
+    fold = out
+    if h.dtype == np.float64 and not amps.imag.any():
+        fold, amps = out.real, amps.real
+    _, starts = h.x_groups
+    w, zm = h._weights[:, None], h._zm[:, None]
+    for g, (lo, hi) in enumerate(itertools.pairwise(starts.tolist())):
+        sums = fold[inv[g]]
+        # -(w_k a) is (-w_k) a exactly, so the sign goes on after the product
+        prods = w[lo:hi] * amps
+        np.negative(prods, out=prods, where=(np.bitwise_count(bits & zm[lo:hi]) & 1).view(bool))
+        for p in prods:
+            sums += p
+        fold[inv[g]] = sums
     return out
 
 

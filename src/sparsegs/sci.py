@@ -115,7 +115,6 @@ def _scores(rule: str, h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray
         best = np.zeros(images.size)
         np.maximum.at(best, inv.ravel(), np.abs(d * core_amps[None, :]).ravel())
         return cand_bits, best[cand]
-    del d  # the fold's product scratch is the step's peak
     trace.count((core_bits.size + cand.size) * len(h))
     num = np.abs(fold_images(h, core_bits, core_amps, inv, images.size)[cand])
     den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)

@@ -36,10 +36,6 @@ class ProjectedMatrix:
     dim: int
     rows: sp.csr_matrix
 
-    def hermiticity_defect(self) -> float:
-        d = self.rows - self.rows.getH()
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
 
 def project_fast(h: PauliSum, bits: np.ndarray,
                  prev: tuple[np.ndarray, sp.csr_matrix] | None = None) -> ProjectedMatrix:

@@ -2,14 +2,29 @@
 the package: no run uses them.  Each one computes its result a slower,
 more direct way than the kernel it checks."""
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sparsegs.paulis import Configuration, PauliSum, check_basis, group_elements, pauli_signs
+from sparsegs.paulis import (Configuration, PauliString, PauliSum, check_basis, group_elements,
+                             pauli_signs, popcount)
 from sparsegs.subspace import ZERO_TOL, ProjectedMatrix
 
 _EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
+
+
+def apply_pauli_to_config(p: PauliString, x: Configuration) -> tuple[complex, Configuration]:
+    """P|x> = phase * |y>, the phase a power of i, from the literal operator
+    convention on one configuration."""
+    if p.n_qubits != x.n_qubits:
+        raise ValueError("qubit-count mismatch")
+    y = Configuration(x.bits ^ p.x_mask, x.n_qubits)
+    ny = popcount(p.x_mask & p.z_mask)
+    sz = popcount(x.bits & p.z_mask)
+    phase = (1j) ** (ny % 4) * (-1.0) ** (sz % 2)
+    return complex(phase), y
 
 
 def matrix_element(h: PauliSum, x: Configuration, y: Configuration) -> complex:
@@ -64,3 +79,19 @@ def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
     if t == 0.0:
         return v.copy()
     return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))
+
+
+def hermiticity_defect(m: ProjectedMatrix) -> float:
+    """max |H_B - H_B^dag| over the stored entries of a projection."""
+    d = m.rows - m.rows.getH()
+    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+
+
+def tangent(v: np.ndarray, psi: np.ndarray) -> float:
+    """T(v) = ||(I - psi psi^dag) v|| / |<psi|v>|, the power method's
+    distance from psi."""
+    ov = complex(np.vdot(psi, v))
+    if ov == 0:
+        return math.inf
+    perp = v - ov * psi
+    return float(np.linalg.norm(perp) / abs(ov))

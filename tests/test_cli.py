@@ -12,7 +12,7 @@ import pytest
 import sparsegs
 import sparsegs.cli
 import sparsegs.eigensolver
-from sparsegs.builder import GroundStateCertificate, save_bundle
+from sparsegs.builder import GroundStateCertificate, load_bundle, save_bundle
 from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _run_one, main
 from sparsegs.paulis import Configuration, PauliString, PauliSum
 from sparsegs.trace import DEFAULT_DIM_CAP
@@ -265,15 +265,42 @@ def test_sweep_rows_share_columns(patch_bundle, tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--spec", str(spec_file), "--out", str(out)]) == EXIT_OK
     header, *rows = csv.reader((out / "results.csv").read_text().splitlines())
-    assert header == ["solver", "params", "final_energy", "final_dim", "flops", "status",
-                      "wall_s", "seed", "instance_hash", "version"]
-    assert [r[5] for r in rows] == ["max_iters", "budget_exceeded", "error"]
+    assert header == ["solver", "params", "final_energy", "energy_error", "final_dim", "flops",
+                      "status", "converged", "wall_s", "seed", "instance_hash", "version"]
+    assert [r[6] for r in rows] == ["max_iters", "budget_exceeded", "error"]
     assert all(len(r) == len(header) for r in rows)
-    assert len({tuple(r[7:]) for r in rows}) == 1
-    seed, instance_hash, version = rows[0][7:]
+    assert len({tuple(r[9:]) for r in rows}) == 1
+    seed, instance_hash, version = rows[0][9:]
     assert seed == "4" and instance_hash and version == sparsegs.__version__
     for r in rows[1:]:
-        assert r[2:5] == ["", "", ""] and r[6] == ""
+        assert r[2:6] == ["", "", "", ""] and r[7:9] == ["", ""]
+
+
+def test_energy_error_is_the_energy_above_the_certificate(patch_bundle, tmp_path):
+    # H + 0.75 I certified at 0.75: a run's energy_error, in summary.json and
+    # in results.csv, is its final energy minus 0.75, and agrees with the
+    # unshifted run's energy above its certified 0
+    h, cert, _ = load_bundle(patch_bundle)
+    shift = PauliSum([(0.75, PauliString(0, 0, h.n_qubits))], h.n_qubits)
+    shifted = tmp_path / "shifted"
+    save_bundle(shifted, h + shift, dataclasses.replace(cert, energy=cert.energy + 0.75), {})
+    summaries = []
+    for bundle in (patch_bundle, shifted):
+        out = tmp_path / bundle.name
+        assert main(["solve", "--bundle", str(bundle), "--out", str(out),
+                     "cipsi", "--eps", "1e-6"]) == EXIT_OK
+        summaries.append(json.loads((out / "summary.json").read_text()))
+    plain, moved = summaries
+    assert plain["energy_error"] == plain["final_energy"] > 0.1  # stalled above 0
+    assert moved["energy_error"] == moved["final_energy"] - 0.75
+    assert abs(moved["energy_error"] - plain["energy_error"]) < 1e-9
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"bundle": str(shifted),
+                                     "runs": [{"solver": "cipsi", "params": {"eps": 1e-6}}]}))
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    [row] = csv.DictReader((tmp_path / "sweep" / "results.csv").read_text().splitlines())
+    assert float(row["energy_error"]) == moved["energy_error"]
+    assert row["converged"] == str(moved["converged"]) == "True"
 
 
 def test_sweep_key_the_solver_does_not_take_is_an_error(patch_bundle, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import kron_dense, layout_instance, random_pauli_sum, support_covered
+from oracles import tangent
 from sparsegs import eigensolver, matrixfree
 from sparsegs.eigensolver import basis_eigenpair
 from sparsegs.matrixfree import (
@@ -11,7 +12,6 @@ from sparsegs.matrixfree import (
     run_diag_ranking,
     run_tpm,
     run_truncated_arnoldi,
-    tangent,
     tpm_theory,
     xi_recursion,
 )

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,22 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsegs.paulis as pl
-from conftest import grouped_pauli_sum, kron_dense, random_pauli_sum, without_odd_y
-from oracles import matrix_element, pauli_sum_to_sparse
+from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
+                      without_odd_y)
+from oracles import apply_pauli_to_config, matrix_element, pauli_sum_to_sparse
 from sparsegs.paulis import (
     Configuration,
     PauliString,
     PauliSum,
     add_scaled,
-    apply_pauli_to_config,
     apply_sum_to_vector,
     conjugate_by_x_layer,
     decompose_dense_block,
     diagonal_element,
+    fold_images,
     group_elements,
+    image_index,
+    pauli_signs,
     sparse_vdot,
     truncate_top,
 )
+from sparsegs.subspace import connected_bits
 
 
 def _bits(*xs):
@@ -322,6 +327,87 @@ def test_apply_sum_bit_identical_to_per_term(seed, cap):
     hv_bits, _ = apply_sum_to_vector(h, *vectors[0])
     images = np.unique(src[None, :] ^ h.x_groups[0][:, None])
     assert hv_bits.size < images.size  # exact cancellations were pruned
+
+
+def _fold_term_major(h, bits, amps, inv, size):
+    """The fold as one term-major block: every (term, entry) product (w_k s) a
+    at once, binned to its image by np.add.at in term-major order."""
+    _, starts = h.x_groups
+    term_group = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    prod = (h._weights[:, None] * pauli_signs(bits, h.mask_arrays[1])
+            * np.asarray(amps, dtype=complex)[None, :]).ravel()
+    bins = inv[term_group].ravel()
+    re, im = np.zeros(size), np.zeros(size)
+    np.add.at(re, bins, prod.real)
+    np.add.at(im, bins, prod.imag)
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _flagship_entries(rng, count):
+    """`count` sorted members of the flagship's depth-4 ball around x0."""
+    h, cert = layout_instance("flagship")
+    ball = np.array([cert.initial_config.bits], dtype=np.uint64)
+    for _ in range(4):
+        ball = np.union1d(ball, connected_bits(h, ball))
+    return h, np.sort(rng.choice(ball, size=count, replace=False))
+
+
+def _amplitudes(rng, kind, size):
+    if kind == "complex":
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if kind == "real":
+        return rng.standard_normal(size) + 0j
+    return rng.choice([-2.0, -1.0, 1.0, 2.0], size=size) + 0j  # images cancel exactly
+
+
+@pytest.mark.parametrize("amps_kind", ["complex", "real", "cancelling"])
+@pytest.mark.parametrize("instance", ["grouped", "flagship"])
+def test_group_fold_bit_identical_to_term_major(instance, amps_kind):
+    rng = np.random.default_rng(400)
+    if instance == "grouped":
+        h = grouped_pauli_sum(rng, 8, 6, 5)
+        bits = np.sort(rng.choice(1 << 8, size=40, replace=False)).astype(np.uint64)
+        real = without_odd_y(h)
+    else:
+        real, bits = _flagship_entries(rng, 2000)
+        h = real + PauliSum([(0.01, PauliString.from_label("Y" + "I" * 48))], 49)
+    assert h.dtype == np.complex128 and real.dtype == np.float64
+    amps = _amplitudes(rng, amps_kind, bits.size)
+    for hh in (h, real):
+        images, inv = image_index(hh, bits)
+        got = fold_images(hh, bits, amps, inv, images.size)
+        want = _fold_term_major(hh, bits, amps, inv, images.size)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, want)
+        if hh.dtype == np.float64 and amps_kind != "complex":
+            assert not got.imag.any() and not np.signbit(got.imag).any()  # +0.0
+        if instance == "grouped" and amps_kind == "cancelling":
+            assert (got == 0).any()
+
+
+def test_fold_of_no_entries_is_empty():
+    h = grouped_pauli_sum(np.random.default_rng(401), 6, 4, 3)
+    bits = np.zeros(0, dtype=np.uint64)
+    images, inv = image_index(h, bits)
+    out = fold_images(h, bits, np.zeros(0), inv, images.size)
+    assert images.size == 0 and out.shape == (0,) and out.dtype == np.complex128
+
+
+def test_group_fold_scratch_is_one_group_not_every_term():
+    # 2,000 flagship entries: the term-major block holds 366 x 2,000 complex
+    # products, signs and bins; the group walk one group's products at a time
+    h, bits = _flagship_entries(np.random.default_rng(402), 2000)
+    amps = _amplitudes(np.random.default_rng(403), "real", bits.size)
+    images, inv = image_index(h, bits)
+    peaks = []
+    for fold in (fold_images, _fold_term_major):
+        tracemalloc.start()
+        fold(h, bits, amps, inv, images.size)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 3
 
 
 def test_weights_are_real_exactly_when_h_is():
