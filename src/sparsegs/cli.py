@@ -166,8 +166,7 @@ _SOLVERS = {
         ("--mode", str, False, "mode")]),
     "skqd": ("run_skqd", SkqdParams, [
         ("--d", int, True, "krylov_dim"), ("--shots", int, True, "shots_per_state"),
-        ("--dt-multiplier", float, False, "dt_multiplier"),
-        ("--evolution", str, False, "evolution"), ("--seed", int, False, "rng_seed")]),
+        ("--dt-multiplier", float, False, "dt_multiplier"), ("--seed", int, False, "rng_seed")]),
 }
 
 
@@ -326,9 +325,15 @@ def _sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Errors raise ValueError (invalid input), not argparse's exit 2; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="sparsegs",
-                                 description="sparse ground-state solver benchmark")
+    ap = _Parser(prog="sparsegs", description="sparse ground-state solver benchmark")
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="construct an instance bundle")
@@ -375,9 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

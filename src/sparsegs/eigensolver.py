@@ -163,8 +163,3 @@ class BasisSolver:
         self.trace.count((1 + eig.iterations) * rows.nnz)
         self._last = bits, rows, eig
         return eig
-
-
-def basis_eigenpair(h, bits: np.ndarray, trace: SolverTrace) -> EigResult:
-    """A one-shot solve: `BasisSolver(h, trace).solve(bits)`."""
-    return BasisSolver(h, trace).solve(bits)

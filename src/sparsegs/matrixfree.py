@@ -248,7 +248,6 @@ class TpmTheoryConstants:
     gamma: float
     delta: float
     chi: float
-    chi_a: float | None
     epsilon: float
     lambda1: float
     k_star: float
@@ -281,7 +280,6 @@ def tpm_theory(
     chi: float,
     epsilon: float,
     lambda1: float,
-    chi_a: float | None = None,
     k: float | None = None,
     xi_terms: int = 0,
 ) -> TpmTheoryConstants:
@@ -318,7 +316,6 @@ def tpm_theory(
         gamma=gamma,
         delta=delta,
         chi=chi,
-        chi_a=chi_a,
         epsilon=epsilon,
         lambda1=lambda1,
         k_star=k_star,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import BasisSolver, EigResult, basis_eigenpair
+from .eigensolver import BasisSolver, EigResult
 from .paulis import (Configuration, PauliSum, diagonal_element, fold_images, group_elements,
                      image_index, index_in, unique_bits)
 from .subspace import ZERO_TOL
@@ -191,7 +191,7 @@ def select_trimci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarr
             kept.append(sub)
             continue
         sub = np.sort(sub)
-        eig = basis_eigenpair(h, sub, trace)
+        eig = BasisSolver(h, trace).solve(sub)
         kept.append(sub[_sort_by_amplitude(sub, eig.vector)[: trim.keep_per_subset]])
     if not kept:
         return np.zeros(0, dtype=np.uint64)

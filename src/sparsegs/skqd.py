@@ -14,10 +14,8 @@ are combinations of the same vectors T_j((H_R - c)/r)|x0>, so one
 recurrence in H_R's own dtype (real on every real instance) gives them all
 for K((d - 1) a) - 1 = (d - 1) a + O(a^{1/3}) sparse products.  The
 tests' independent oracle, SciPy's `expm_multiply` on the full 2^n
-statevector, lives with the tests.  Trotterized variants, kept to study
-approximation effects, evolve the full 2^n statevector, because a single
-Pauli term can leave R.  Shots are drawn per state from the Born
-distribution with a splittable seeded generator, and the pooled
+statevector, lives with the tests.  Shots are drawn per state from the
+Born distribution with a splittable seeded generator, and the pooled
 configurations are filtered, projected, and diagonalized classically.
 """
 
@@ -32,23 +30,18 @@ import numpy as np
 
 from .builder import GroundStateCertificate
 from .eigensolver import BasisSolver, EigResult
-from .paulis import Configuration, PauliSum, diagonal_element, pauli_signs, unique_bits
+from .paulis import Configuration, PauliSum, diagonal_element, unique_bits
 from .subspace import connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, SolverTrace
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-STATEVECTOR_QUBIT_BUDGET = 24  # Trotter evolution's full statevector
-
-
 @dataclass(frozen=True)
 class SkqdParams:
     krylov_dim: int  # d
     shots_per_state: int | tuple  # M, or a per-state schedule
     dt_multiplier: float = 25.0  # dt = default_dt(h, dt_multiplier)
-    evolution: str = "exact"  # exact | trotter1 | trotter2
-    trotter_steps_per_dt: int = 4
     rng_seed: int = 0
     bitflip_probability: float = 0.0  # optional noise channel on samples
     dim_cap: int = DEFAULT_DIM_CAP
@@ -56,8 +49,6 @@ class SkqdParams:
     def __post_init__(self):
         if self.krylov_dim < 1:
             raise ValueError("krylov_dim must be >= 1")
-        if self.evolution not in ("exact", "trotter1", "trotter2"):
-            raise ValueError(f"unknown evolution {self.evolution!r}")
         if not 0.0 <= self.bitflip_probability < 1.0:
             raise ValueError("bitflip probability must lie in [0, 1)")
 
@@ -190,74 +181,6 @@ class ChebyshevPropagator:
                        float((orders[k] - orders[k - 1]) * h.nnz))
 
 
-class TrotterPropagator:
-    """Trotterized e^{-iHt} with the canonical term ordering, set up once
-    and applied to any number of statevectors.
-
-    Order 1 applies one forward sweep of term exponentials per step; order
-    2 applies a forward then a reversed sweep at half angles (the
-    forward-then-reversed-adjoint composition), giving one extra order in
-    the step size.  A term exponential is cos(theta) v - i sin(theta) P v,
-    with (P v)[j] = i^|Y| (-1)^|x & z| (-1)^|j & z| v[j ^ x].  On the
-    statevector viewed as a 2^(n - m) x 2^m matrix (m = n // 2), the flip
-    j ^ x and the sign (-1)^|j & z| split into a row part and a column part,
-    so each term keeps two index vectors and two factor vectors of about
-    2^(n/2) entries, with -i sin(theta) i^|Y| (-1)^|x & z| folded into the
-    column factors.
-    """
-
-    def __init__(self, h: PauliSum, t: float, order: int = 2, steps: int = 1):
-        if h.n_qubits > STATEVECTOR_QUBIT_BUDGET:
-            raise ValueError(f"statevector budget is {STATEVECTOR_QUBIT_BUDGET} qubits")
-        if order not in (1, 2):
-            raise ValueError("order must be 1 or 2")
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not h.is_hermitian():
-            raise ValueError("Trotter evolution needs real coefficients")
-        xm, zm, coeff, phase = h.mask_arrays
-        n = h.n_qubits
-        m = n // 2
-        low = np.uint64((1 << m) - 1)
-        rows = np.arange(1 << (n - m), dtype=np.uint64)
-        cols = np.arange(1 << m, dtype=np.uint64)
-        theta = coeff.real * (t / steps / order)
-        scalar = -1j * np.sin(theta) * np.conj(phase)  # i^|Y| (-1)^|x & z| = (-i)^|Y|
-        terms = list(zip(
-            np.cos(theta),
-            (rows[None, :, None] ^ (xm >> m)[:, None, None]).astype(np.intp),
-            pauli_signs(rows, zm >> m)[:, :, None],
-            (cols[None, :] ^ (xm & low)[:, None]).astype(np.intp),
-            scalar[:, None] * pauli_signs(cols, zm & low),
-        ))
-        self._shape = (rows.size, cols.size)
-        self._steps = steps
-        self._sweep = terms if order == 1 else terms + terms[::-1]
-        self.flops = float(steps * len(self._sweep) << n)  # one update per entry per term
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        if v.size != self._shape[0] * self._shape[1]:
-            raise ValueError("statevector size mismatch")
-        out = v.astype(complex).reshape(self._shape)
-        for _ in range(self._steps):
-            for cos_theta, row_image, row_sign, col_image, col_factor in self._sweep:
-                pv = out[row_image, col_image]
-                pv *= row_sign
-                pv *= col_factor
-                out *= cos_theta
-                out += pv
-        return out.reshape(-1)
-
-    def krylov_states(self, phi0: np.ndarray, d: int):
-        """Yield (the state after k steps, flops) for k = 0, ..., d - 1, as
-        `ChebyshevPropagator.krylov_states` does, by stepping."""
-        phi = phi0
-        yield phi, 0.0
-        for _ in range(1, d):
-            phi = self(phi)
-            yield phi, self.flops
-
-
 def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
     """Born-rule draws of indices into v.  A draw above the rounded cdf[-1]
     goes to the last index with nonzero probability, not past the end."""
@@ -269,19 +192,14 @@ def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
 
 
 def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
-    """(states, propagator): the sorted configurations that index the
-    evolved vector, and the time step dt on such a vector, whose
-    `krylov_states` yields the Krylov states with their costs.  Exact
-    evolution runs in the reachable subspace of x0; Trotter evolution on
-    the full register."""
-    if p.evolution == "exact":
-        if not h.is_hermitian():
-            raise ValueError("exact evolution needs a Hermitian H (real coefficients)")
-        states = reachable_bits(h, np.array([x0.bits], dtype=np.uint64), p.dim_cap)
-        return states, ChebyshevPropagator(project_fast(h, states).rows, dt)
-    order = 1 if p.evolution == "trotter1" else 2
-    step = TrotterPropagator(h, dt, order, p.trotter_steps_per_dt)
-    return np.arange(1 << h.n_qubits, dtype=np.uint64), step
+    """(states, propagator): the reachable subspace of x0, sorted, which
+    indexes the evolved vector, and the Chebyshev propagator of time step
+    dt on it, whose `krylov_states` yields the Krylov states with their
+    costs."""
+    if not h.is_hermitian():
+        raise ValueError("exact evolution needs a Hermitian H (real coefficients)")
+    states = reachable_bits(h, np.array([x0.bits], dtype=np.uint64), p.dim_cap)
+    return states, ChebyshevPropagator(project_fast(h, states).rows, dt)
 
 
 def run_skqd(

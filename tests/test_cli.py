@@ -147,6 +147,19 @@ def test_invalid_input_exit_code(tmp_path):
                  "--patches", "2"]) == EXIT_INVALID
 
 
+def test_malformed_command_line_is_invalid_input(patch_bundle, tmp_path, capsys):
+    # argparse would exit 2, the budget code
+    solve = ["solve", "--bundle", str(patch_bundle), "--out", str(tmp_path / "run")]
+    for argv in (solve + ["cipsi"], solve + ["cipsi", "--eps", "abc"],
+                 solve + ["skqd", "--d", "2", "--shots", "10", "--evolution", "exact"]):
+        assert main(argv) == EXIT_INVALID, argv
+        assert capsys.readouterr().err.startswith("invalid input: sparsegs")
+    with pytest.raises(SystemExit) as done:
+        main(["solve", "--help"])
+    assert done.value.code == EXIT_OK
+    assert main(solve + ["--dim-cap", "4", "tarnoldi", "--m", "64"]) == EXIT_BUDGET
+
+
 def test_bundle_hash_checked_on_load(patch_bundle, tmp_path):
     tampered, unhashed = tmp_path / "tampered", tmp_path / "unhashed"
     shutil.copytree(patch_bundle, tampered)
@@ -319,6 +332,9 @@ def test_sweep_key_the_solver_does_not_take_is_an_error(patch_bundle, tmp_path):
     summary = _run_one((str(patch_bundle), "asci", params, DEFAULT_DIM_CAP))
     assert summary["status"] == "error"
     assert summary["error"] == "ValueError: asci takes no option eps, iter"
+    summary = _run_one((str(patch_bundle), "skqd", {"d": 2, "shots": 10, "evolution": "exact"},
+                        DEFAULT_DIM_CAP))
+    assert summary["error"] == "ValueError: skqd takes no option evolution"
 
 
 def test_sweep_params_and_grid_keys_take_hyphens_alike(patch_bundle, tmp_path):

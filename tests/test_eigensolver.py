@@ -10,8 +10,8 @@ import scipy.sparse as sp
 from conftest import kron_dense, layout_instance, random_pauli_sum
 import sparsegs.eigensolver as eigensolver
 from sparsegs.builder import CoreBlockParams, build_core_block
-from sparsegs.eigensolver import (DENSE_CAP, BasisSolver, basis_eigenpair, dense_lowest,
-                                  lanczos_lowest, lowest_eigenpair)
+from sparsegs.eigensolver import (DENSE_CAP, BasisSolver, dense_lowest, lanczos_lowest,
+                                  lowest_eigenpair)
 import sparsegs.subspace as subspace
 from sparsegs.paulis import unique_bits
 from sparsegs.sci import SciParams, run_sci
@@ -142,7 +142,7 @@ def test_basis_eigenpair_reuses_the_previous_projection(monkeypatch):
     monkeypatch.setattr(eigensolver, "project_fast", lambda h, b, prev=None: made.append(
         (b, prev, real(h, b, prev))) or made[-1][2])
     cold_trace, warm_trace = SolverTrace("t"), SolverTrace("t")
-    cold = basis_eigenpair(h, new, cold_trace)
+    cold = BasisSolver(h, cold_trace).solve(new)
     solver = BasisSolver(h, warm_trace)
     solver.solve(old)
     before = warm_trace.flops
@@ -212,7 +212,7 @@ def test_basis_eigenpair_counts_flops_and_indexes_like_bits():
         bits = np.sort(rng.choice(1 << 9, size=size, replace=False).astype(np.uint64))
         trace = SolverTrace("t")
         trace.count(5.0)
-        eig = basis_eigenpair(h, bits, trace)
+        eig = BasisSolver(h, trace).solve(bits)
         assert (eig.iterations > 0) == (size > DENSE_CAP)
         nnz = project_fast(h, bits).rows.nnz
         assert trace.flops == 5.0 + (1 + eig.iterations) * nnz
@@ -229,9 +229,9 @@ def test_basis_eigenpair_checks_the_cap_before_projecting(monkeypatch):
     real = eigensolver.project_fast
     monkeypatch.setattr(eigensolver, "project_fast",
                         lambda h, b, *a: projected.append(b.size) or real(h, b, *a))
-    basis_eigenpair(h, bits[:4], SolverTrace("t", dim_cap=4))
+    BasisSolver(h, SolverTrace("t", dim_cap=4)).solve(bits[:4])
     with pytest.raises(BudgetExceeded, match="basis of 5 exceeds cap 4"):
-        basis_eigenpair(h, bits, SolverTrace("t", dim_cap=4))
+        BasisSolver(h, SolverTrace("t", dim_cap=4)).solve(bits)
     assert projected == [4]
 
 
@@ -264,7 +264,7 @@ def test_perfbench_traced_names_resolve():
     rec = spans.Recorder()
     rec.install()
     try:
-        basis_eigenpair(h, bits, SolverTrace("t"))
+        BasisSolver(h, SolverTrace("t")).solve(bits)
     finally:
         rec.uninstall()
     assert [s[0] for s in rec.spans] == ["subspace.project_fast", "eigensolver.dense_lowest"]

@@ -4,7 +4,7 @@ import pytest
 from conftest import kron_dense, layout_instance, random_pauli_sum, support_covered
 from oracles import tangent
 from sparsegs import eigensolver, matrixfree
-from sparsegs.eigensolver import basis_eigenpair
+from sparsegs.eigensolver import BasisSolver
 from sparsegs.matrixfree import (
     DiagRankParams,
     TpmParams,
@@ -214,7 +214,7 @@ def _tpm_applying_h_twice(h, x0, p):
         hb, ha = apply_sum_to_vector(h, bits, amps)
         energy = float(sparse_vdot(bits, amps, hb, ha).real)
         if p.mode == "diagonalize_support":
-            energy = basis_eigenpair(h, bits, SolverTrace("tpm")).value
+            energy = BasisSolver(h, SolverTrace("tpm")).solve(bits).value
         iterates.append((bits, amps))
         energies.append(energy)
     return energy, energies, iterates

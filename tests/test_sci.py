@@ -91,7 +91,7 @@ def test_each_solve_reuses_the_previous_projection(p, final, monkeypatch):
 
     class OneShot(eigensolver.BasisSolver):
         def solve(self, bits):
-            return eigensolver.basis_eigenpair(self.h, bits, self.trace)
+            return eigensolver.BasisSolver(self.h, self.trace).solve(bits)
 
     eig, trace, warm = run()
     monkeypatch.setattr(sci, "BasisSolver", OneShot)

@@ -13,13 +13,11 @@ from oracles import evolve_exact, matrix_element, pauli_sum_to_sparse
 from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.eigensolver import lowest_eigenpair
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
-from sparsegs.paulis import (Configuration, PauliString, PauliSum, diagonal_element, pauli_signs,
-                             unique_bits)
+from sparsegs.paulis import Configuration, PauliString, PauliSum, diagonal_element, unique_bits
 from sparsegs.skqd import (
     ChebyshevPropagator,
     ShotRecord,
     SkqdParams,
-    TrotterPropagator,
     _chebyshev_order,
     _propagator,
     _sample_indices,
@@ -83,13 +81,6 @@ def test_default_dt_rejects_bad_multiplier():
         default_dt(h, 0.0)
 
 
-def test_trotter_rejects_complex_coefficients():
-    h = PauliSum([(1j, PauliString.from_label("X"))], 1)
-    v = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError, match="real coefficients"):
-        TrotterPropagator(h, 0.1)(v)
-
-
 def test_exact_evolution_rejects_non_hermitian():
     # the Chebyshev propagator's Gershgorin interval bounds a real spectrum only
     h = PauliSum([(1.0, PauliString.from_label("X")), (0.5j, PauliString.from_label("Z"))], 1)
@@ -124,41 +115,6 @@ def test_eigenstate_evolution_is_stationary(patch_instance):
     assert abs(np.vdot(psi, out)) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_trotter_exact_for_commuting_terms():
-    h = PauliSum(
-        [(0.7, PauliString.from_label("ZZI")), (-0.4, PauliString.from_label("IZZ"))], 3
-    )
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    v /= np.linalg.norm(v)
-    want = sla.expm(-1j * 0.9 * kron_dense(h)) @ v
-    for order in (1, 2):
-        got = TrotterPropagator(h, 0.9, order=order, steps=1)(v)
-        assert np.linalg.norm(got - want) < 1e-12
-
-
-def test_trotter_single_term_exact():
-    h = PauliSum([(0.55, PauliString.from_label("XY"))], 2)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    want = sla.expm(-1j * 1.3 * kron_dense(h)) @ v
-    got = TrotterPropagator(h, 1.3, order=1, steps=1)(v)
-    assert np.linalg.norm(got - want) < 1e-12
-
-
-def test_trotter_error_scaling():
-    rng = np.random.default_rng(4)
-    h = random_pauli_sum(rng, 6, 10)
-    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    v /= np.linalg.norm(v)
-    t = 0.8
-    want = sla.expm(-1j * t * kron_dense(h)) @ v
-    e1 = [np.linalg.norm(TrotterPropagator(h, t, 1, s)(v) - want) for s in (8, 16)]
-    e2 = [np.linalg.norm(TrotterPropagator(h, t, 2, s)(v) - want) for s in (8, 16)]
-    assert 1.6 < e1[0] / e1[1] < 2.5   # first order: halving dt halves the error
-    assert 3.2 < e2[0] / e2[1] < 5.0   # second order: quarter
-
-
 def test_run_skqd_patch_recovers_ground_state(patch_instance):
     h, cert = patch_instance
     p = SkqdParams(krylov_dim=8, shots_per_state=2000, rng_seed=5)
@@ -185,15 +141,6 @@ def test_run_skqd_energy_nonincreasing_in_dim(patch_instance):
     _, trace, _ = run_skqd(h, cert.initial_config, p)
     energies = [r.energy for r in trace.rows]
     assert all(b <= a + 1e-9 for a, b in zip(energies, energies[1:]))
-
-
-def test_run_skqd_trotter_mode(patch_instance):
-    h, cert = patch_instance
-    p = SkqdParams(krylov_dim=4, shots_per_state=800, rng_seed=2,
-                   evolution="trotter2", trotter_steps_per_dt=2)
-    eig, trace, record = run_skqd(h, cert.initial_config, p)
-    assert np.isfinite(eig.value)
-    assert eig.value >= -1e-9
 
 
 def test_sampling_distribution_chi_squared():
@@ -276,8 +223,6 @@ def test_budget_and_width_checks():
         run_skqd(h, Configuration(0, 5), SkqdParams(krylov_dim=1, shots_per_state=10))
     with pytest.raises(ValueError):
         SkqdParams(krylov_dim=0, shots_per_state=10)
-    with pytest.raises(ValueError):
-        SkqdParams(krylov_dim=2, shots_per_state=10, evolution="magic")
 
 
 def test_shot_schedule_per_state(patch_instance):
@@ -373,42 +318,6 @@ def test_exact_skqd_on_bare_three_patch(bare_three_patch):
     eig, _, record = run_skqd(h, x0, p)
     assert cert.energy - 1e-9 <= eig.value < cert.energy + 1e-9
     assert support_coverage(record, cert)[-1] == len(cert.support) == 512
-    # the Trotter modes still evolve the full register, which 49 qubits exceed
-    with pytest.raises(ValueError):
-        run_skqd(h, x0, SkqdParams(krylov_dim=2, shots_per_state=10, evolution="trotter2"))
-
-
-def _per_term_trotter(h, v, t, order, steps):
-    """Trotter evolution as one statevector pass per term: the arange, the
-    signs and the image index rebuilt for every term exponential."""
-    xm, zm, coeff, phase = h.mask_arrays
-    out = v.astype(complex)
-    tau = t / steps
-    sweep = list(range(len(coeff)))
-    if order == 2:
-        sweep += sweep[::-1]
-    for _ in range(steps):
-        for k in sweep:
-            theta = coeff[k].real * tau / order
-            idx = np.arange(out.size, dtype=np.uint64)
-            pv = np.empty_like(out)
-            pv[(idx ^ xm[k]).astype(np.int64)] = phase[k] * pauli_signs(idx, zm[k:k + 1])[0] * out
-            out = np.cos(theta) * out - 1j * np.sin(theta) * pv
-    return out
-
-
-def test_trotter_propagator_matches_per_term_loop():
-    # the row/column split changes no product or sum, so results are equal
-    for seed in range(6):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 11))
-        h = random_pauli_sum(rng, n, 15)
-        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        for order in (1, 2):
-            want = _per_term_trotter(h, v, 0.37, order, 3)
-            assert np.array_equal(TrotterPropagator(h, 0.37, order, 3)(v), want)
-    with pytest.raises(ValueError):
-        TrotterPropagator(h, 0.1)(np.ones(3, dtype=complex))
 
 
 @pytest.mark.parametrize("a", [0.5, 2.0, 10.0, 32.67, 100.0])
@@ -531,5 +440,3 @@ def test_run_skqd_flops_formula(cli_patch):
         want.append((want[-1] if want else 0.0) + evolve[k] + solve)
     assert [r.flops for r in trace.rows] == want
     assert trace.total_flops == want[-1]
-    trotter = TrotterPropagator(h, 0.1, order=2, steps=3)
-    assert trotter.flops == 3 * 2 * len(h) * 2**16
