@@ -9,6 +9,7 @@ import argparse
 import csv
 import itertools
 import json
+import resource
 import sys
 import time
 from dataclasses import fields
@@ -192,12 +193,15 @@ def _summary(solver: str, opts: dict, meta: dict, **run) -> dict:
     """The one result record of `solve` and `sweep`: `run` holds the fields
     a run produced, or a failed run's `status` and `error`, and the fields
     it lacks stay None.  `energy_error` is the final energy minus the
-    certified one.  The instance hash, version and seed make the record
-    reproducible."""
+    certified one.  `peak_rss_mb` is the process's peak resident set when
+    the record is made: the run's own peak under `solve`, and the worker's
+    peak so far under `sweep`.  The instance hash, version and seed make
+    the record reproducible."""
     return {
         "solver": solver, "params": opts, "final_energy": None, "energy_error": None,
         "final_dim": None, "status": None, "converged": None, "flops": None, "wall_s": None,
         **run,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "instance_hash": meta.get("instance_hash"), "version": __version__,
         "seed": opts.get("seed", 0),
     }
@@ -295,7 +299,7 @@ def _sweep(args) -> int:
             s["status"] = "wall_budget_exceeded"
 
     cols = ["solver", "params", "final_energy", "energy_error", "final_dim", "flops", "status",
-            "converged", "wall_s", "seed", "instance_hash", "version"]
+            "converged", "wall_s", "peak_rss_mb", "seed", "instance_hash", "version"]
     with open(outdir / "results.csv", "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(cols)

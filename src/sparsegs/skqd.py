@@ -21,6 +21,7 @@ configurations are filtered, projected, and diagonalized classically.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +37,9 @@ from .trace import DEFAULT_DIM_CAP, SolverTrace
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
+
+_ROW_SUM_BLOCK = 1 << 17  # entries of |H_R| summed at a time for the Gershgorin interval
+
 
 @dataclass(frozen=True)
 class SkqdParams:
@@ -133,11 +137,9 @@ class ChebyshevPropagator:
     """
 
     def __init__(self, h: sp.csr_matrix, dt: float):
-        import scipy.sparse as sp  # on first use, as in _chebyshev_order
-
         diag = h.diagonal()
-        row_abs = sp.csr_matrix((np.abs(h.data), h.indices, h.indptr), shape=h.shape).sum(axis=1)
-        radius = np.asarray(row_abs).ravel() - np.abs(diag)
+        radius = _abs_row_sums(h)
+        radius -= np.abs(diag)
         lo, hi = float((diag.real - radius).min()), float((diag.real + radius).max())
         self.center, self.radius = (hi + lo) / 2, (hi - lo) / 2
         self.dt = dt
@@ -179,6 +181,20 @@ class ChebyshevPropagator:
                 k, _, (even, odd) = pending.pop(0)
                 yield (np.exp(-1j * c * k * self.dt) * (even - 1j * odd),
                        float((orders[k] - orders[k - 1]) * h.nnz))
+
+
+def _abs_row_sums(h: sp.csr_matrix) -> np.ndarray:
+    """sum_j |H_ij| for each row i, summed as SciPy's sum(axis=1) of |H|
+    sums it, by np.add.reduceat over the nonempty rows, but over blocks of
+    about _ROW_SUM_BLOCK entries, so |H|'s data is never held whole."""
+    out = np.zeros(h.shape[0])
+    rows = np.flatnonzero(np.diff(h.indptr))
+    starts = h.indptr[rows]
+    cuts = np.searchsorted(starts, np.arange(0, h.nnz, _ROW_SUM_BLOCK))
+    for a, b in itertools.pairwise(np.unique(np.append(cuts, rows.size)).tolist()):
+        lo, hi = starts[a], h.indptr[rows[b - 1] + 1]
+        out[rows[a:b]] = np.add.reduceat(np.abs(h.data[lo:hi]), starts[a:b] - lo)
+    return out
 
 
 def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:

@@ -6,8 +6,11 @@ projection (of the empty basis when there is none): it looks up members'
 images under the Hamiltonian's x-mask groups and writes each group's net
 element on the image into the member's row of a CSR matrix, in place and
 in the Hamiltonian's dtype (real when H is).  One rule picks how the
-images are looked up, and one fill writes the CSR.  The all-pairs oracle
-it is tested against lives with the tests.
+images are looked up, and one fill writes the CSR.  The pass over every
+group looks each pair {x, x ^ x_g} up once, from one member's sign pass,
+and walks the groups twice, first to count each row's entries, so the CSR
+is allocated at its exact size, then to fill it.  The all-pairs oracle it
+is tested against lives with the tests.
 """
 
 from __future__ import annotations
@@ -50,14 +53,18 @@ def project_fast(h: PauliSum, bits: np.ndarray,
 
     The block among members of both bases is copied from `old_rows`, and
     the rest comes from the new members' images, looked up block by block
-    (`_new_entries`).  A new member costs that lookup more than a member
-    costs one pass over every group, which looks up all members
+    (`_new_entries`) and held as pieces of index dtype, each holding its
+    entries in row order.  A new member costs that lookup more than a
+    member costs its share of one pass over every group
     (`_group_entries`), so the pass is taken instead when more than
     `_UPDATE_MAX_NEW` of the members are new and their images fill more
-    than two lookup blocks.  Either way the entries come in pieces of
-    index dtype, each holding its entries in row order; the counts give
-    `indptr`, the pieces are filled into `indices` and `data` in place,
-    and each row is sorted by column at the end."""
+    than two lookup blocks.  The pass looks each pair {x, x ^ x_g} up
+    once, from its member whose bit at x_g's highest set bit is clear,
+    and walks the groups twice: the first walk keeps the pairs and counts
+    each row's entries, and the second recomputes one group's elements at
+    a time.  Either way the counts give `indptr`, `indices` and `data`
+    are allocated at their exact size, one loop fills the pieces in
+    place, and each row is sorted by column at the end."""
     import scipy.sparse as sp  # on first use: generate, verify and info never load SciPy
 
     check_basis(h, bits)
@@ -69,21 +76,21 @@ def project_fast(h: PauliSum, bits: np.ndarray,
         old[at[at >= 0]] = True
     new = dim - np.count_nonzero(old)
     if new > _UPDATE_MAX_NEW * dim and new * groups > 2 * _LOOKUP_BLOCK:
-        pieces = _group_entries(h, bits, idx)
+        counts, pieces = _group_entries(h, bits, idx)
     else:
-        pieces = _new_entries(h, bits, old, idx)
+        held = _new_entries(h, bits, old, idx)
         if prev is not None:
-            pieces.append(_shared_entries(prev[1], at))
-    counts = np.zeros(dim, dtype=idx)
-    for r, n, _, _ in pieces:
-        counts[r] += n
+            held.append(_shared_entries(prev[1], at))
+        counts = np.zeros(dim, dtype=idx)
+        for r, n, _, _ in held:
+            counts[r] += n
+        pieces = (held.pop() for _ in range(len(held)))  # released as the CSR fills
     indptr = np.zeros(dim + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=idx)
     data = np.empty(indptr[-1], dtype=h.dtype)
     fill = indptr[:-1].copy()  # each row's next free slot
-    while pieces:  # released piece by piece as the CSR fills
-        r, n, cols, vals = pieces.pop()
+    for r, n, cols, vals in pieces:
         slot = fill[r]
         if cols.size > r.size:  # a row with several entries: add each entry's rank in it
             slot = np.repeat(slot - np.cumsum(n, dtype=idx) + n, n)
@@ -101,24 +108,54 @@ def _index_dtype(dim: int, groups: int):
     return np.int32 if dim * groups <= np.iinfo(np.int32).max else np.int64
 
 
-def _group_entries(h: PauliSum, bits: np.ndarray, idx) -> list:
-    """Every entry of H projected onto `bits`, as pieces (rows, 1, cols,
-    values) of index dtype `idx`, one per x-mask group: one address lookup
-    gives every row i whose image bits[i] ^ x_g lies in the basis.  A
-    group gives each row at most one column, and distinct groups distinct
-    columns, so no entry comes twice."""
-    pieces = []
-    for g, x in enumerate(h.x_groups[0]):
-        addr = index_in(bits, bits ^ x)
-        rows = np.flatnonzero(addr >= 0)
-        if rows.size == 0:
+def _group_entries(h: PauliSum, bits: np.ndarray, idx):
+    """(counts, pieces): each row's number of entries of H projected onto
+    `bits`, and a generator of those entries as pieces (rows, 1, cols,
+    values) of index dtype `idx`.
+
+    Each pair {x, x ^ x_g} in the basis is looked up once, from its member
+    x whose bit at x_g's highest set bit is clear, and both its entries
+    come from x's one sign pass (`pair_elements`): (x ^ x_g, x) is D_g(x)
+    and (x, x ^ x_g) is D_g(x ^ x_g).  The diagonal group's pairs are the
+    members themselves.  The first walk, here, keeps each group's pairs
+    that have an element of at least ZERO_TOL and counts the rows' kept
+    entries; the generator recomputes the kept pairs' elements one group
+    at a time, so besides the CSR only the pairs and one group's elements
+    are alive.  A group gives each row at most one column, and distinct
+    groups distinct columns, so no entry comes twice."""
+    counts = np.zeros(bits.size, dtype=idx)
+    pairs, top = [], -1
+    for g, x in enumerate(h.x_groups[0].tolist()):
+        if x.bit_length() != top:  # x-masks ascend: groups sharing a highest bit are adjacent
+            top = x.bit_length()
+            lower = np.flatnonzero((bits & np.uint64((1 << top) >> 1)) == 0)
+            xs = bits[lower]
+        hi = index_in(bits, xs ^ np.uint64(x))
+        hit = np.flatnonzero(hi >= 0)
+        if not hit.size:
             continue
-        cols = addr[rows]
-        d = group_elements(h, bits[cols], slice(g, g + 1))[0]
-        keep = np.abs(d) >= ZERO_TOL
-        rows, cols = rows[keep].astype(idx), cols[keep].astype(idx)
-        pieces.append((rows, 1, cols, d[keep]))
-    return pieces
+        keep = np.abs(_pair_rows(h, g, x, xs[hit])) >= ZERO_TOL
+        live = keep.any(axis=0)
+        lo, hi, keep = lower[hit[live]].astype(idx), hi[hit[live]].astype(idx), keep[:, live]
+        for k, rows in zip(keep, (hi, lo)):
+            counts[rows[k]] += 1
+        pairs.append((g, x, lo, hi))
+
+    def fill_pieces():  # one piece per group: its lower and upper members are distinct rows
+        while pairs:
+            g, x, lo, hi = pairs.pop()
+            d = _pair_rows(h, g, x, bits[lo])
+            keep = np.abs(d) >= ZERO_TOL
+            yield (np.concatenate([r[k] for r, k in zip((hi, lo), keep)]), 1,
+                   np.concatenate([c[k] for c, k in zip((lo, hi), keep)]), d[keep])
+
+    return counts, fill_pieces()
+
+
+def _pair_rows(h: PauliSum, g: int, x: int, bits: np.ndarray) -> np.ndarray:
+    """(D_g(bits), D_g(bits ^ x_g)) for the group g of x-mask x, or the
+    one row D_g(bits) for the diagonal group, whose x_g is 0."""
+    return pair_elements(h, g, bits) if x else group_elements(h, bits, slice(g, g + 1))
 
 
 def _shared_entries(old_rows: sp.csr_matrix, at: np.ndarray):
@@ -154,7 +191,8 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
         k, j = addr[g, s], j[s]
         back = old[k]
         rows, cols = np.concatenate((j, k[back])), np.concatenate((k, j[back]))
-        vals = pair_elements(h, np.concatenate((g, g[back])), bits[cols])
+        d = pair_elements(h, g, bits[j])  # D_g(x_j) and D_g(x_k), x_k = x_j ^ x_g
+        vals = np.concatenate((d[1], d[0][back]))
         keep = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
         keep = keep[np.argsort(rows[keep])]
         rows = rows[keep].astype(idx)

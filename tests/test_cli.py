@@ -279,14 +279,18 @@ def test_sweep_rows_share_columns(patch_bundle, tmp_path):
     assert main(["sweep", "--spec", str(spec_file), "--out", str(out)]) == EXIT_OK
     header, *rows = csv.reader((out / "results.csv").read_text().splitlines())
     assert header == ["solver", "params", "final_energy", "energy_error", "final_dim", "flops",
-                      "status", "converged", "wall_s", "seed", "instance_hash", "version"]
+                      "status", "converged", "wall_s", "peak_rss_mb", "seed", "instance_hash",
+                      "version"]
     assert [r[6] for r in rows] == ["max_iters", "budget_exceeded", "error"]
     assert all(len(r) == len(header) for r in rows)
-    assert len({tuple(r[9:]) for r in rows}) == 1
-    seed, instance_hash, version = rows[0][9:]
+    assert len({tuple(r[10:]) for r in rows}) == 1
+    seed, instance_hash, version = rows[0][10:]
     assert seed == "4" and instance_hash and version == sparsegs.__version__
     for r in rows[1:]:
         assert r[2:6] == ["", "", "", ""] and r[7:9] == ["", ""]
+    # the worker's peak so far, which only grows from row to row here
+    peaks = [float(r[9]) for r in rows]
+    assert 0 < peaks[0] <= peaks[1] <= peaks[2]
 
 
 def test_energy_error_is_the_energy_above_the_certificate(patch_bundle, tmp_path):
@@ -426,3 +430,18 @@ def test_generate_verify_info_leave_scipy_unloaded(tmp_path):
     out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "flagship")],
                          capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == f"{[EXIT_OK] * 3} []"
+
+
+def test_summary_records_the_runs_own_peak_rss(patch_bundle, tmp_path):
+    # a fresh `solve` process reports its peak resident set in MB, which
+    # is at most the largest peak of any child process this test waited for
+    import resource
+
+    src = str(Path(sparsegs.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "sparsegs.cli", "solve", "--bundle", str(patch_bundle),
+                    "--out", str(out), "skqd", "--d", "2", "--shots", "50"],
+                   capture_output=True, env=env, check=True, timeout=120)
+    peak = json.loads((out / "summary.json").read_text())["peak_rss_mb"]
+    assert 10 < peak <= resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024

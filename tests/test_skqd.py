@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import chisquare
 
-from conftest import kron_dense, random_pauli_sum
+import sparsegs.skqd as skqd
+from conftest import kron_dense, layout_instance, random_pauli_sum
 from oracles import evolve_exact, matrix_element, pauli_sum_to_sparse
 from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.eigensolver import lowest_eigenpair
@@ -25,7 +27,7 @@ from sparsegs.skqd import (
     run_skqd,
     support_coverage,
 )
-from sparsegs.subspace import connectivity_filter, project_fast
+from sparsegs.subspace import connectivity_filter, project_fast, reachable_bits
 from sparsegs.trace import BudgetExceeded
 
 
@@ -367,6 +369,46 @@ def test_chebyshev_propagator_evolves_a_real_operator_in_float64():
     cplx = ChebyshevPropagator(before.astype(complex), 0.3)
     for phi, want in zip(states, cplx.krylov_states(v.astype(complex), 4), strict=True):
         assert np.abs(phi - want[0]).max() < 1e-15
+
+
+def _gershgorin_by_scipy(m):
+    """(center, radius) from SciPy's sum(axis=1) of |m|, as the propagator
+    computed them before it summed the rows block by block."""
+    diag = m.diagonal()
+    row_abs = sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape).sum(axis=1)
+    radius = np.asarray(row_abs).ravel() - np.abs(diag)
+    lo, hi = float((diag.real - radius).min()), float((diag.real + radius).max())
+    return (hi + lo) / 2, (hi - lo) / 2
+
+
+@pytest.mark.parametrize("block", [skqd._ROW_SUM_BLOCK, 3, 1000])
+def test_gershgorin_interval_matches_scipy_row_sums(cli_patch, block, monkeypatch):
+    # bit for bit, with rows cut into blocks of every size; a matrix with an
+    # empty row (SciPy's reduceat skips it) and a complex one
+    monkeypatch.setattr(skqd, "_ROW_SUM_BLOCK", block)
+    h, cert, reach = cli_patch
+    states = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), reach)
+    small = np.array([[1.0, -2, 0, 0.25], [0, 0, 0, 0], [3, 0, -0.5, 0], [0.5, 0, 0, 0]])
+    for m in (project_fast(h, states).rows, sp.csr_matrix(small),
+              sp.csr_matrix(small + 1j * small.T), sp.csr_matrix((3, 3))):
+        prop = ChebyshevPropagator(m, 0.1)
+        assert (prop.center, prop.radius) == _gershgorin_by_scipy(m)
+
+
+def test_gershgorin_interval_copies_no_data():
+    # |H_R| is summed in blocks of about 2^17 entries: the set-up holds a
+    # few dim-long vectors, not a copy of path16-coupled's 14 MB of data
+    h, cert = layout_instance("path16-coupled")
+    m = project_fast(h, reachable_bits(h, np.array([cert.initial_config.bits],
+                                                   dtype=np.uint64), 1 << 16)).rows
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ChebyshevPropagator(m, 0.1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * m.data.nbytes
 
 
 def test_chebyshev_scalar_operator_is_the_phase():

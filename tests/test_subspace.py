@@ -279,9 +279,9 @@ def test_real_h_projects_to_a_real_matrix(seed):
 
 
 def test_projection_memory_is_a_small_multiple_of_the_matrix():
-    # the CSR is filled in place, so the peak is the kept entries (16 B each
-    # when H is real) plus the matrix, with no triplet concatenation and no
-    # COO-to-CSR copy
+    # the CSR is allocated at its exact size and filled in place, so the
+    # peak is the matrix plus the group pass's kept pairs (about 4 B per
+    # entry), with no triplet concatenation and no COO-to-CSR copy
     h, cert = layout_instance("path16-coupled")
     bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
     assert bits.size == 65_535
@@ -452,3 +452,83 @@ def test_update_peak_memory_stays_under_three_times_the_csr(new_share, monkeypat
         tracemalloc.stop()
     assert m.indices.dtype == np.int32
     assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def _projected_before_the_pair_rule(h, bits):
+    """project_fast's fresh group pass as it was before each pair was looked
+    up once: every member looks up its image under every group, and each
+    group's pieces, with elements from group_elements on the columns, are
+    held until the CSR is filled in place."""
+    idx = subspace._index_dtype(bits.size, h.x_groups[0].size)
+    pieces = []
+    for g, x in enumerate(h.x_groups[0]):
+        addr = index_in(bits, bits ^ x)
+        rows = np.flatnonzero(addr >= 0)
+        cols = addr[rows]
+        d = group_elements(h, bits[cols], slice(g, g + 1))[0]
+        keep = np.abs(d) >= ZERO_TOL
+        pieces.append((rows[keep].astype(idx), cols[keep].astype(idx), d[keep]))
+    counts = np.zeros(bits.size, dtype=idx)
+    for r, _, _ in pieces:
+        counts[r] += 1
+    indptr = np.zeros(bits.size + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=idx), np.empty(indptr[-1], dtype=h.dtype)
+    fill = indptr[:-1].copy()
+    for r, c, v in pieces:
+        indices[fill[r]], data[fill[r]] = c, v
+        fill[r] += 1
+    m = sp.csr_matrix((data, indices, indptr), shape=(bits.size, bits.size))
+    m.sort_indices()
+    return m
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_group_pass_looks_each_pair_up_once_bit_identically(seed):
+    # complex coefficients make H non-Hermitian, and terms with an odd
+    # number of Y factors make the reflected weights differ from w_k, so
+    # both entries of a pair must come out as the per-member pass gave them
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(2, 10))
+    hs = [random_pauli_sum(rng, n, int(rng.integers(1, 30)), real=real) for real in (True, False)]
+    hs.append(grouped_pauli_sum(rng, n, min(6, 1 << n), min(6, 1 << n)))
+    assert not hs[1].is_hermitian()
+    for h in hs:
+        for size in (1, int(rng.integers(2, (1 << n) + 1)), 1 << n):
+            b = np.sort(rng.choice(1 << n, size=size, replace=False).astype(np.uint64))
+            _assert_same_csr(_projected_by_groups(h, b).rows, _projected_before_the_pair_rule(h, b))
+
+
+def test_group_pass_on_the_flagship_ball_is_bit_identical():
+    h, cert = layout_instance("flagship")
+    ball = _flagship_balls(h, cert)[-1]
+    _assert_same_csr(_projected_by_groups(h, ball).rows, _projected_before_the_pair_rule(h, ball))
+
+
+def _traced_peak_over_the_csr(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = call().rows
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return m, peak / (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def test_fresh_group_pass_peaks_under_twice_the_csr():
+    # besides the CSR, only the kept pairs (two index-dtype entries per
+    # pair, about 4 B per entry) and one group's elements are alive; the
+    # pieces of the per-member pass held 16 B per entry (2.81x on R, 2.38x
+    # on the depth-6 ball)
+    h, cert = layout_instance("path16-coupled")
+    bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
+    m, ratio = _traced_peak_over_the_csr(lambda: project_fast(h, bits))
+    assert m.nnz == 1_753_087 and ratio <= 2.0
+    hf, cf = layout_instance("flagship")
+    ball = _flagship_balls(hf, cf)[-1]
+    for _ in range(2):
+        ball = np.union1d(ball, connected_bits(hf, ball))
+    assert ball.size == 37_385
+    m, ratio = _traced_peak_over_the_csr(lambda: project_fast(hf, ball))
+    assert m.nnz == 659_923 and ratio <= 1.6
