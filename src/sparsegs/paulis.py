@@ -232,7 +232,10 @@ class PauliSum:
 #
 # H|x> = sum_g D_g(x) |x ^ x_g>, with D_g(x) = sum_{k in g} w_k (-1)^popcount(x & z_k)
 # and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups, in the
-# weights' dtype: real arithmetic when H is real.  The action's fold
+# weights' dtype: real arithmetic when H is real.  The fold and the
+# expansion (subspace) hold one group's elements at a time; the image
+# index (image_index) holds groups x len(bits) arrays, at most four of 8
+# bytes at once.  The action's fold
 # (fold_images) still adds one product w_k (-1)^popcount(x & z_k) a(x) per
 # term, not D_g(x) a(x): a net element rounds differently, which would move
 # every matrix-free solver's iterates.  A sparse vector is a sorted,
@@ -241,9 +244,6 @@ class PauliSum:
 # is real, because BLAS's real dot products and norms round differently
 # from the complex ones, which moves the Gram-Schmidt residue that
 # truncated Arnoldi keeps or cuts.
-
-
-_APPLY_BLOCK = 1 << 23  # cap on terms x sources in each of group_images' chunks
 
 
 def unique_bits(bits: np.ndarray) -> np.ndarray:
@@ -336,24 +336,27 @@ def _add_pair_terms(out: np.ndarray, h: PauliSum, t, bits: np.ndarray) -> None:
     out[1] += h._reflected[t] * signs
 
 
-def group_images(h: PauliSum, bits: np.ndarray):
-    """Yield (offset, images, elements) over chunks of the source
-    configurations: images[g, i] = bits[offset + i] ^ x_g and elements the
-    matching D_g.  Chunks keep terms x sources, and so the groups x sources
-    arrays, under _APPLY_BLOCK entries."""
-    gx, _ = h.x_groups
-    chunk = max(1, _APPLY_BLOCK // max(len(h), 1))
-    for lo in range(0, bits.size, chunk):
-        part = bits[lo : lo + chunk]
-        yield lo, part[None, :] ^ gx[:, None], group_elements(h, part)
-
-
 def image_index(h: PauliSum, bits: np.ndarray):
     """(images, inverse): the sorted distinct images bits[i] ^ x_g of the
     configurations under H's x-mask groups, and inverse[g, i], the index
-    of bits[i] ^ x_g in images."""
+    of bits[i] ^ x_g in images, as np.unique(..., return_inverse=True)
+    gives them.  np.unique's own method, built by hand so that the
+    unsorted and the sorted images are released as soon as they are used:
+    at most four groups x len(bits) arrays of 8 bytes are alive, where
+    np.unique holds about seven."""
     gx, _ = h.x_groups
-    images, inv = np.unique(bits[None, :] ^ gx[:, None], return_inverse=True)
+    flat = (bits[None, :] ^ gx[:, None]).ravel()
+    order = np.argsort(flat)
+    flat = flat[order]  # sorted; the unsorted images are released
+    head = np.empty(flat.size, dtype=bool)  # each distinct image's first place
+    head[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=head[1:])
+    images = flat[head]
+    del flat
+    rank = np.cumsum(head, dtype=np.intp)
+    rank -= 1
+    inv = np.empty_like(rank)
+    inv[order] = rank
     return images, inv.reshape(gx.size, bits.size)
 
 

@@ -10,7 +10,10 @@ images are looked up, and one fill writes the CSR.  The pass over every
 group looks each pair {x, x ^ x_g} up once, from one member's sign pass,
 and walks the groups twice, first to count each row's entries, so the CSR
 is allocated at its exact size, then to fill it.  The all-pairs oracle it
-is tested against lives with the tests.
+is tested against lives with the tests.  Expansion (connected_bits, the
+pool filter and the reachable closure) walks the off-diagonal groups one
+at a time and keeps only the members with a nonzero net element, so it
+never holds a groups x members array.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .paulis import (PauliSum, check_basis, group_elements, group_images, index_in,
-                     pair_elements, unique_bits)
+from .paulis import PauliSum, check_basis, group_elements, index_in, pair_elements, unique_bits
 from .trace import BudgetExceeded
 
 if TYPE_CHECKING:
@@ -202,15 +204,27 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
     return pieces
 
 
+def _nonzero_images(h: PauliSum, bits: np.ndarray):
+    """Yield (sources, images) for each off-diagonal x-mask group g, one
+    group at a time: the indices i of the members with a net element
+    |D_g(bits[i])| of at least ZERO_TOL, and their images bits[i] ^ x_g.
+    The diagonal group maps each member to itself, so it is skipped."""
+    for g, x in enumerate(h.x_groups[0]):
+        if x:
+            d = group_elements(h, bits, slice(g, g + 1))[0]
+            src = np.flatnonzero(np.abs(d) >= ZERO_TOL)
+            yield src, bits[src] ^ x
+
+
 def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     """Sorted configurations outside `bits` with a net element of magnitude
     at least ZERO_TOL to some member of `bits` (cancellations across terms
     respected).  `bits` must be sorted and duplicate-free, as for
-    project_fast."""
+    project_fast.  Only the kept images are gathered, one group at a
+    time, so the scratch is O(len(bits) + output), not groups x
+    len(bits)."""
     check_basis(h, bits)
-    found = [
-        unique_bits(img[np.abs(d) >= ZERO_TOL]) for _, img, d in group_images(h, bits)
-    ]
+    found = [img for _, img in _nonzero_images(h, bits)]
     if not found:
         return np.zeros(0, dtype=np.uint64)
     out_bits = unique_bits(np.concatenate(found))
@@ -235,17 +249,15 @@ def reachable_bits(h: PauliSum, bits: np.ndarray, cap: int) -> np.ndarray:
 
 def connectivity_filter(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     """The members of the sorted, duplicate-free pool `bits` with a nonzero
-    element to some different member, as a sorted array.
+    element to some different member, as a sorted array; any other pool
+    raises ValueError, as the lookup needs a basis.
 
     One pass only; isolated configurations would be eigenstates of the
     projected Hamiltonian, so dropping them loses nothing.
     """
+    check_basis(h, bits)
     keep = np.zeros(bits.size, dtype=bool)
-    moves = h.x_groups[0][:, None] != 0  # the x-mask 0 group maps x to itself
-    for lo, img, d in group_images(h, bits):
-        src = np.broadcast_to(np.arange(lo, lo + img.shape[1]), img.shape)
-        good = moves & (np.abs(d) >= ZERO_TOL)
-        src, img = src[good], img[good]
+    for src, img in _nonzero_images(h, bits):
         pos = index_in(bits, img)
         hits = pos >= 0
         # x connects out, and the partner connects back (H is Hermitian)

@@ -6,6 +6,7 @@ import pytest
 from sparsegs.builder import ConstructionParams, assemble_global
 from sparsegs.lattice import PatchEmbedding, build_heavy_hex, build_path, embed_patches
 from sparsegs.paulis import PauliString, PauliSum, index_in
+from sparsegs.subspace import connected_bits
 
 
 def random_pauli_sum(rng, n, n_terms, real=True):
@@ -52,6 +53,32 @@ def layout_instance(layout):
     emb = PatchEmbedding((tuple(range(16)),), ())
     return assemble_global(build_path(16), emb, ConstructionParams(obfuscation_seed=9),
                            couple=layout == "path16-coupled")
+
+
+@functools.cache
+def flagship_ball(depth):
+    """The flagship's initial configuration and its first `depth`
+    neighbourhoods, sorted and read-only; 1, 16, 116, 580, 2,531 and
+    10,121 configurations at depths 0 to 5."""
+    h, cert = layout_instance("flagship")
+    if depth == 0:
+        ball = np.array([cert.initial_config.bits], dtype=np.uint64)
+    else:
+        inner = flagship_ball(depth - 1)
+        ball = np.union1d(inner, connected_bits(h, inner))
+    ball.flags.writeable = False
+    return ball
+
+
+def to_width(h, width):
+    """(h', shift): h moved onto the top h.n_qubits qubits of a
+    `width`-qubit register, so that configurations shifted left by `shift`
+    reach the word's high bits; width None leaves h as it is."""
+    if width is None:
+        return h, np.uint64(0)
+    s = width - h.n_qubits
+    terms = [(c, PauliString(p.x_mask << s, p.z_mask << s, width)) for c, p in h.terms]
+    return PauliSum(terms, width), np.uint64(s)
 
 
 def kron_dense(h):

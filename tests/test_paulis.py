@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsegs.paulis as pl
-from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
-                      without_odd_y)
+from conftest import (flagship_ball, grouped_pauli_sum, kron_dense, layout_instance,
+                      random_pauli_sum, to_width, without_odd_y)
 from oracles import apply_pauli_to_config, matrix_element, pauli_sum_to_sparse
 from sparsegs.paulis import (
     Configuration,
@@ -26,7 +26,6 @@ from sparsegs.paulis import (
     sparse_vdot,
     truncate_top,
 )
-from sparsegs.subspace import connected_bits
 
 
 def _bits(*xs):
@@ -265,23 +264,6 @@ def test_immutability_of_cached_arrays():
         coeff[0] = 0.0
 
 
-def test_apply_sum_chunked_matches_direct():
-    # force the blocked path by shrinking the scratch cap
-    rng = np.random.default_rng(22)
-    h = random_pauli_sum(rng, 6, 20)
-    bits = np.sort(rng.choice(64, size=30, replace=False)).astype(np.uint64)
-    amps = rng.standard_normal(30) + 0j
-    direct = apply_sum_to_vector(h, bits, amps)
-    old = pl._APPLY_BLOCK
-    try:
-        pl._APPLY_BLOCK = 64  # a few terms per block
-        chunked = apply_sum_to_vector(h, bits, amps)
-    finally:
-        pl._APPLY_BLOCK = old
-    assert np.array_equal(direct[0], chunked[0])
-    assert np.array_equal(direct[1], chunked[1])
-
-
 def _apply_per_term(h, bits, amps):
     """The per-term action: broadcast every term over every entry, then sort
     the images and merge them in entry order, dropping exact zeros, as
@@ -297,14 +279,18 @@ def _apply_per_term(h, bits, amps):
     return out_bits[keep], out[keep]
 
 
-@pytest.mark.parametrize("cap", [None, 64])
+# width 64 moves the sum to the top of the 64-bit word, where configurations
+# use the word's high bit
+@pytest.mark.parametrize("width", [None, 64])
 @pytest.mark.parametrize("seed", range(6))
-def test_apply_sum_bit_identical_to_per_term(seed, cap):
+def test_apply_sum_bit_identical_to_per_term(seed, width):
     rng = np.random.default_rng(100 + seed)
     n = 8
     h = grouped_pauli_sum(rng, n, 6, 5)
     size = 16
     src = rng.choice(1 << n, size=size, replace=False).astype(np.uint64)
+    h, shift = to_width(h, width)
+    src <<= shift
     order = np.argsort(src)
     vectors = [
         # small-integer amplitudes: images of different sources cancel exactly
@@ -313,17 +299,11 @@ def test_apply_sum_bit_identical_to_per_term(seed, cap):
     ]
     real = without_odd_y(h)
     assert h.dtype == np.complex128 and real.dtype == np.float64
-    old = pl._APPLY_BLOCK
-    try:
-        if cap is not None:
-            pl._APPLY_BLOCK = cap  # four terms per block
-        for hh in (h, real):
-            for v in vectors:
-                got, want = apply_sum_to_vector(hh, *v), _apply_per_term(hh, *v)
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
-    finally:
-        pl._APPLY_BLOCK = old
+    for hh in (h, real):
+        for v in vectors:
+            got, want = apply_sum_to_vector(hh, *v), _apply_per_term(hh, *v)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
     hv_bits, _ = apply_sum_to_vector(h, *vectors[0])
     images = np.unique(src[None, :] ^ h.x_groups[0][:, None])
     assert hv_bits.size < images.size  # exact cancellations were pruned
@@ -345,13 +325,10 @@ def _fold_term_major(h, bits, amps, inv, size):
     return out
 
 
-def _flagship_entries(rng, count):
-    """`count` sorted members of the flagship's depth-4 ball around x0."""
-    h, cert = layout_instance("flagship")
-    ball = np.array([cert.initial_config.bits], dtype=np.uint64)
-    for _ in range(4):
-        ball = np.union1d(ball, connected_bits(h, ball))
-    return h, np.sort(rng.choice(ball, size=count, replace=False))
+def _flagship_entries(rng, count, depth=4):
+    """`count` sorted members of the flagship's ball of `depth` around x0."""
+    h, _ = layout_instance("flagship")
+    return h, np.sort(rng.choice(flagship_ball(depth), size=count, replace=False))
 
 
 def _amplitudes(rng, kind, size):
@@ -393,6 +370,38 @@ def test_fold_of_no_entries_is_empty():
     images, inv = image_index(h, bits)
     out = fold_images(h, bits, np.zeros(0), inv, images.size)
     assert images.size == 0 and out.shape == (0,) and out.dtype == np.complex128
+
+
+def test_image_index_equals_numpy_unique():
+    # np.unique's images and inverse, in values and dtype, on flagship balls,
+    # one member, no members and sums whose net elements cancel
+    h, _ = layout_instance("flagship")
+    cases = [(h, flagship_ball(d)) for d in (0, 3, 4, 5)] + [(h, np.zeros(0, dtype=np.uint64))]
+    rng = np.random.default_rng(404)
+    for width in (None, 64):
+        hg, shift = to_width(grouped_pauli_sum(rng, 8, 6, 5), width)
+        bits = np.sort(rng.choice(256, size=40, replace=False)).astype(np.uint64) << shift
+        cases += [(hg, bits), (hg, bits[:1])]
+    for hh, bits in cases:
+        images, inv = image_index(hh, bits)
+        gx = hh.x_groups[0]
+        want, want_inv = np.unique(bits[None, :] ^ gx[:, None], return_inverse=True)
+        assert images.dtype == want.dtype and np.array_equal(images, want)
+        assert inv.dtype == want_inv.dtype == np.intp
+        assert inv.shape == (gx.size, bits.size)
+        assert np.array_equal(inv, want_inv.reshape(inv.shape))
+
+
+def test_image_index_holds_at_most_four_image_arrays():
+    # np.unique(..., return_inverse=True) peaks at about 6.8 groups x N x 8 B;
+    # the index by hand at the order, the distinct images, the ranks and the
+    # inverse
+    h, bits = _flagship_entries(np.random.default_rng(405), 8000, depth=5)
+    tracemalloc.start()
+    image_index(h, bits)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 4.5 * h.x_groups[0].size * bits.size * 8
 
 
 def test_group_fold_scratch_is_one_group_not_every_term():

@@ -156,7 +156,7 @@ def test_each_iteration_walks_the_core_images_once(p, heat_bath, monkeypatch):
         raise AssertionError("SCI walked the core's images again")
 
     for mod in (paulis, subspace, sci, eigensolver):
-        for name in ("connected_bits", "group_images", "apply_sum_to_vector"):
+        for name in ("connected_bits", "apply_sum_to_vector"):
             monkeypatch.setattr(mod, name, second_walk, raising=False)
     _, trace, _ = run_sci(h, cert.initial_config, p)
     assert len(trace.rows) > 1

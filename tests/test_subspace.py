@@ -6,10 +6,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sparsegs.paulis as pl
 import sparsegs.subspace as subspace
-from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
-                      without_odd_y)
+from conftest import (flagship_ball, grouped_pauli_sum, kron_dense, layout_instance,
+                      random_pauli_sum, to_width, without_odd_y)
 from oracles import hermiticity_defect, matrix_element, project_naive
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
 from sparsegs.paulis import Configuration, PauliSum, PauliString, group_elements, index_in, unique_bits
@@ -155,11 +154,12 @@ def test_connected_respects_cancellation():
     assert connected_bits(h2, np.array([0], dtype=np.uint64)).size == 0
 
 
-@pytest.mark.parametrize("cap", [None, 64])
+# width 64 moves the sum to the top of the 64-bit word, where configurations
+# use the word's high bit
+@pytest.mark.parametrize("width", [None, 64])
 @pytest.mark.parametrize("seed", range(4))
-def test_grouped_expansion_matches_dense_oracle(seed, cap):
-    # several terms per x-mask with exact cancellations; cap=64 forces
-    # chunks of two sources
+def test_grouped_expansion_matches_dense_oracle(seed, width):
+    # several terms per x-mask with exact cancellations
     rng = np.random.default_rng(200 + seed)
     n = 6
     h = grouped_pauli_sum(rng, n, 5, 6)
@@ -167,21 +167,63 @@ def test_grouped_expansion_matches_dense_oracle(seed, cap):
     link = np.abs(dense) >= 1e-14
     np.fill_diagonal(link, False)
     assert (group_elements(h, np.arange(1 << n, dtype=np.uint64)) == 0).any()  # cancellations
-    old = pl._APPLY_BLOCK
-    try:
-        if cap is not None:
-            pl._APPLY_BLOCK = cap
-        for size in (1, 5, 20):
-            src = np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.uint64)
-            inside = np.zeros(1 << n, dtype=bool)
-            inside[src.astype(np.int64)] = True
-            want = np.flatnonzero(link[:, src.astype(np.int64)].any(axis=1) & ~inside)
-            assert np.array_equal(connected_bits(h, src), want.astype(np.uint64))
+    hw, shift = to_width(h, width)
+    for size in (1, 5, 20):
+        src = np.sort(rng.choice(1 << n, size=size, replace=False)).astype(np.uint64)
+        inside = np.zeros(1 << n, dtype=bool)
+        inside[src.astype(np.int64)] = True
+        want = np.flatnonzero(link[:, src.astype(np.int64)].any(axis=1) & ~inside)
+        assert np.array_equal(connected_bits(hw, src << shift), want.astype(np.uint64) << shift)
 
-            sub = link[np.ix_(src.astype(np.int64), src.astype(np.int64))]
-            assert np.array_equal(connectivity_filter(h, src), src[sub.any(axis=0)])
-    finally:
-        pl._APPLY_BLOCK = old
+        sub = link[np.ix_(src.astype(np.int64), src.astype(np.int64))]
+        assert np.array_equal(connectivity_filter(hw, src << shift), src[sub.any(axis=0)] << shift)
+
+
+def _all_groups_expansion(h, bits):
+    """(connected_bits, connectivity_filter) computed from every group's
+    images and net elements at once, as groups x len(bits) arrays: the
+    expansion before it walked one group at a time."""
+    gx = h.x_groups[0]
+    images, nonzero = bits[None, :] ^ gx[:, None], np.abs(group_elements(h, bits)) >= ZERO_TOL
+    out = unique_bits(images[nonzero])
+    connected = out[index_in(bits, out) < 0]
+    moves = nonzero & (gx[:, None] != 0)
+    src = np.broadcast_to(np.arange(bits.size), images.shape)[moves]
+    pos = index_in(bits, images[moves])
+    hits = pos >= 0
+    keep = np.zeros(bits.size, dtype=bool)
+    keep[src[hits]] = True
+    keep[pos[hits]] = True
+    return connected, bits[keep]
+
+
+def test_expansion_matches_the_all_groups_walk():
+    h, _ = layout_instance("flagship")
+    cases = [(h, flagship_ball(d)) for d in (3, 4, 5)]
+    rng = np.random.default_rng(206)
+    for _ in range(3):
+        hg = grouped_pauli_sum(rng, 8, 6, 5)
+        for size in (1, 30, 120):
+            bits = np.sort(rng.choice(256, size=size, replace=False)).astype(np.uint64)
+            cases += [(hg, bits), (without_odd_y(hg), bits)]
+    for hh, bits in cases:
+        want_connected, want_kept = _all_groups_expansion(hh, bits)
+        assert np.array_equal(connected_bits(hh, bits), want_connected)
+        assert np.array_equal(connectivity_filter(hh, bits), want_kept)
+
+
+def test_expansion_scratch_is_one_group_not_every_image():
+    # all groups at once held about 3.1 groups x N x 8 B in both; one group
+    # at a time holds the kept images (connected_bits) or only their lookups
+    h, _ = layout_instance("flagship")
+    bits = np.sort(np.random.default_rng(207).choice(flagship_ball(5), size=8000, replace=False))
+    unit = h.x_groups[0].size * bits.size * 8
+    for fn, bound in ((connected_bits, 1.0), (connectivity_filter, 0.25)):
+        tracemalloc.start()
+        fn(h, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= bound * unit, fn.__name__
 
 
 def test_filter_keeps_connected_support(patch_instance):
@@ -210,12 +252,13 @@ def test_filter_drops_far_config(patch_instance):
 
 def test_width_mismatch_raises():
     # a basis is a sorted, duplicate-free array of configurations that fit;
-    # the expansion takes the same arrays and checks them the same way
+    # the expansion and the pool filter, whose lookups are binary searches,
+    # take the same arrays and check them the same way
     rng = np.random.default_rng(15)
     h = random_pauli_sum(rng, 4, 5)
     for bits, why in (([0, 1 << 4], "wider than 4 qubits"), ([3, 1, 2], "sorted"),
                       ([1, 2, 2], "duplicate")):
-        for fn in (project_fast, project_naive, connected_bits):
+        for fn in (project_fast, project_naive, connected_bits, connectivity_filter):
             with pytest.raises(ValueError, match=why):
                 fn(h, np.array(bits, dtype=np.uint64))
 
