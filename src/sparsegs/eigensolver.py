@@ -8,7 +8,9 @@ of Lehoucq, Sorensen & Yang, *ARPACK Users' Guide* (SIAM, 1998).  Both
 run in the matrix's dtype: a real H projects to a real symmetric matrix,
 which goes to real `eigh` and to ARPACK's real symmetric driver `dsaupd`;
 a complex one to complex `eigh` and `znaupd`.  The cutoff is where `eigsh`
-overtook complex `eigh` on flagship projections.
+overtook complex `eigh` on flagship projections.  A projection is a
+`subspace.ProjectedMatrix`, its upper triangle: ARPACK applies it through
+its `@`, and the dense path reads its `toarray()`.
 """
 
 from __future__ import annotations
@@ -38,15 +40,15 @@ class EigResult:
 
 
 def dense_lowest(m) -> EigResult:
-    """Exact lowest eigenpair by full Hermitian diagonalization.
+    """Exact lowest eigenpair by full Hermitian diagonalization of m, a
+    dense array or anything with `toarray()` (a ProjectedMatrix, a SciPy
+    sparse matrix).
 
     Applies no iterative operator, so `iterations` is 0; `degenerate` flags
     a gap to the second eigenvalue below DEGENERACY_REL_TOL of the spectral
     scale.
     """
-    import scipy.sparse as sp  # on first use, as in subspace.project_fast
-
-    if sp.issparse(m):
+    if hasattr(m, "toarray"):  # a ProjectedMatrix or a SciPy sparse matrix
         m = m.toarray()
     m = np.asarray(m)
     if m.shape[0] > DENSE_CAP:
@@ -126,7 +128,9 @@ def _rayleigh_ritz(x: np.ndarray, mx: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def lowest_eigenpair(m) -> EigResult:
-    """Dense LAPACK at or below DENSE_CAP, ARPACK beyond."""
+    """Dense LAPACK at or below DENSE_CAP, ARPACK beyond; m is a
+    ProjectedMatrix, or any matrix with `shape`, `dtype`, `@` and
+    `toarray()`."""
     if m.shape[0] <= DENSE_CAP:
         return dense_lowest(m)
     return lanczos_lowest(m)
@@ -141,25 +145,25 @@ class BasisSolver:
 
     A basis equal to the last one returns the last eigenpair and counts no
     flops.  Any other is checked against the run's `dim_cap`, projected by
-    updating the last projection (the same matrix, bit for bit, as a fresh
-    one), and solved; the old projection is released before the
-    eigensolve, and the projection's nonzeros, once plus once per operator
-    application, count as the run's flops.  The last vector does not start
-    ARPACK: on the certified instances it can miss the new ground state
-    entirely, and ARPACK then converges to an excited state."""
+    updating the last projection's upper rows (the same matrix, bit for
+    bit, as a fresh one), and solved; the old projection is released before
+    the eigensolve, and the whole projection's nonzeros, once plus once per
+    operator application, count as the run's flops.  The last vector does
+    not start ARPACK: on the certified instances it can miss the new ground
+    state entirely, and ARPACK then converges to an excited state."""
 
     def __init__(self, h, trace: SolverTrace):
         self.h, self.trace = h, trace
-        self._last = None  # (bits, projection, eigenpair) of the last solve
+        self._last = None  # (bits, projection's upper rows, eigenpair) of the last solve
 
     def solve(self, bits: np.ndarray) -> EigResult:
         if self._last is not None and np.array_equal(bits, self._last[0]):
             return self._last[2]
         self.trace.check_dim(bits.size, "basis")
         last, self._last = self._last, None
-        rows = project_fast(self.h, bits, None if last is None else last[:2]).rows
+        proj = project_fast(self.h, bits, None if last is None else last[:2])
         del last  # the eigensolve holds no projection but the new one
-        eig = lowest_eigenpair(rows)
-        self.trace.count((1 + eig.iterations) * rows.nnz)
-        self._last = bits, rows, eig
+        eig = lowest_eigenpair(proj)
+        self.trace.count((1 + eig.iterations) * proj.nnz)
+        self._last = bits, proj.rows, eig
         return eig

@@ -5,8 +5,9 @@ Exact Krylov states e^{-iHk dt}|x0> live in the reachable subspace R(x0),
 the closure of x0 under H's nonzero matrix elements, which H maps into
 itself.  They are computed there, on a |R|-vector, by the Chebyshev
 propagator of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)) for H_R,
-H projected onto R.  H_R is Hermitian, so its spectrum lies in the interval
-[c - r, c + r] spanned by its Gershgorin discs; with a = r dt, the series
+H projected onto R and held as its upper triangle (a `ProjectedMatrix`).
+H_R is Hermitian, so its spectrum lies in the interval [c - r, c + r]
+spanned by its Gershgorin discs; with a = r dt, the series
 of e^{-iH_R k dt} in the Chebyshev polynomials of (H_R - c)/r has
 coefficients 2 (-i)^j J_j(ka) and is cut at the first K(ka) terms whose
 tail 2 sum_{j >= K} |J_j(ka)| is at most 2^-53.  All d - 1 evolved states
@@ -16,29 +17,25 @@ for K((d - 1) a) - 1 = (d - 1) a + O(a^{1/3}) sparse products.  The
 tests' independent oracle, SciPy's `expm_multiply` on the full 2^n
 statevector, lives with the tests.  Shots are drawn per state from the
 Born distribution with a splittable seeded generator, and the pooled
-configurations are filtered, projected, and diagonalized classically.
+configurations are filtered, projected, and diagonalized classically.  A
+pool the filter empties falls back to x0's diagonal energy, with a warning
+only when it held two or more configurations: the first pool, x0 alone,
+is always emptied.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .builder import GroundStateCertificate
 from .eigensolver import BasisSolver, EigResult
 from .paulis import Configuration, PauliSum, diagonal_element, unique_bits
-from .subspace import connectivity_filter, project_fast, reachable_bits
+from .subspace import ProjectedMatrix, connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, SolverTrace
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-_ROW_SUM_BLOCK = 1 << 17  # entries of |H_R| summed at a time for the Gershgorin interval
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,8 @@ def _chebyshev_order(a: float) -> int:
 
 class ChebyshevPropagator:
     """The Krylov states e^{-iH k dt} v, k = 0, 1, ..., for a Hermitian
-    sparse matrix H, by the Chebyshev expansion of Tal-Ezer & Kosloff
-    (J. Chem. Phys. 81, 3967 (1984)).
+    sparse matrix H held as a ProjectedMatrix, by the Chebyshev expansion
+    of Tal-Ezer & Kosloff (J. Chem. Phys. 81, 3967 (1984)).
 
     Every eigenvalue of H lies in its Gershgorin interval [c - r, c + r],
     so H~ = (H - c)/r has its spectrum in [-1, 1], and with a = r dt,
@@ -129,16 +126,17 @@ class ChebyshevPropagator:
     Every state is a combination of the same vectors T_j(H~) v, so one
     recurrence T_{j+1} = 2 H~ T_j - T_{j-1} serves them all: state k takes
     its first K(ka) terms (`_chebyshev_order`), and d states cost
-    K((d - 1) a) - 1 sparse products.  The recurrence runs in the dtype of H
+    K((d - 1) a) - 1 sparse products, each counted at the whole matrix's
+    nonzeros.  The recurrence runs in the dtype of H
     and v, so a real H evolves a real v in real arithmetic; the complex
     factors (-i)^j and e^{-ick dt} are applied to two real partial sums, one
     over even j and one over odd j.  H is used as given, neither copied nor
     changed.  When r dt = 0 every state is v times the phase e^{-ick dt}.
     """
 
-    def __init__(self, h: sp.csr_matrix, dt: float):
+    def __init__(self, h: ProjectedMatrix, dt: float):
+        radius = h.abs_row_sums()
         diag = h.diagonal()
-        radius = _abs_row_sums(h)
         radius -= np.abs(diag)
         lo, hi = float((diag.real - radius).min()), float((diag.real + radius).max())
         self.center, self.radius = (hi + lo) / 2, (hi - lo) / 2
@@ -183,20 +181,6 @@ class ChebyshevPropagator:
                        float((orders[k] - orders[k - 1]) * h.nnz))
 
 
-def _abs_row_sums(h: sp.csr_matrix) -> np.ndarray:
-    """sum_j |H_ij| for each row i, summed as SciPy's sum(axis=1) of |H|
-    sums it, by np.add.reduceat over the nonempty rows, but over blocks of
-    about _ROW_SUM_BLOCK entries, so |H|'s data is never held whole."""
-    out = np.zeros(h.shape[0])
-    rows = np.flatnonzero(np.diff(h.indptr))
-    starts = h.indptr[rows]
-    cuts = np.searchsorted(starts, np.arange(0, h.nnz, _ROW_SUM_BLOCK))
-    for a, b in itertools.pairwise(np.unique(np.append(cuts, rows.size)).tolist()):
-        lo, hi = starts[a], h.indptr[rows[b - 1] + 1]
-        out[rows[a:b]] = np.add.reduceat(np.abs(h.data[lo:hi]), starts[a:b] - lo)
-    return out
-
-
 def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
     """Born-rule draws of indices into v.  A draw above the rounded cdf[-1]
     goes to the last index with nonzero probability, not past the end."""
@@ -215,7 +199,7 @@ def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
     if not h.is_hermitian():
         raise ValueError("exact evolution needs a Hermitian H (real coefficients)")
     states = reachable_bits(h, np.array([x0.bits], dtype=np.uint64), p.dim_cap)
-    return states, ChebyshevPropagator(project_fast(h, states).rows, dt)
+    return states, ChebyshevPropagator(project_fast(h, states), dt)
 
 
 def run_skqd(
@@ -263,8 +247,9 @@ def run_skqd(
 
         kept = connectivity_filter(h, pool)
         if not kept.size:
-            warnings.warn("connectivity filter removed the whole pool; "
-                          "falling back to the initial configuration's diagonal energy")
+            if pool.size > 1:  # a lone configuration, as the first pool {x0}, is always dropped
+                warnings.warn("connectivity filter removed the whole pool; "
+                              "falling back to the initial configuration's diagonal energy")
             e0 = float(diagonal_element(h, np.uint64(x0.bits)))
             eig = EigResult(e0, np.ones(1, dtype=complex), 0, 0.0, True, False)
             dim_k = 1

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 
 from sparsegs.paulis import (Configuration, PauliString, PauliSum, check_basis, group_elements,
                              pauli_signs, popcount)
-from sparsegs.subspace import ZERO_TOL, ProjectedMatrix
+from sparsegs.subspace import ZERO_TOL
 
 _EXPLICIT_MATRIX_QUBITS = 18  # pauli_sum_to_sparse's width limit
 
@@ -53,9 +53,9 @@ def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
                          shape=(dim, dim))
 
 
-def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
-    """All-pairs matrix elements on the basis `bits`; the quadratic-cost
-    oracle of project_fast."""
+def project_naive(h: PauliSum, bits: np.ndarray) -> sp.csr_matrix:
+    """All-pairs matrix elements on the basis `bits`, the whole matrix,
+    for any H; the quadratic-cost oracle of project_fast."""
     check_basis(h, bits)
     members = [Configuration(int(x), h.n_qubits) for x in bits]
     rows, cols, vals = [], [], []
@@ -66,9 +66,8 @@ def project_naive(h: PauliSum, bits: np.ndarray) -> ProjectedMatrix:
                 rows.append(i)
                 cols.append(j)
                 vals.append(v)
-    m = sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
-                      shape=(bits.size, bits.size))
-    return ProjectedMatrix(bits.size, m)
+    return sp.csr_matrix((np.array(vals, dtype=complex), (rows, cols)),
+                         shape=(bits.size, bits.size))
 
 
 def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
@@ -79,12 +78,6 @@ def evolve_exact(h: PauliSum, v: np.ndarray, t: float) -> np.ndarray:
     if t == 0.0:
         return v.copy()
     return spla.expm_multiply(-1j * t * pauli_sum_to_sparse(h), v.astype(complex))
-
-
-def hermiticity_defect(m: ProjectedMatrix) -> float:
-    """max |H_B - H_B^dag| over the stored entries of a projection."""
-    d = m.rows - m.rows.getH()
-    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
 
 
 def tangent(v: np.ndarray, psi: np.ndarray) -> float:

@@ -192,7 +192,7 @@ def test_criterion_04_construction_certificates(patch_instance):
 
     support = np.array([c.bits for c in cert.support], dtype=np.uint64)
     basis = unique_bits(support)
-    proj = project_fast(h, basis).rows.toarray()
+    proj = project_fast(h, basis).toarray()
     # the bit-sorted basis permutes the obfuscated support; compare in the
     # certificate's logical order
     perm = index_in(basis, support)
@@ -265,8 +265,8 @@ def test_criterion_06_projection_equivalence_and_scaling(flagship):
         size = int(rng.integers(1, min(64, 1 << n) + 1))
         bits = rng.choice(1 << n, size=size, replace=False)
         b = unique_bits(bits.astype(np.uint64))
-        diff = project_fast(h, b).rows - project_naive(h, b).rows
-        if diff.nnz and np.abs(diff.data).max() > 1e-12:
+        diff = project_fast(h, b).toarray() - project_naive(h, b).toarray()
+        if np.abs(diff).max() > 1e-12:
             agree = False
             break
 

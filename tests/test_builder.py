@@ -149,7 +149,7 @@ def test_main_patch_s0_block_is_core_matrix():
     pr = build_main_patch(list(range(16)), p, 0.1, 0.01, 16)
     h = PauliSum(pr.terms, 16)
     basis = unique_bits(np.array([int(b) for b in pr.support_bits], dtype=np.uint64))
-    proj = project_fast(h, basis).rows.toarray()
+    proj = project_fast(h, basis).toarray()
     assert np.abs(proj.real - build_core_block(p)).max() < 1e-10
     assert np.abs(proj.imag).max() < 1e-12
 
@@ -162,7 +162,7 @@ def test_main_patch_s0_s1_offdiagonal_blocks():
     s0 = [1 << (2 * i) for i in range(8)]
     s1 = [1 << (2 * i + 1) for i in range(8)]
     basis = unique_bits(np.array(s0 + s1, dtype=np.uint64))
-    proj = project_fast(h, basis).rows.toarray().real
+    proj = project_fast(h, basis).toarray().real
     # basis is bit-sorted: position 2i -> index order interleaves; map indices
     order = np.argsort(np.array(s0 + s1, dtype=np.uint64))
     inv = np.empty(16, dtype=int)

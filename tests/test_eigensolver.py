@@ -15,7 +15,7 @@ from sparsegs.eigensolver import (DENSE_CAP, BasisSolver, dense_lowest, lanczos_
 import sparsegs.subspace as subspace
 from sparsegs.paulis import unique_bits
 from sparsegs.sci import SciParams, run_sci
-from sparsegs.subspace import connected_bits, project_fast
+from sparsegs.subspace import ProjectedMatrix, connected_bits, project_fast
 from sparsegs.trace import BudgetExceeded, SolverTrace
 
 
@@ -39,7 +39,7 @@ def test_lanczos_on_projected_core_block(patch_instance):
     h, cert = patch_instance
     basis = unique_bits(np.array([c.bits for c in cert.support], dtype=np.uint64))
     proj = project_fast(h, basis)
-    r = lanczos_lowest(proj.rows, seed=0)
+    r = lanczos_lowest(proj, seed=0)
     assert abs(r.value) < 1e-7
 
 
@@ -194,9 +194,10 @@ def test_real_and_complex_arpack_agree_on_flagship_projection():
     h, cert = layout_instance("flagship")
     support = np.sort(np.array([c.bits for c in cert.support], dtype=np.uint64))
     for bits in (support, connected_bits(h, support)):
-        m = project_fast(h, bits).rows
+        m = project_fast(h, bits)
         assert m.dtype == np.float64 and m.shape[0] > DENSE_CAP
-        real, cplx = lanczos_lowest(m, seed=1), lanczos_lowest(m.astype(complex), seed=1)
+        cast = ProjectedMatrix(m.dim, m.rows.astype(complex))
+        real, cplx = lanczos_lowest(m, seed=1), lanczos_lowest(cast, seed=1)
         assert real.converged and cplx.converged
         assert real.vector.dtype == np.float64 and cplx.vector.dtype == np.complex128
         assert abs(real.value - cplx.value) <= 1e-12
@@ -214,7 +215,7 @@ def test_basis_eigenpair_counts_flops_and_indexes_like_bits():
         trace.count(5.0)
         eig = BasisSolver(h, trace).solve(bits)
         assert (eig.iterations > 0) == (size > DENSE_CAP)
-        nnz = project_fast(h, bits).rows.nnz
+        nnz = project_fast(h, bits).nnz
         assert trace.flops == 5.0 + (1 + eig.iterations) * nnz
         # entry i of the vector belongs to configuration bits[i]
         block = dense[np.ix_(bits.astype(np.int64), bits.astype(np.int64))]

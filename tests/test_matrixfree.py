@@ -396,7 +396,7 @@ def test_the_final_basis_is_not_solved_twice(run, n_bases, monkeypatch):
     expected = len(trace.rows) if n_bases is None else n_bases
     assert len(projected) == len(set(projected)) == expected
     # every row's energy is, bit for bit, a fresh solve of one of the bases
-    fresh = {eigensolver.lowest_eigenpair(real(h, np.frombuffer(b, np.uint64)).rows).value
+    fresh = {eigensolver.lowest_eigenpair(real(h, np.frombuffer(b, np.uint64))).value
              for b in projected}
     assert {r.energy for r in trace.rows} == fresh
     assert trace.final_energy == trace.rows[-1].energy

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import chisquare
 
-import sparsegs.skqd as skqd
+import sparsegs.subspace as subspace
 from conftest import kron_dense, layout_instance, random_pauli_sum
 from oracles import evolve_exact, matrix_element, pauli_sum_to_sparse
 from sparsegs.builder import ConstructionParams, assemble_global
@@ -27,7 +28,7 @@ from sparsegs.skqd import (
     run_skqd,
     support_coverage,
 )
-from sparsegs.subspace import connectivity_filter, project_fast, reachable_bits
+from sparsegs.subspace import ProjectedMatrix, connectivity_filter, project_fast, reachable_bits
 from sparsegs.trace import BudgetExceeded
 
 
@@ -129,12 +130,30 @@ def test_run_skqd_patch_recovers_ground_state(patch_instance):
 
 def test_run_skqd_d1_energy_bounded_by_reference(patch_instance):
     h, cert = patch_instance
-    with pytest.warns(UserWarning):
-        eig, trace, record = run_skqd(
-            h, cert.initial_config, SkqdParams(krylov_dim=1, shots_per_state=100)
-        )
+    eig, trace, record = run_skqd(
+        h, cert.initial_config, SkqdParams(krylov_dim=1, shots_per_state=100)
+    )
     x0 = cert.initial_config
     assert eig.value <= matrix_element(h, x0, x0).real + 1e-12
+
+
+def test_only_a_filtered_out_pool_of_several_configurations_warns(cli_patch):
+    # the first pool is x0 alone, which the filter always empties, so a
+    # correct d = 1 run falls back to x0's diagonal energy in silence; a
+    # pool of two or more unconnected configurations still warns
+    h, cert, _ = cli_patch
+    x0 = cert.initial_config
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig, trace, _ = run_skqd(h, x0, SkqdParams(krylov_dim=1, shots_per_state=100))
+    assert eig.value == float(diagonal_element(h, np.uint64(x0.bits)))
+    assert trace.final_dim == 1
+    # a Z-only H keeps x0 in place, and bit flips add configurations it never connects
+    hz = PauliSum([(0.7, PauliString.from_label("ZZI")), (0.2, PauliString.from_label("IIZ"))], 3)
+    p = SkqdParams(krylov_dim=1, shots_per_state=50, bitflip_probability=0.5)
+    with pytest.warns(UserWarning, match="connectivity filter removed the whole pool"):
+        _, _, record = run_skqd(hz, Configuration(0b101, 3), p)
+    assert len(record.histograms[0]) > 1
 
 
 def test_run_skqd_energy_nonincreasing_in_dim(patch_instance):
@@ -298,8 +317,7 @@ def _full_statevector_histograms(h, x0, p):
 def test_run_skqd_histograms_match_full_statevector_loop(cli_patch):
     h, cert, _ = cli_patch
     p = SkqdParams(krylov_dim=3, shots_per_state=50_000, rng_seed=9)
-    with pytest.warns(UserWarning):  # the lone x0 of the first state is filtered out
-        _, _, record = run_skqd(h, cert.initial_config, p)
+    _, _, record = run_skqd(h, cert.initial_config, p)
     assert record.histograms == _full_statevector_histograms(h, cert.initial_config, p)
 
 
@@ -331,8 +349,8 @@ def test_chebyshev_propagator_matches_dense_exponential(a):
         n = int(rng.integers(3, 9))
         dense = kron_dense(random_pauli_sum(rng, n, 12))
         assert np.abs(dense.imag).max() > 0
-        dt = a / ChebyshevPropagator(sp.csr_matrix(dense), 1.0).radius
-        prop = ChebyshevPropagator(sp.csr_matrix(dense), dt)
+        dt = a / ChebyshevPropagator(_upper(dense), 1.0).radius
+        prop = ChebyshevPropagator(_upper(dense), dt)
         assert prop.radius * dt == pytest.approx(a)
         vals = np.linalg.eigvalsh(dense)  # inside the Gershgorin interval
         assert prop.center - prop.radius <= vals[0] and vals[-1] <= prop.center + prop.radius
@@ -350,30 +368,41 @@ def test_chebyshev_propagator_evolves_a_real_operator_in_float64():
     # caller's matrix itself: no complex copy, and the matrix is unchanged
     products = []
 
-    class Recorded(sp.csr_matrix):
+    class Recorded(ProjectedMatrix):
         def __matmul__(self, other):
             products.append(other.dtype)
             return super().__matmul__(other)
 
     rng = np.random.default_rng(5)
     a = rng.standard_normal((40, 40))
-    real = Recorded(a + a.T)
-    before = sp.csr_matrix(real, copy=True)
+    real = Recorded(40, _upper(a + a.T).rows)
+    before = real.rows.copy()
     prop = ChebyshevPropagator(real, 0.3)
     v = np.zeros(40)
     v[3] = 1.0
     states = [phi for phi, _ in prop.krylov_states(v, 4)]
     assert products == [np.float64] * (_chebyshev_order(3 * prop.radius * 0.3) - 1)
-    assert prop._h is real and real.dtype == np.float64 and (real != before).nnz == 0
+    assert prop._h is real and real.dtype == np.float64 and (real.rows != before).nnz == 0
     # the same states, to rounding, from the complex matrix and start
-    cplx = ChebyshevPropagator(before.astype(complex), 0.3)
+    cplx = ChebyshevPropagator(ProjectedMatrix(40, before.astype(complex)), 0.3)
     for phi, want in zip(states, cplx.krylov_states(v.astype(complex), 4), strict=True):
         assert np.abs(phi - want[0]).max() < 1e-15
 
 
+def _upper(dense):
+    """A Hermitian dense matrix as a ProjectedMatrix: its upper triangle in CSR."""
+    return ProjectedMatrix(dense.shape[0], sp.csr_matrix(np.triu(dense)))
+
+
+def _whole(m):
+    """The whole CSR matrix of a ProjectedMatrix, its strictly lower
+    triangle the conjugate transpose of the strictly upper one."""
+    return (m.rows + sp.triu(m.rows, 1).conj().T).tocsr()
+
+
 def _gershgorin_by_scipy(m):
-    """(center, radius) from SciPy's sum(axis=1) of |m|, as the propagator
-    computed them before it summed the rows block by block."""
+    """(center, radius) from SciPy's sum(axis=1) of |m| over the whole
+    matrix m, as the propagator computed them before it held one triangle."""
     diag = m.diagonal()
     row_abs = sp.csr_matrix((np.abs(m.data), m.indices, m.indptr), shape=m.shape).sum(axis=1)
     radius = np.asarray(row_abs).ravel() - np.abs(diag)
@@ -381,18 +410,28 @@ def _gershgorin_by_scipy(m):
     return (hi + lo) / 2, (hi - lo) / 2
 
 
-@pytest.mark.parametrize("block", [skqd._ROW_SUM_BLOCK, 3, 1000])
+@pytest.mark.parametrize("block", [subspace._ROW_SUM_BLOCK, 3, 1000])
 def test_gershgorin_interval_matches_scipy_row_sums(cli_patch, block, monkeypatch):
-    # bit for bit, with rows cut into blocks of every size; a matrix with an
-    # empty row (SciPy's reduceat skips it) and a complex one
-    monkeypatch.setattr(skqd, "_ROW_SUM_BLOCK", block)
+    # the upper triangle's rows and columns, summed block by block, give
+    # the whole matrix's |H| row sums to rounding (a row's two halves are
+    # summed apart), and bit for bit whatever the block size; a matrix with
+    # an empty row and a complex one
     h, cert, reach = cli_patch
     states = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), reach)
-    small = np.array([[1.0, -2, 0, 0.25], [0, 0, 0, 0], [3, 0, -0.5, 0], [0.5, 0, 0, 0]])
-    for m in (project_fast(h, states).rows, sp.csr_matrix(small),
-              sp.csr_matrix(small + 1j * small.T), sp.csr_matrix((3, 3))):
+    small = np.array([[1.0, 0, -2, 0.25], [0, 0, 0, 0], [-2, 0, -0.5, 3], [0.25, 0, 3, 0]])
+    twist = np.triu(small, 1) - np.tril(small, -1)  # antisymmetric: small + i twist is Hermitian
+    cases = [project_fast(h, states), _upper(small), _upper(small + 1j * twist),
+             _upper(np.zeros((3, 3)))]
+    sums = [m.abs_row_sums() for m in cases]
+    monkeypatch.setattr(subspace, "_ROW_SUM_BLOCK", block)
+    for m, want in zip(cases, sums, strict=True):
+        assert np.array_equal(m.abs_row_sums(), want)
+        whole = _whole(m)
+        assert np.allclose(want, np.asarray(abs(whole).sum(axis=1)).ravel(), rtol=1e-13, atol=0)
         prop = ChebyshevPropagator(m, 0.1)
-        assert (prop.center, prop.radius) == _gershgorin_by_scipy(m)
+        center, radius = _gershgorin_by_scipy(whole)
+        assert prop.center == pytest.approx(center, rel=1e-13, abs=1e-13 * radius)
+        assert prop.radius == pytest.approx(radius, rel=1e-13)
 
 
 def test_gershgorin_interval_copies_no_data():
@@ -400,7 +439,7 @@ def test_gershgorin_interval_copies_no_data():
     # few dim-long vectors, not a copy of path16-coupled's 14 MB of data
     h, cert = layout_instance("path16-coupled")
     m = project_fast(h, reachable_bits(h, np.array([cert.initial_config.bits],
-                                                   dtype=np.uint64), 1 << 16)).rows
+                                                   dtype=np.uint64), 1 << 16))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -408,7 +447,7 @@ def test_gershgorin_interval_copies_no_data():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * m.data.nbytes
+    assert peak < 0.25 * m.nnz * m.dtype.itemsize  # a quarter of the whole matrix's data
 
 
 def test_chebyshev_scalar_operator_is_the_phase():
@@ -461,11 +500,10 @@ def test_run_skqd_flops_formula(cli_patch):
     h, cert, _ = cli_patch
     x0 = cert.initial_config
     p = SkqdParams(krylov_dim=4, shots_per_state=2000, rng_seed=3)
-    with pytest.warns(UserWarning):  # the lone x0 of the first state is filtered out
-        eig, trace, record = run_skqd(h, x0, p)
+    eig, trace, record = run_skqd(h, x0, p)
     dt = default_dt(h)
     states, prop = _propagator(h, x0, p, dt)
-    hr = project_fast(h, states).rows
+    hr = project_fast(h, states)
     orders = [_chebyshev_order(k * prop.radius * dt) for k in range(4)]
     assert orders[0] == 1 and orders[3] > orders[2] > orders[1]
     evolve = [(orders[k] - orders[k - 1]) * hr.nnz if k else 0.0 for k in range(4)]
@@ -477,7 +515,7 @@ def test_run_skqd_flops_formula(cli_patch):
         solve = 0
         if kept.size and not (solved is not None and np.array_equal(kept, solved)):
             proj = project_fast(h, kept)
-            solve = (1 + lowest_eigenpair(proj.rows).iterations) * proj.rows.nnz
+            solve = (1 + lowest_eigenpair(proj).iterations) * proj.nnz
             solved = kept
         want.append((want[-1] if want else 0.0) + evolve[k] + solve)
     assert [r.flops for r in trace.rows] == want

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import sparsegs.subspace as subspace
 from conftest import (flagship_ball, grouped_pauli_sum, kron_dense, layout_instance,
                       random_pauli_sum, to_width, without_odd_y)
-from oracles import hermiticity_defect, matrix_element, project_naive
+from oracles import matrix_element, project_naive
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
 from sparsegs.paulis import Configuration, PauliSum, PauliString, group_elements, index_in, unique_bits
 from sparsegs.subspace import (
@@ -27,7 +27,7 @@ def test_singleton_basis_projects_to_diagonal():
     h = random_pauli_sum(rng, 4, 10)
     x = Configuration(5, 4)
     b = unique_bits(np.array([x.bits], dtype=np.uint64))
-    m = project_fast(h, b).rows.toarray()
+    m = project_fast(h, b).toarray()
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(matrix_element(h, x, x), abs=1e-14)
 
@@ -36,31 +36,53 @@ def test_empty_basis_gives_empty_matrix():
     rng = np.random.default_rng(1)
     h = random_pauli_sum(rng, 3, 5)
     b = unique_bits(np.array([], dtype=np.uint64))
-    assert project_naive(h, b).rows.shape == (0, 0)
-    assert project_fast(h, b).rows.shape == (0, 0)
+    assert project_naive(h, b).shape == (0, 0)
+    assert project_fast(h, b).toarray().shape == (0, 0)
 
 
-@given(seed=st.integers(0, 10_000), real=st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_fast_equals_naive(seed, real):
-    # complex coefficients make H non-Hermitian, so a build that filled one
-    # triangle from the other would fail
-    rng = np.random.default_rng(seed)
+def _random_case(rng, kind):
+    """(h, basis): a random sum of kind "real" (no odd Y count),
+    "hermitian" (real coefficients, Y terms give imaginary elements) or
+    "non-hermitian" (complex coefficients), on 2 to 8 qubits, and a random
+    basis of up to 64 configurations."""
     n = int(rng.integers(2, 9))
-    h = random_pauli_sum(rng, n, int(rng.integers(1, 16)), real=real)
+    h = random_pauli_sum(rng, n, int(rng.integers(1, 16)), real=kind != "non-hermitian")
+    if kind == "real":
+        h = without_odd_y(h)
     size = int(rng.integers(1, min(64, 1 << n) + 1))
-    bits = rng.choice(1 << n, size=size, replace=False)
-    b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
-    diff = (project_fast(h, b).rows - project_naive(h, b).rows)
-    assert diff.nnz == 0 or np.abs(diff.data).max() < 1e-12
+    return h, np.sort(rng.choice(1 << n, size=size, replace=False).astype(np.uint64))
 
 
-def test_projection_hermitian():
-    rng = np.random.default_rng(7)
-    h = random_pauli_sum(rng, 6, 20)
-    bits = rng.choice(64, size=30, replace=False)
-    b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
-    assert hermiticity_defect(project_fast(h, b)) < 1e-12
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(["real", "hermitian", "non-hermitian"]))
+@settings(max_examples=60, deadline=None)
+def test_fast_equals_naive(seed, kind):
+    # the upper triangle and its conjugate give the all-pairs matrix; a
+    # non-Hermitian H has no such matrix and is refused
+    h, b = _random_case(np.random.default_rng(seed), kind)
+    if kind == "non-hermitian":
+        with pytest.raises(ValueError, match="Hermitian"):
+            project_fast(h, b)
+        return
+    assert np.abs(project_fast(h, b).toarray() - project_naive(h, b).toarray()).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["real", "hermitian"])
+@pytest.mark.parametrize("seed", range(6))
+def test_projected_matrix_reads_as_the_whole_matrix(seed, kind):
+    # every consumer reads the one triangle through these: the product,
+    # the whole matrix's nonzero count (the flop counts) and the
+    # Gershgorin row sums, each against the all-pairs oracle
+    rng = np.random.default_rng(600 + seed)
+    h, b = _random_case(rng, kind)
+    m, want = project_fast(h, b), project_naive(h, b)
+    assert np.all(m.rows.indices >= np.repeat(np.arange(b.size), np.diff(m.rows.indptr)))
+    assert m.nnz == want.nnz
+    x = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
+    scale = 1 + np.abs(want.toarray()).sum()
+    for v in (x, x.real, np.column_stack([x, 2 * x])):
+        assert np.abs(m @ v - want.toarray() @ v).max() < 1e-13 * scale
+    assert np.allclose(m.abs_row_sums(), np.abs(want.toarray()).sum(axis=1), rtol=1e-13, atol=1e-13)
+    assert np.abs(m.diagonal() - want.diagonal()).max() < 1e-13 * scale
 
 
 def test_projection_diagonal_matches_matrix_element():
@@ -68,7 +90,7 @@ def test_projection_diagonal_matches_matrix_element():
     h = random_pauli_sum(rng, 5, 12)
     bits = rng.choice(32, size=12, replace=False)
     b = unique_bits(np.array([int(x) for x in bits], dtype=np.uint64))
-    m = project_fast(h, b).rows.toarray()
+    m = project_fast(h, b).toarray()
     for i, x in enumerate(b.tolist()):
         cfg = Configuration(x, 5)
         assert m[i, i] == pytest.approx(matrix_element(h, cfg, cfg), abs=1e-12)
@@ -81,7 +103,7 @@ def test_projection_monotonicity_under_basis_growth():
     prev = np.inf
     for size in (4, 8, 16, 32, 64):
         b = unique_bits(np.array([int(x) for x in all_bits[:size]], dtype=np.uint64))
-        w = np.linalg.eigvalsh(project_fast(h, b).rows.toarray())[0]
+        w = np.linalg.eigvalsh(project_fast(h, b).toarray())[0]
         assert w <= prev + 1e-12
         prev = w
 
@@ -91,7 +113,7 @@ def test_projection_onto_patch_support_is_core_block():
     pr = build_main_patch(list(range(16)), p, 0.1, 0.01, 16)
     h = PauliSum(pr.terms, 16)
     b = unique_bits(np.array([int(x) for x in pr.support_bits], dtype=np.uint64))
-    m = project_fast(h, b).rows.toarray()
+    m = project_fast(h, b).toarray()
     assert np.abs(m.real - build_core_block(p)).max() < 1e-10
 
 
@@ -266,7 +288,7 @@ def test_width_mismatch_raises():
 def test_projection_accepts_the_widest_configuration():
     h = PauliSum([(1.0, PauliString.from_label("Z" * 64))], 64)
     b = np.array([0, (1 << 64) - 1], dtype=np.uint64)
-    assert np.array_equal(project_fast(h, b).rows.diagonal(), [1.0, 1.0])
+    assert np.array_equal(project_fast(h, b).diagonal(), [1.0, 1.0])
 
 
 def test_empty_basis_lookup():
@@ -277,7 +299,8 @@ def test_empty_basis_lookup():
 
 def _project_unfiltered(h, b):
     """project_fast as it was before elements were filtered per group: every
-    addressed element concatenated, then summed and filtered in CSR."""
+    addressed element concatenated, then summed and filtered in CSR; its
+    upper triangle."""
     rows, cols, vals = [], [], []
     for g, x in enumerate(h.x_groups[0]):
         addr = index_in(b, b ^ x)
@@ -290,7 +313,7 @@ def _project_unfiltered(h, b):
     m.sum_duplicates()
     m.data[np.abs(m.data) < ZERO_TOL] = 0.0
     m.eliminate_zeros()
-    return m
+    return sp.triu(m, format="csr")
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -316,9 +339,9 @@ def test_real_h_projects_to_a_real_matrix(seed):
     assert h.dtype == np.float64
     for size in (1, 40, 1 << n):
         bits = np.sort(rng.choice(1 << n, size=size, replace=False).astype(np.uint64))
-        got = project_fast(h, bits).rows
+        got = project_fast(h, bits)
         assert got.dtype == np.float64
-        assert np.array_equal(got.toarray(), project_naive(h, bits).rows.toarray())
+        assert np.array_equal(got.toarray(), project_naive(h, bits).toarray())
 
 
 def test_projection_memory_is_a_small_multiple_of_the_matrix():
@@ -331,12 +354,12 @@ def test_projection_memory_is_a_small_multiple_of_the_matrix():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        m = project_fast(h, bits).rows
+        m = project_fast(h, bits)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert m.nnz == 1_753_087 and m.has_sorted_indices
-    assert peak <= 3 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert m.nnz == 1_753_087 and m.rows.has_sorted_indices
+    assert peak <= 3 * (m.rows.data.nbytes + m.rows.indices.nbytes + m.rows.indptr.nbytes)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -417,14 +440,17 @@ def _flagship_balls(h, cert):
     return balls
 
 
-# max_new 1.0 looks up the new members of every pair and every fresh basis,
+# max_new 2/3 sends the flagship ball's mostly new bases to the group pass,
+# and 1.0 looks up the new members of every pair and every fresh basis,
 # however few members they share
-@pytest.mark.parametrize("max_new", [subspace._UPDATE_MAX_NEW, 1.0])
+@pytest.mark.parametrize("max_new", [2 / 3, 1.0])
 @pytest.mark.parametrize("kind", ["real", "hermitian", "non-hermitian"])
 @pytest.mark.parametrize("seed", range(3))
 def test_incremental_projection_is_bit_identical(seed, kind, max_new, monkeypatch):
-    # complex coefficients make H non-Hermitian, so the reverse entries
-    # (k, j) must come from D_g(x_j), not from (j, k)
+    # Y terms make the elements complex, so an entry (k, j) with k < j
+    # must be D_g(x_j) whichever member was looked up; complex
+    # coefficients make H non-Hermitian, which a fresh call and an update
+    # both refuse
     monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", max_new)
     rng = np.random.default_rng(340 + seed)
     n = 7
@@ -432,10 +458,18 @@ def test_incremental_projection_is_bit_identical(seed, kind, max_new, monkeypatc
     if kind == "real":
         h = without_odd_y(h)
     assert (h.dtype == np.float64) == (kind == "real")
-    _assert_update_matches(h, _basis_pairs(rng, np.arange(1 << n, dtype=np.uint64)))
+    pairs = _basis_pairs(rng, np.arange(1 << n, dtype=np.uint64))
+    if kind == "non-hermitian":
+        old, new = pairs[0]
+        prev = (old, sp.csr_matrix((old.size, old.size)))
+        for args in ((h, new), (h, new, prev)):
+            with pytest.raises(ValueError, match="Hermitian"):
+                project_fast(*args)
+        return
+    _assert_update_matches(h, pairs)
 
 
-@pytest.mark.parametrize("max_new", [subspace._UPDATE_MAX_NEW, 1.0])
+@pytest.mark.parametrize("max_new", [2 / 3, 1.0])
 def test_incremental_projection_on_the_flagship_ball(max_new, monkeypatch):
     monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", max_new)
     h, cert = layout_instance("flagship")
@@ -448,9 +482,9 @@ def test_incremental_projection_on_the_flagship_ball(max_new, monkeypatch):
 
 def test_a_mostly_new_basis_is_projected_afresh(monkeypatch):
     # one rule for fresh and update calls, a fresh call being an update from
-    # the empty basis: the pass over every group when more than 2/3 of the
-    # members are new and their images fill more than two lookup blocks,
-    # block-wise lookups of the new members otherwise
+    # the empty basis: the pass over every group when more than
+    # _UPDATE_MAX_NEW of the members are new and their images fill more than
+    # two lookup blocks, block-wise lookups of the new members otherwise
     h, cert = layout_instance("flagship")
     balls = _flagship_balls(h, cert)
     small, bits = balls[3], balls[4]
@@ -462,7 +496,7 @@ def test_a_mostly_new_basis_is_projected_afresh(monkeypatch):
         ("lookup", int(np.count_nonzero(~old)))) or real_lookup(h, b, old, idx))
     monkeypatch.setattr(subspace, "_group_entries", lambda h, b, idx: passes.append(
         ("groups", b.size)) or real_groups(h, b, idx))
-    k = int(np.ceil(bits.size / 3))  # new members: just above and at 2/3
+    k = bits.size - int(subspace._UPDATE_MAX_NEW * bits.size)  # new: just above and at the share
     cases = [(None, b, ("lookup", b.size)) for b in balls[1:4]]  # small fresh bases
     cases += [(None, bits, ("groups", bits.size)),
               (bits[:k - 1], bits, ("groups", bits.size)),
@@ -501,7 +535,7 @@ def _projected_before_the_pair_rule(h, bits):
     """project_fast's fresh group pass as it was before each pair was looked
     up once: every member looks up its image under every group, and each
     group's pieces, with elements from group_elements on the columns, are
-    held until the CSR is filled in place."""
+    held until the CSR is filled in place; its upper triangle."""
     idx = subspace._index_dtype(bits.size, h.x_groups[0].size)
     pieces = []
     for g, x in enumerate(h.x_groups[0]):
@@ -509,7 +543,7 @@ def _projected_before_the_pair_rule(h, bits):
         rows = np.flatnonzero(addr >= 0)
         cols = addr[rows]
         d = group_elements(h, bits[cols], slice(g, g + 1))[0]
-        keep = np.abs(d) >= ZERO_TOL
+        keep = (np.abs(d) >= ZERO_TOL) & (rows <= cols)
         pieces.append((rows[keep].astype(idx), cols[keep].astype(idx), d[keep]))
     counts = np.zeros(bits.size, dtype=idx)
     for r, _, _ in pieces:
@@ -528,14 +562,14 @@ def _projected_before_the_pair_rule(h, bits):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_group_pass_looks_each_pair_up_once_bit_identically(seed):
-    # complex coefficients make H non-Hermitian, and terms with an odd
-    # number of Y factors make the reflected weights differ from w_k, so
-    # both entries of a pair must come out as the per-member pass gave them
+    # terms with an odd number of Y factors make the elements complex, so
+    # a pair's entry must come out on its column, as the per-member pass
+    # gave it, not from its row's member's conjugate
     rng = np.random.default_rng(500 + seed)
     n = int(rng.integers(2, 10))
-    hs = [random_pauli_sum(rng, n, int(rng.integers(1, 30)), real=real) for real in (True, False)]
+    hs = [random_pauli_sum(rng, n, int(rng.integers(1, 30))) for _ in range(2)]
+    hs[1] = without_odd_y(hs[1])
     hs.append(grouped_pauli_sum(rng, n, min(6, 1 << n), min(6, 1 << n)))
-    assert not hs[1].is_hermitian()
     for h in hs:
         for size in (1, int(rng.integers(2, (1 << n) + 1)), 1 << n):
             b = np.sort(rng.choice(1 << n, size=size, replace=False).astype(np.uint64))
@@ -549,14 +583,15 @@ def test_group_pass_on_the_flagship_ball_is_bit_identical():
 
 
 def _traced_peak_over_the_csr(call):
+    """(projection, traced peak of the call over the bytes of its CSR)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        m = call().rows
+        m = call()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return m, peak / (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    return m, peak / (m.rows.data.nbytes + m.rows.indices.nbytes + m.rows.indptr.nbytes)
 
 
 def test_fresh_group_pass_peaks_under_twice_the_csr():
@@ -575,3 +610,16 @@ def test_fresh_group_pass_peaks_under_twice_the_csr():
     assert ball.size == 37_385
     m, ratio = _traced_peak_over_the_csr(lambda: project_fast(hf, ball))
     assert m.nnz == 659_923 and ratio <= 1.6
+
+
+def test_fresh_build_peaks_under_three_quarters_of_the_whole_csr():
+    # one triangle is built and held, and the second walk holds one group's
+    # entries beside it, so the build of H_R peaks below the bytes of the
+    # whole matrix's CSR, which the build of both triangles held (1.43x)
+    h, cert = layout_instance("path16-coupled")
+    bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
+    m, ratio = _traced_peak_over_the_csr(lambda: project_fast(h, bits))
+    u = m.rows
+    whole = m.nnz * (u.data.itemsize + u.indices.itemsize) + u.indptr.nbytes
+    assert m.nnz == 1_753_087 and u.nnz == (m.nnz + bits.size) // 2
+    assert ratio * (u.data.nbytes + u.indices.nbytes + u.indptr.nbytes) <= 0.75 * whole
