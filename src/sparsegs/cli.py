@@ -60,16 +60,13 @@ def _generate(args) -> int:
         g = build_heavy_hex(args.rows, args.cols)
         emb = embed_patches(g, args.patches, path_len, seed=args.seed)
         couple = True
-    elif args.layout in ("path16", "path16-coupled"):
+    else:  # path16 or path16-coupled: --layout's choices admit nothing else
         if mode != "main" or args.patches != 1:
             print("path16 layouts are single-patch main-mode reductions", file=sys.stderr)
             return EXIT_INVALID
         g = build_path(16)
         emb = PatchEmbedding((tuple(range(16)),), ())
         couple = args.layout == "path16-coupled"
-    else:
-        print(f"unknown layout {args.layout!r}", file=sys.stderr)
-        return EXIT_INVALID
 
     mask = int(args.obfuscation_mask, 16) if args.obfuscation_mask else None
     params = ConstructionParams(

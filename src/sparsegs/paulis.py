@@ -125,7 +125,7 @@ class PauliSum:
     """
 
     __slots__ = ("n_qubits", "terms", "_xm", "_zm", "_coeff", "_phase", "_weights",
-                 "_reflected", "_gx", "_gstart")
+                 "_gx", "_gstart")
 
     def __init__(self, terms, n_qubits: int):
         _check_width(n_qubits)
@@ -153,14 +153,11 @@ class PauliSum:
         # exactly real, not within a tolerance: the real path then rounds
         # as the complex one did
         self._weights = w if w.imag.any() else w.real.copy()
-        # w_k (-1)^|Y_k|: on x ^ x_k a term's sign is its sign on x times
-        # (-1)^popcount(x_k & z_k), and x_k & z_k are its Y qubits
-        self._reflected = np.where(ny & 1, -self._weights, self._weights)
         # terms are sorted by x-mask first, so each x-mask group is a run
         self._gx, self._gstart = np.unique(self._xm, return_index=True)
         self._gstart = np.append(self._gstart, self._xm.size)
         for arr in (self._xm, self._zm, self._coeff, self._phase, self._weights,
-                    self._reflected, self._gx, self._gstart):
+                    self._gx, self._gstart):
             arr.flags.writeable = False
 
     def __len__(self):
@@ -300,40 +297,22 @@ def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -
     return out
 
 
-def pair_elements(h: PauliSum, groups, bits: np.ndarray) -> np.ndarray:
-    """(D_g(x), D_g(x ^ x_g)), shape (2, len(bits)), for each pair of
-    group index g = groups[i] and configuration x = bits[i], or for one
-    group index `groups` and every configuration.
-
-    Both rows come from x's one sign pass, summed as group_elements sums:
-    D_g(x ^ x_g) takes the reflected weights w_k (-1)^|Y_k|, so each of
-    its products is the same +-w_k, and every sum rounds as
-    group_elements(h, x ^ x_g) does.
-    """
+def pair_elements(h: PauliSum, groups: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """D_g(x) for each pair of group index g = groups[i] and configuration
+    x = bits[i], shape (len(bits),), summed as group_elements sums."""
     starts = h.x_groups[1]
-    if np.ndim(groups) == 0:
-        out = np.zeros((2, bits.size), dtype=h.dtype)
-        for t in range(starts[groups], starts[groups + 1]):
-            _add_pair_terms(out, h, t, bits)
-        return out
     # the pairs by falling term count, so that those with a term r are a prefix
     fewer = starts[groups] - starts[groups + 1]
     order = np.argsort(fewer, kind="stable")
     fewer, first, bits = fewer[order], starts[groups][order], bits[order]
-    sums = np.zeros((2, bits.size), dtype=h.dtype)
+    sums = np.zeros(bits.size, dtype=h.dtype)
     for r in range(-int(fewer.min(initial=0))):
         n = np.searchsorted(fewer, -r)
-        _add_pair_terms(sums[:, :n], h, first[:n] + r, bits[:n])
+        t = first[:n] + r
+        sums[:n] += h._weights[t] * _parity_signs(bits[:n], h._zm[t])
     out = np.empty_like(sums)
-    out[:, order] = sums
+    out[order] = sums
     return out
-
-
-def _add_pair_terms(out: np.ndarray, h: PauliSum, t, bits: np.ndarray) -> None:
-    """Add term t's products to out = (D_g(x), D_g(x ^ x_g)) in place."""
-    signs = _parity_signs(bits, h._zm[t])
-    out[0] += h._weights[t] * signs
-    out[1] += h._reflected[t] * signs
 
 
 def image_index(h: PauliSum, bits: np.ndarray):

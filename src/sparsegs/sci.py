@@ -200,7 +200,7 @@ def select_trimci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarr
 
 def run_sci(
     h: PauliSum,
-    x0: Configuration | list[Configuration],
+    x0: Configuration,
     p: SciParams,
 ) -> tuple[EigResult, SolverTrace, np.ndarray]:
     """The generic diagonalization-based iterative loop.
@@ -211,14 +211,9 @@ def run_sci(
     of the loop, so a stalled run's final basis is not solved again.
     Flops follow SolverTrace's convention.
     """
-    if isinstance(x0, Configuration):
-        initial = [x0]
-    else:
-        initial = list(x0)
-    if any(c.n_qubits != h.n_qubits for c in initial):
+    if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
-
-    current = unique_bits(np.array([c.bits for c in initial], dtype=np.uint64))
+    current = np.array([x0.bits], dtype=np.uint64)
     trace = SolverTrace(p.variant, p.dim_cap)
     solver = BasisSolver(h, trace)
 

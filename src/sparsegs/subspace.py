@@ -262,10 +262,9 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
     counts, cols, values) of index dtype `idx`, one per block of new
     members.  A block's images are looked up under every group at once:
     the image x_k = x_j ^ x_g of new member j gives the entry
-    (min(j, k), max(j, k)), whose value is the net element on the column's
-    configuration, D_g(x_k) when j <= k and D_g(x_j) otherwise, both from
-    x_j's one sign pass.  A pair of new members is looked up from both, so
-    it is taken from its row's member.  Elements below ZERO_TOL are
+    (min(j, k), max(j, k)), whose value is the net element D_g on the
+    column's configuration.  A pair of new members is looked up from both,
+    so it is taken from its row's member.  Elements below ZERO_TOL are
     dropped."""
     gx = h.x_groups[0]
     new = np.flatnonzero(~old)
@@ -276,18 +275,16 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
         addr = index_in(bits, bits[j][None, :] ^ gx[:, None])
         g, s = np.nonzero(addr >= 0)
         k, j = addr[g, s], j[s]
-        up = k >= j
-        take = np.flatnonzero(up | old[k])
-        g, j, k, up = g[take], j[take], k[take], up[take]
-        d = pair_elements(h, g, bits[j])  # D_g(x_j) and D_g(x_k), x_k = x_j ^ x_g
-        vals = np.where(up, d[1], d[0])
+        take = np.flatnonzero((k >= j) | old[k])
+        g, j, k = g[take], j[take], k[take]
+        rows, cols = np.minimum(j, k), np.maximum(j, k)
+        vals = pair_elements(h, g, bits[cols])
         keep = np.flatnonzero(np.abs(vals) >= ZERO_TOL)
-        rows = np.where(up, j, k)[keep]
-        order = np.argsort(rows)
-        rows, keep = rows[order].astype(idx), keep[order]
+        keep = keep[np.argsort(rows[keep])]
+        rows = rows[keep].astype(idx)
         head = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first entry
         pieces.append((rows[head], np.diff(head, append=rows.size).astype(idx),
-                       np.where(up, k, j)[keep].astype(idx), vals[keep]))
+                       cols[keep].astype(idx), vals[keep]))
     return pieces
 
 
@@ -339,8 +336,12 @@ def connectivity_filter(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     element to some different member, as a sorted array; any other pool
     raises ValueError, as the lookup needs a basis.
 
-    One pass only; isolated configurations would be eigenstates of the
-    projected Hamiltonian, so dropping them loses nothing.
+    One pass only.  An isolated member is an eigenvector of the projected
+    Hamiltonian with its diagonal energy as eigenvalue, so dropping it
+    gives up that energy: the filtered pool's lowest eigenvalue can lie
+    above the whole pool's.  For H = 2 Z_0 + X_1 X_2 the pool {0b000,
+    0b001, 0b110} projects to -2, from the isolated 0b001, and the
+    filtered {0b000, 0b110} to 1.
     """
     check_basis(h, bits)
     keep = np.zeros(bits.size, dtype=bool)

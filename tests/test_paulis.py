@@ -600,16 +600,20 @@ def test_group_elements_fold_terms_in_order():
         want[np.searchsorted(gx, xm[k])] += coeff[k] * phase[k] * signs
     got = group_elements(h, bits)
     assert np.array_equal(got, want)
-    # read pairwise, the same sums bit for bit, and on each pair's partner
-    # x ^ x_g through the reflected weights
-    g, x = rng.integers(0, gx.size, 300), rng.integers(0, 1 << n, 300)
-    pairs = pl.pair_elements(h, g, x.astype(np.uint64))
-    assert pairs.dtype == got.dtype and pairs[0].tobytes() == got[g, x].tobytes()
-    assert pairs[1].tobytes() == got[g, x ^ gx[g].astype(np.int64)].tobytes()
-    for k in range(gx.size):  # one group for every configuration
-        e = pl.pair_elements(h, k, bits)
-        assert e[0].tobytes() == got[k].tobytes()
-        assert e[1].tobytes() == got[k, bits ^ gx[k]].tobytes()
+    # read pairwise, one row of the same sums bit for bit, over groups of
+    # every term count, for complex and real weights
+    sizes = np.diff(h.x_groups[1])
+    assert np.unique(sizes).size > 1
+    for hh in (h, without_odd_y(h)):
+        gx = hh.x_groups[0]
+        whole = group_elements(hh, bits)
+        g, x = rng.integers(0, gx.size, 300), rng.integers(0, 1 << n, 300)
+        assert np.unique(g).size == gx.size
+        pairs = pl.pair_elements(hh, g, x.astype(np.uint64))
+        assert pairs.shape == (300,) and pairs.dtype == whole.dtype == hh.dtype
+        assert pairs.tobytes() == whole[g, x].tobytes()
+        empty = pl.pair_elements(hh, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64))
+        assert empty.shape == (0,) and empty.dtype == hh.dtype
 
 
 def test_diagonal_element_is_dense_diagonal():

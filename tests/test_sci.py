@@ -519,15 +519,3 @@ def test_trimci_subset_solves_obey_dim_cap():
     p = SciParams("trimci", trim=trim, max_iters=3, dim_cap=3)
     with pytest.raises(BudgetExceeded, match=r"^basis of \d+ exceeds cap 3$"):
         run_sci(h, Configuration(0, 5), p)
-
-
-def test_explicit_initial_set():
-    rng = np.random.default_rng(16)
-    h = random_pauli_sum(rng, 4, 8)
-    start = [Configuration(0, 4), Configuration(5, 4), Configuration(9, 4)]
-    eig, trace, basis = run_sci(h, start, SciParams("cipsi", epsilon=np.inf, max_iters=3))
-    assert sorted(int(b) for b in basis) == [0, 5, 9]
-    want = np.linalg.eigvalsh(
-        kron_dense(h)[np.ix_([0, 5, 9], [0, 5, 9])]
-    )[0]
-    assert eig.value == pytest.approx(want, abs=1e-12)
