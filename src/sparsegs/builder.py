@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -115,9 +115,8 @@ class ConstructionParams:
     m2: float = 0.01
     j1: float = 1.0
     mode: str = "main"
-    obfuscation_seed: int | None = 0
-    obfuscation_mask: int | None = None  # explicit mask wins over the seed
-    core: CoreBlockParams = field(default_factory=CoreBlockParams)
+    obfuscation_seed: int = 0
+    obfuscation_mask: int | None = None  # explicit mask wins over the seed; 0 means no mask
 
     def __post_init__(self):
         if abs(self.m1) > 1:
@@ -319,8 +318,6 @@ def _draw_mask(params: ConstructionParams, n: int) -> int:
         if params.obfuscation_mask < 0 or params.obfuscation_mask >> n:
             raise ValueError("explicit obfuscation mask does not fit layout")
         return params.obfuscation_mask
-    if params.obfuscation_seed is None:
-        return 0
     rng = np.random.default_rng(params.obfuscation_seed)
     bits = rng.integers(0, 2, size=n)
     return int(sum(int(b) << q for q, b in enumerate(bits)))
@@ -342,12 +339,9 @@ def assemble_global(
     validate_embedding(g, emb, path_len)
     n = g.n_qubits
 
-    patches = []
-    for path in emb.paths:
-        if params.mode == "main":
-            patches.append(build_main_patch(path, params.core, params.m1, params.m2, n))
-        else:
-            patches.append(build_warmup_patch(path, params.core, params.m1, params.m2, n))
+    build_patch = build_main_patch if params.mode == "main" else build_warmup_patch
+    core = CoreBlockParams()
+    patches = [build_patch(path, core, params.m1, params.m2, n) for path in emb.paths]
 
     terms = []
     for pr in patches:

@@ -141,7 +141,8 @@ _SCI_FLAGS = [("--eps", float, True, "epsilon"), ("--core-cap", int, False, "cor
 # function, looked up in this module when the run starts (so a wrapper
 # bound over the module attribute is the one called), the constructor of
 # its parameters, and its flags as (flag, type, required, Params field).
-# The Params classes own every default.
+# A bool flag is a switch whose absence leaves the option unset.  The
+# Params classes own every default.
 _SOLVERS = {
     "cipsi": ("run_sci", partial(SciParams, "cipsi"), _SCI_FLAGS),
     "hci": ("run_sci", partial(SciParams, "hci"), _SCI_FLAGS),
@@ -156,15 +157,18 @@ _SOLVERS = {
         ("--seed", int, False, "seed"), ("--first-phase", str, False, "first_phase")]),
     "diag-ranking": ("run_diag_ranking", DiagRankParams, [
         ("--d", int, True, "working_cap"), ("--r", int, False, "reservoir_cap"),
-        ("--iters", int, False, "iters")]),
+        ("--iters", int, False, "iters"),
+        ("--per-iteration-energies", bool, False, "per_iteration_energies")]),
     "tarnoldi": ("run_truncated_arnoldi", TruncArnoldiParams, [
-        ("--m", int, True, "new_config_cap"), ("--iters", int, False, "iters")]),
+        ("--m", int, True, "new_config_cap"), ("--iters", int, False, "iters"),
+        ("--per-iteration-energies", bool, False, "per_iteration_energies")]),
     "tpm": ("run_tpm", TpmParams, [
         ("--k", int, True, "sparsity_cutoff"), ("--iters", int, False, "iters"),
         ("--mode", str, False, "mode")]),
     "skqd": ("run_skqd", SkqdParams, [
         ("--d", int, True, "krylov_dim"), ("--shots", int, True, "shots_per_state"),
-        ("--dt-multiplier", float, False, "dt_multiplier"), ("--seed", int, False, "rng_seed")]),
+        ("--dt-multiplier", float, False, "dt_multiplier"), ("--seed", int, False, "rng_seed"),
+        ("--bitflip", float, False, "bitflip_probability")]),
 }
 
 
@@ -173,13 +177,15 @@ def _params(solver: str, opts: dict, dim_cap: int):
     underscores.  An option that is not one of the solver's flags is an
     error, except `seed`, which a sweep gives every run."""
     _, make, flags = _SOLVERS[solver]
-    known = {flag[2:].replace("-", "_"): (required, name) for flag, _, required, name in flags}
+    known = {row[0][2:].replace("-", "_"): row for row in flags}
     unknown = sorted(set(opts) - set(known) - {"seed"})
     if unknown:
         raise ValueError(f"{solver} takes no option {', '.join(unknown)}")
     kw = {}
-    for key, (required, name) in known.items():
+    for key, (_, typ, required, name) in known.items():
         if key in opts:
+            if typ is bool and not isinstance(opts[key], bool):  # "false" would read as true
+                raise ValueError(f"{solver} option {key} must be true or false")
             kw[name] = opts[key]
         elif required:
             raise ValueError(f"{solver} needs option {key}")
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--j1", type=float, default=1.0)
     gen.add_argument("--seed", type=int, default=DEFAULT_GENERATE_SEED)
     gen.add_argument("--obfuscation-mask", default=None,
-                     help="explicit hex mask; overrides the seeded draw")
+                     help="explicit hex mask (0: none); overrides the seeded draw")
     gen.set_defaults(func=_generate)
 
     info = sub.add_parser("info", help="bundle statistics")
@@ -369,7 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     for solver, (_, _, flags) in _SOLVERS.items():
         sp = ssub.add_parser(solver)
         for flag, typ, required, _ in flags:
-            sp.add_argument(flag, type=typ, required=required)
+            if typ is bool:  # not type=bool, which reads "False" as True
+                sp.add_argument(flag, action="store_true", default=None)
+            else:
+                sp.add_argument(flag, type=typ, required=required)
         sp.set_defaults(func=_solve)
 
     sw = sub.add_parser("sweep", help="run a hyperparameter grid from a JSON spec")

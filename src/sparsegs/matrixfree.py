@@ -168,7 +168,6 @@ def run_truncated_arnoldi(
 class TpmParams:
     sparsity_cutoff: int  # k
     iters: int = 100  # L
-    shift: float | None = None  # None: coefficient 1-norm + 1
     mode: str = "diagonalize_support"  # or "expectation"
     dim_cap: int = DEFAULT_DIM_CAP
 
@@ -187,24 +186,18 @@ def run_tpm(
     """Truncated power iteration on A = shift*I - H.
 
     The shift maps the lowest eigenvalue of H to the largest of A and must
-    make A positive definite; anything above the Pauli-coefficient 1-norm
-    is a certified choice.  The expectation estimate shift - <phi|A|phi>
-    equals the Rayleigh quotient of H and stays above the true ground
-    energy; diagonalize_support mode instead projects H onto the support
-    of the iterate and diagonalizes, which can only do better, with one
-    `BasisSolver` for every iterate (an unchanged support is not solved
-    again).  The iterate's support is returned as a sorted array.  H is
-    applied once per iterate: the H phi of the expectation also gives the
-    next A phi, and diagonalize_support mode applies H only for that next
-    A phi.
+    make A positive definite; it is fixed at the Pauli-coefficient 1-norm
+    plus 1, since the 1-norm bounds the spectral norm of H.  The
+    expectation estimate shift - <phi|A|phi> equals the Rayleigh quotient
+    of H and stays above the true ground energy; diagonalize_support mode
+    instead projects H onto the support of the iterate and diagonalizes,
+    which can only do better, with one `BasisSolver` for every iterate (an
+    unchanged support is not solved again).  The iterate's support is
+    returned as a sorted array.  H is applied once per iterate: the H phi
+    of the expectation also gives the next A phi, and diagonalize_support
+    mode applies H only for that next A phi.
     """
-    one_norm = h.coeff_one_norm()
-    shift = p.shift if p.shift is not None else one_norm + 1.0
-    if shift <= one_norm:
-        raise ValueError(
-            f"shift {shift} is not certified positive definite "
-            f"(needs > coefficient 1-norm {one_norm})"
-        )
+    shift = h.coeff_one_norm() + 1.0
     trace = SolverTrace("tpm", p.dim_cap)
     trace.check_dim(p.sparsity_cutoff, "sparsity cutoff")
     if x0.n_qubits != h.n_qubits:

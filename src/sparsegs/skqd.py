@@ -41,7 +41,7 @@ from .trace import DEFAULT_DIM_CAP, SolverTrace
 @dataclass(frozen=True)
 class SkqdParams:
     krylov_dim: int  # d
-    shots_per_state: int | tuple  # M, or a per-state schedule
+    shots_per_state: int  # M
     dt_multiplier: float = 25.0  # dt = default_dt(h, dt_multiplier)
     rng_seed: int = 0
     bitflip_probability: float = 0.0  # optional noise channel on samples
@@ -50,18 +50,11 @@ class SkqdParams:
     def __post_init__(self):
         if self.krylov_dim < 1:
             raise ValueError("krylov_dim must be >= 1")
+        m = self.shots_per_state
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+            raise ValueError(f"shots_per_state must be an int >= 1, not {m!r}")
         if not 0.0 <= self.bitflip_probability < 1.0:
             raise ValueError("bitflip probability must lie in [0, 1)")
-
-    def schedule(self) -> list[int]:
-        if isinstance(self.shots_per_state, int):
-            if self.shots_per_state < 1:
-                raise ValueError("shots_per_state must be >= 1")
-            return [self.shots_per_state] * self.krylov_dim
-        sched = [int(m) for m in self.shots_per_state]
-        if len(sched) != self.krylov_dim or any(m < 1 for m in sched):
-            raise ValueError("shot schedule must list one positive count per state")
-        return sched
 
 
 @dataclass
@@ -80,16 +73,6 @@ class ShotRecord:
                 {f"0x{b:x}": c for b, c in sorted(h.items())} for h in self.histograms
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ShotRecord":
-        return cls(
-            histograms=[
-                {int(k, 16): v for k, v in h.items()} for h in d["histograms"]
-            ],
-            state_seeds=list(d["state_seeds"]),
-            n_qubits=d["n_qubits"],
-        )
 
 
 def default_dt(h: PauliSum, multiplier: float = 25.0) -> float:
@@ -217,7 +200,6 @@ def run_skqd(
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
     n = h.n_qubits
-    sched = p.schedule()
     dt = default_dt(h, p.dt_multiplier)
 
     states, prop = _propagator(h, x0, p, dt)
@@ -234,7 +216,7 @@ def run_skqd(
     for k, (phi, flops) in enumerate(prop.krylov_states(phi0, p.krylov_dim)):
         trace.count(flops)
         rng = np.random.default_rng(children[k])
-        samples = states[_sample_indices(phi, sched[k], rng)]
+        samples = states[_sample_indices(phi, p.shots_per_state, rng)]
         if p.bitflip_probability > 0.0:
             flips = rng.random((samples.size, n)) < p.bitflip_probability
             masks = (flips * (1 << np.arange(n, dtype=np.uint64))).sum(axis=1)

@@ -342,6 +342,14 @@ def connectivity_filter(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     above the whole pool's.  For H = 2 Z_0 + X_1 X_2 the pool {0b000,
     0b001, 0b110} projects to -2, from the isolated 0b001, and the
     filtered {0b000, 0b110} to 1.
+
+    Dropping isolated members is also what keeps each instance's isolated
+    zero-energy configuration out of a pool.  Every patch's empty state
+    has energy 0, which is the certified energy, and no element connects
+    it to anything; after obfuscation it is one configuration (x0 ^ 1 =
+    0xffe6 on `path16` at seed 9).  It is outside R(x0), so only SKQD's
+    noise channel samples it, and a pool that kept it would report the
+    certified energy from a state with zero overlap with the certified one.
     """
     check_basis(h, bits)
     keep = np.zeros(bits.size, dtype=bool)

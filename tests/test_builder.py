@@ -263,9 +263,9 @@ def test_bundle_hamiltonians_are_real(layout):
 def test_single_patch_reduction_equals_patch_certificate():
     g = build_path(16)
     emb = PatchEmbedding((tuple(range(16)),), ())
-    params = ConstructionParams(obfuscation_seed=None)  # no mask
+    params = ConstructionParams(obfuscation_mask=0)  # no mask
     h, cert = assemble_global(g, emb, params, couple=False)
-    pr = build_main_patch(list(range(16)), params.core, params.m1, params.m2, 16)
+    pr = build_main_patch(list(range(16)), CoreBlockParams(), params.m1, params.m2, 16)
     assert h == PauliSum(pr.terms, 16)
     assert [c.bits for c in cert.support] == sorted(pr.support_bits)
 
@@ -274,7 +274,7 @@ def test_obfuscation_preserves_spectrum_and_maps_support():
     # small warmup instance so the dense oracle is cheap
     g = build_path(4)
     emb = PatchEmbedding(((0, 1, 2, 3),), ())
-    base = ConstructionParams(mode="warmup", m1=1.0, obfuscation_seed=None)
+    base = ConstructionParams(mode="warmup", m1=1.0, obfuscation_mask=0)
     masked = ConstructionParams(mode="warmup", m1=1.0, obfuscation_mask=0b1011)
     h0, c0 = assemble_global(g, emb, base, couple=False)
     h1, c1 = assemble_global(g, emb, masked, couple=False)

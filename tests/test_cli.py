@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsegs
@@ -14,7 +16,8 @@ import sparsegs.cli
 import sparsegs.eigensolver
 from sparsegs.builder import GroundStateCertificate, load_bundle, save_bundle
 from sparsegs.cli import EXIT_BUDGET, EXIT_INVALID, EXIT_OK, _run_one, main
-from sparsegs.paulis import Configuration, PauliString, PauliSum
+from sparsegs.paulis import Configuration, PauliString, PauliSum, index_in, unique_bits
+from sparsegs.subspace import reachable_bits
 from sparsegs.trace import DEFAULT_DIM_CAP
 
 
@@ -130,6 +133,102 @@ def test_solve_skqd_coverage(patch_bundle, tmp_path):
     assert rc == EXIT_OK
     summary = json.loads((out / "summary.json").read_text())
     assert summary["support_coverage"] == 8
+
+
+# sha256 of shots.json from `solve skqd --d 3 --shots 2000 --seed 9` on the
+# seed-9 path16 bundle: a run without --bitflip draws no noise
+NOISELESS_SHOTS_SHA256 = "6f6f461447390a13eb5d0f7c462d5fcf36aa4da5e29d26eb553d24b6cdc1a5dd"
+
+
+def test_solve_skqd_bitflip_samples_outside_the_reachable_subspace(patch_bundle, tmp_path):
+    h, cert, _ = load_bundle(patch_bundle)
+    x0 = np.array([cert.initial_config.bits], dtype=np.uint64)
+    reachable = reachable_bits(h, x0, DEFAULT_DIM_CAP)
+
+    def solve(name, *flags):
+        out = tmp_path / name
+        rc = main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
+                   "skqd", "--d", "3", "--shots", "2000", "--seed", "9", *flags])
+        return rc, out
+
+    rc, out = solve("exact")
+    assert rc == EXIT_OK
+    assert hashlib.sha256((out / "shots.json").read_bytes()).hexdigest() == NOISELESS_SHOTS_SHA256
+    assert "bitflip" not in json.loads((out / "summary.json").read_text())["params"]
+
+    rc, out = solve("noisy", "--bitflip", "0.01")
+    assert rc == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["params"]["bitflip"] == 0.01
+    hists = json.loads((out / "shots.json").read_text())["histograms"]
+    sampled = unique_bits(np.array([int(b, 16) for hist in hists for b in hist], dtype=np.uint64))
+    assert (index_in(reachable, sampled) < 0).any()
+
+    assert solve("certain", "--bitflip", "1.0")[0] == EXIT_INVALID
+    assert solve("no-shots", "--shots", "0")[0] == EXIT_INVALID
+
+
+@pytest.mark.parametrize("args", [("tarnoldi", "--m", "16"), ("diag-ranking", "--d", "8")],
+                         ids=lambda a: a[0])
+def test_solve_per_iteration_energies(patch_bundle, tmp_path, args):
+    # the switch fills trace.csv's energies; without it they stay NaN and
+    # the params record gains no key
+    def solve(name, *flags):
+        out = tmp_path / name
+        assert main(["solve", "--bundle", str(patch_bundle), "--out", str(out),
+                     *args, "--iters", "4", *flags]) == EXIT_OK
+        _, *rows = csv.reader((out / "trace.csv").read_text().splitlines())
+        return [float(r[3]) for r in rows], json.loads((out / "summary.json").read_text())
+
+    key = args[1][2:]
+    energies, summary = solve("on", "--per-iteration-energies")
+    assert energies and np.isfinite(energies).all()
+    assert summary["params"] == {key: int(args[2]), "iters": 4, "per_iteration_energies": True}
+    assert energies[-1] == summary["final_energy"]
+    energies, summary = solve("off")
+    assert energies and np.isnan(energies).all()
+    assert summary["params"] == {key: int(args[2]), "iters": 4}
+
+
+def test_sweep_per_iteration_energies_switch(patch_bundle, tmp_path, monkeypatch):
+    # `false` in a sweep row runs without per-iteration energies: the final
+    # union is the run's one eigensolve
+    solved = []
+    real = sparsegs.eigensolver.lowest_eigenpair
+    monkeypatch.setattr(sparsegs.eigensolver, "lowest_eigenpair",
+                        lambda m: solved.append(m.shape) or real(m))
+    counts = []
+    for flag in (False, True):
+        spec = tmp_path / f"spec-{flag}.json"
+        spec.write_text(json.dumps({"bundle": str(patch_bundle), "runs": [
+            {"solver": "tarnoldi", "params": {"m": 16, "iters": 4,
+                                              "per_iteration_energies": flag}}]}))
+        solved.clear()
+        out = tmp_path / f"sweep-{flag}"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader((out / "results.csv").read_text().splitlines()))
+        assert rows[0]["status"] == "max_iters"
+        assert json.loads(rows[0]["params"])["per_iteration_energies"] is flag
+        counts.append(len(solved))
+    assert counts[0] == 1 < counts[1]
+    # a string is not a switch: "false" would read as true
+    summary = _run_one((str(patch_bundle), "tarnoldi",
+                        {"m": 16, "per_iteration_energies": "false"}, DEFAULT_DIM_CAP))
+    assert summary["error"] == ("ValueError: tarnoldi option per_iteration_energies "
+                                "must be true or false")
+
+
+def test_sweep_rejects_a_list_of_shots(patch_bundle, tmp_path):
+    # one count per state is no option: the row fails, the sweep goes on
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"bundle": str(patch_bundle), "runs": [
+        {"solver": "skqd", "params": {"d": 3, "shots": [100, 200, 300]}},
+        {"solver": "skqd", "params": {"d": 3, "shots": 100}}]}))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "sweep" / "results.csv").read_text().splitlines()))
+    assert [r["status"] for r in rows] == ["error", "max_iters"]
+    summary = _run_one((str(patch_bundle), "skqd", {"d": 3, "shots": [100, 200, 300]},
+                        DEFAULT_DIM_CAP))
+    assert summary["error"].startswith("ValueError: shots_per_state must be an int >= 1")
 
 
 def test_solve_budget_exceeded_exit_code(patch_bundle, tmp_path):

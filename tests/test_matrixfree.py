@@ -261,13 +261,6 @@ def test_tpm_reuses_the_eigenpair_of_an_unchanged_support(monkeypatch):
     assert [r.energy for r in trace.rows] == want_rows
 
 
-def test_tpm_rejects_uncertified_shift():
-    rng = np.random.default_rng(6)
-    h = random_pauli_sum(rng, 4, 8)
-    with pytest.raises(ValueError):
-        run_tpm(h, Configuration(0, 4), TpmParams(4, 5, shift=0.5 * h.coeff_one_norm()))
-
-
 def test_tpm_tangent_contraction_bound():
     # a designed matrix with an exactly sparse principal eigenvector and a
     # relative gap of 1/2, so k >= k_star is reachable and truncation is

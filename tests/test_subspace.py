@@ -11,7 +11,8 @@ from conftest import (flagship_ball, grouped_pauli_sum, kron_dense, layout_insta
                       random_pauli_sum, to_width, without_odd_y)
 from oracles import matrix_element, project_naive
 from sparsegs.builder import CoreBlockParams, build_core_block, build_main_patch
-from sparsegs.paulis import Configuration, PauliSum, PauliString, group_elements, index_in, unique_bits
+from sparsegs.paulis import (Configuration, PauliSum, PauliString, diagonal_element,
+                             group_elements, index_in, unique_bits)
 from sparsegs.subspace import (
     connected_bits,
     ZERO_TOL,
@@ -270,6 +271,20 @@ def test_filter_drops_far_config(patch_instance):
             abs(matrix_element(h, far, c)) >= 1e-14 for c in cert.support
         )
         assert (far.bits in kept) == connected_to_pool
+
+
+def test_filter_drops_the_isolated_zero_energy_configuration():
+    # on `path16` at seed 9 the patch's empty state is x0 ^ 1 = 0xffe6: its
+    # energy is the certified 0, but nothing connects to it, so a pool that
+    # holds it beside the support loses it to the filter
+    h, cert = layout_instance("path16")
+    vac = np.uint64(0xFFE6)
+    assert int(vac) == cert.initial_config.bits ^ 1
+    assert abs(diagonal_element(h, vac)) < 1e-13
+    assert connected_bits(h, np.array([vac])).size == 0
+    support = np.array([c.bits for c in cert.support], dtype=np.uint64)
+    pool = unique_bits(np.append(support, vac))
+    assert np.array_equal(connectivity_filter(h, pool), np.sort(support))
 
 
 def test_width_mismatch_raises():
