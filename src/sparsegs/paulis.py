@@ -230,12 +230,15 @@ class PauliSum:
 # H|x> = sum_g D_g(x) |x ^ x_g>, with D_g(x) = sum_{k in g} w_k (-1)^popcount(x & z_k)
 # and w_k = alpha_k i^|Y_k|.  Each kernel below walks the x-mask groups, in the
 # weights' dtype: real arithmetic when H is real.  The fold and the
-# expansion (subspace) hold one group's elements at a time; the image
-# index (image_index) holds groups x len(bits) arrays, at most four of 8
-# bytes at once.  The action's fold
-# (fold_images) still adds one product w_k (-1)^popcount(x & z_k) a(x) per
-# term, not D_g(x) a(x): a net element rounds differently, which would move
-# every matrix-free solver's iterates.  A sparse vector is a sorted,
+# expansion (subspace) hold one group's elements at a time.  The action
+# (apply_sum_to_vector) indexes every image, groups x len(bits) of them,
+# by unique_inverse (image_index), at most four arrays of that size and 8
+# bytes at once, and its fold (fold_images) still adds one product w_k
+# (-1)^popcount(x & z_k) a(x) per term, not D_g(x) a(x): a net element
+# rounds differently, which would move every matrix-free solver's
+# iterates.  SCI's scoring (sci._scores) indexes, by the same
+# unique_inverse, only the images of the (group, member) pairs whose net
+# element is nonzero, and sums D_g(x) a(x).  A sparse vector is a sorted,
 # duplicate-free uint64 `bits` array (a basis, as check_basis defines it)
 # plus an aligned `amps` array.  The amplitudes are complex128 even when H
 # is real, because BLAS's real dot products and norms round differently
@@ -297,6 +300,20 @@ def group_elements(h: PauliSum, bits: np.ndarray, groups: slice = slice(None)) -
     return out
 
 
+def group_bounds(h: PauliSum) -> np.ndarray:
+    """W_g = sum_{k in g} |w_k| for each x-mask group g, summed one term at
+    a time in group_elements' order.  Rounding is monotone and symmetric,
+    so by induction over the terms each partial sum of a real D_g(x) is at
+    most W_g's in magnitude: |D_g(x)| <= W_g holds in floating point."""
+    starts = h.x_groups[1]
+    n = np.diff(starts)
+    out = np.zeros(n.size)
+    for r in range(int(n.max(initial=0))):
+        more = n > r
+        out[more] += np.abs(h._weights[starts[:-1][more] + r])
+    return out
+
+
 def pair_elements(h: PauliSum, groups: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """D_g(x) for each pair of group index g = groups[i] and configuration
     x = bits[i], shape (len(bits),), summed as group_elements sums."""
@@ -315,19 +332,16 @@ def pair_elements(h: PauliSum, groups: np.ndarray, bits: np.ndarray) -> np.ndarr
     return out
 
 
-def image_index(h: PauliSum, bits: np.ndarray):
-    """(images, inverse): the sorted distinct images bits[i] ^ x_g of the
-    configurations under H's x-mask groups, and inverse[g, i], the index
-    of bits[i] ^ x_g in images, as np.unique(..., return_inverse=True)
-    gives them.  np.unique's own method, built by hand so that the
-    unsorted and the sorted images are released as soon as they are used:
-    at most four groups x len(bits) arrays of 8 bytes are alive, where
-    np.unique holds about seven."""
-    gx, _ = h.x_groups
-    flat = (bits[None, :] ^ gx[:, None]).ravel()
+def unique_inverse(flat: np.ndarray):
+    """(images, inverse): the sorted distinct values of the flat uint64
+    array `flat` and each entry's index among them, as np.unique(...,
+    return_inverse=True) gives them.  np.unique's own method, built by
+    hand so that the unsorted and the sorted values are released as soon
+    as they are used: passed a temporary, at most four arrays of flat's
+    size and 8 bytes are alive, where np.unique holds about seven."""
     order = np.argsort(flat)
-    flat = flat[order]  # sorted; the unsorted images are released
-    head = np.empty(flat.size, dtype=bool)  # each distinct image's first place
+    flat = flat[order]  # sorted; a temporary argument's unsorted values are released
+    head = np.empty(flat.size, dtype=bool)  # each distinct value's first place
     head[:1] = True
     np.not_equal(flat[1:], flat[:-1], out=head[1:])
     images = flat[head]
@@ -336,6 +350,15 @@ def image_index(h: PauliSum, bits: np.ndarray):
     rank -= 1
     inv = np.empty_like(rank)
     inv[order] = rank
+    return images, inv
+
+
+def image_index(h: PauliSum, bits: np.ndarray):
+    """(images, inverse): the sorted distinct images bits[i] ^ x_g of the
+    configurations under H's x-mask groups, and inverse[g, i], the index
+    of bits[i] ^ x_g in images, by unique_inverse over every image."""
+    gx, _ = h.x_groups
+    images, inv = unique_inverse((bits[None, :] ^ gx[:, None]).ravel())
     return images, inv.reshape(gx.size, bits.size)
 
 

@@ -2,14 +2,17 @@
 
 One generic loop drives four selection rules (CIPSI, HCI, ASCI, TrimCI).
 Each iteration diagonalizes the current configuration basis, trims it to
-the core by amplitude, and walks the core's images under H's x-mask
-groups once: one image index and one pass of net elements give the
-candidates (the connected configurations outside the core), their CIPSI
-numerators <x|H|psi> and their HCI maxima max_i |<x|H|x_i> c_i|, as in
-heat-bath CI.  The variant's selection function then takes the scored
-candidates: CIPSI and HCI share one threshold rule, grow without bound
-and terminate when the basis stops changing; ASCI and TrimCI hold the
-diagonalization dimension fixed.
+the core by amplitude, and walks the core's (x-mask group, member) pairs
+once, as expansion does, keeping those whose net element D_g(x_i) is
+nonzero (about one in seven on the flagship).  One index of those pairs'
+images gives the candidates (the connected configurations outside the
+core), their CIPSI numerators <x|H|psi>, one bincount of the pairs'
+D_g(x_i) c_i, and their HCI maxima max_i |D_g(x_i) c_i|, as in heat-bath
+CI, whose cut W_g |c_i| <= eps also skips the pairs HCI can never select.
+The variant's selection function then takes the scored candidates: CIPSI
+and HCI share one threshold rule, grow without bound and terminate when
+the basis stops changing; ASCI and TrimCI hold the diagonalization
+dimension fixed.
 
 Configurations are packed uint64 bits throughout: the selection functions
 take and return sorted, duplicate-free arrays, so large pools avoid
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import BasisSolver, EigResult
-from .paulis import (Configuration, PauliSum, diagonal_element, fold_images, group_elements,
-                     image_index, index_in, unique_bits)
-from .subspace import ZERO_TOL
+from .paulis import (Configuration, PauliSum, diagonal_element, group_bounds, index_in,
+                     unique_bits, unique_inverse)
+from .subspace import _nonzero_images
 from .trace import DEFAULT_DIM_CAP, STATUS_STALLED, SolverTrace
 
 DENOMINATOR_GUARD = 1e-12
@@ -88,35 +91,62 @@ def _sort_by_amplitude(bits: np.ndarray, amps: np.ndarray) -> np.ndarray:
 
 
 def _scores(rule: str, h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray,
-            e0: float, trace: SolverTrace) -> tuple[np.ndarray, np.ndarray]:
+            e0: float, trace: SolverTrace,
+            screen: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(candidates, scores) from one walk of the core's images.
 
-    The candidates are the images outside the core with a net element of
-    magnitude at least ZERO_TOL to some core member, as connected_bits
-    finds them.  Rule "hci" scores them by the heat-bath form, max_i
-    |<x|H|x_i> c_i|, where terms cancel within a matrix element but not
-    across core members; any other rule by the CIPSI (perturbative) form,
-    |<x|H|psi> / (<x|H|x> - e0)|, with near-zero gaps mapped to +inf
-    (always select).  Both read the same image index; scoring is
-    uncounted when there are no candidates."""
+    The walk (subspace._nonzero_images) gives the (group, member) pairs
+    whose net element D_g(x_i) has magnitude at least ZERO_TOL, and only
+    their images are indexed.  The candidates are those images outside
+    the core, as connected_bits finds them.  Rule "hci" scores them by
+    the heat-bath form, max_i |D_g(x_i) c_i| over the pairs, where terms
+    cancel within a matrix element but not across core members; any other
+    rule by the CIPSI (perturbative) form, |<x|H|psi> / (<x|H|x> - e0)|,
+    whose numerator sums the pairs' D_g(x_i) c_i in ascending group order,
+    with near-zero gaps mapped to +inf (always select).
+
+    `screen`, HCI's threshold, skips the pairs with fl(W_g |c_i|) <=
+    screen (paulis.group_bounds) when H and the amplitudes are real: their
+    products are at most that, so no candidate scoring above the threshold
+    loses a pair and the threshold rule's selection is unchanged.  Flops
+    count the core's terms once for the walk and once more for the scores,
+    plus the candidates' for the CIPSI denominators; scoring is uncounted
+    when the core has no candidates, as the unscreened walk finds them."""
     trace.count(core_bits.size * len(h))
-    images, inv = image_index(h, core_bits)
-    d = group_elements(h, core_bits)
-    hit = np.zeros(images.size, dtype=bool)
-    hit[inv[np.abs(d) >= ZERO_TOL]] = True
-    at = index_in(images, core_bits)
-    hit[at[at >= 0]] = False
-    cand = np.flatnonzero(hit)
+    within = skipped = None
+    if screen is not None and h.dtype == np.float64 and not np.iscomplexobj(core_amps):
+        bound, mag = group_bounds(h), np.abs(core_amps)
+        within = lambda g: np.flatnonzero(bound[g] * mag > screen)
+        skipped = lambda g: np.flatnonzero(bound[g] * mag <= screen)
+    walk = [*zip(*[(s, img, e[kept])  # [sources, images, elements]
+                   for s, img, e, kept in _nonzero_images(h, core_bits, within)])]
+    if not walk:
+        return np.zeros(0, dtype=np.uint64), np.zeros(0)
+    images, inv = unique_inverse(np.concatenate(walk.pop(1)))
+    src, d = (np.concatenate(part) for part in walk)
+    del walk
+    cand = np.flatnonzero(index_in(core_bits, images) < 0)
     cand_bits = images[cand]
+    prods = d * core_amps[src]
+    if rule == "hci":
+        # counted as without the screen: when some nonzero pair's image, walked
+        # or skipped, leaves the core; the skipped pairs are walked only when
+        # none of the walked ones does, up to the first group with one
+        if cand.size or (skipped and any((index_in(core_bits, img) < 0).any() for _, img, _, _
+                                         in _nonzero_images(h, core_bits, skipped))):
+            trace.count(core_bits.size * len(h))
+        best = np.zeros(images.size)
+        np.maximum.at(best, inv, np.abs(prods))
+        return cand_bits, best[cand]
     if cand.size == 0:
         return cand_bits, np.zeros(0)
-    if rule == "hci":
-        trace.count(core_bits.size * len(h))
-        best = np.zeros(images.size)
-        np.maximum.at(best, inv.ravel(), np.abs(d * core_amps[None, :]).ravel())
-        return cand_bits, best[cand]
     trace.count((core_bits.size + cand.size) * len(h))
-    num = np.abs(fold_images(h, core_bits, core_amps, inv, images.size)[cand])
+    if np.iscomplexobj(prods):  # bincount sums reals: the parts one at a time
+        num = np.bincount(inv, prods.real, images.size)[cand]
+        num = num + 1j * np.bincount(inv, prods.imag, images.size)[cand]
+    else:
+        num = np.bincount(inv, prods, images.size)[cand]
+    num = np.abs(num)
     den = np.abs(np.asarray(diagonal_element(h, cand_bits)) - e0)
     out = np.full(cand.size, np.inf)
     gap = den >= DENOMINATOR_GUARD
@@ -227,7 +257,8 @@ def run_sci(
         core_bits, core_amps = current[core_idx], amps[core_idx]  # in bit order
 
         rule = p.trim.first_phase if p.variant == "trimci" else p.variant
-        cands, scores = _scores(rule, h, core_bits, core_amps, eig.value, trace)
+        cands, scores = _scores(rule, h, core_bits, core_amps, eig.value, trace,
+                                p.epsilon if p.variant == "hci" else None)
         if p.variant == "asci":
             nxt = select_asci(cands, scores, core_bits, core_amps, p.d_cap)
         elif p.variant == "trimci":

@@ -37,6 +37,8 @@ from .paulis import Configuration, PauliSum, diagonal_element, unique_bits
 from .subspace import ProjectedMatrix, connectivity_filter, project_fast, reachable_bits
 from .trace import DEFAULT_DIM_CAP, SolverTrace
 
+_FLIP_BLOCK = 1 << 18  # (shot, qubit) bit-flip draws held at a time: 2 MB of float64
+
 
 @dataclass(frozen=True)
 class SkqdParams:
@@ -174,6 +176,20 @@ def _sample_indices(v: np.ndarray, shots: int, rng) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, draws), np.flatnonzero(probs)[-1])
 
 
+def _flip_masks(shots: int, n: int, probability: float, rng) -> np.ndarray:
+    """One uint64 mask per shot whose bit q is set when qubit q flips, each
+    flip an independent draw below `probability`.  The draws come in
+    blocks of about _FLIP_BLOCK (shot, qubit) pairs, row by row, so the
+    generator's stream, and every mask, is that of one shots x n draw."""
+    bit = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    rows = max(1, _FLIP_BLOCK // n)
+    masks = np.empty(shots, dtype=np.uint64)
+    for lo in range(0, shots, rows):
+        flips = rng.random((min(rows, shots - lo), n)) < probability
+        masks[lo : lo + flips.shape[0]] = (flips * bit).sum(axis=1)
+    return masks
+
+
 def _propagator(h: PauliSum, x0: Configuration, p: SkqdParams, dt: float):
     """(states, propagator): the reachable subspace of x0, sorted, which
     indexes the evolved vector, and the Chebyshev propagator of time step
@@ -218,9 +234,7 @@ def run_skqd(
         rng = np.random.default_rng(children[k])
         samples = states[_sample_indices(phi, p.shots_per_state, rng)]
         if p.bitflip_probability > 0.0:
-            flips = rng.random((samples.size, n)) < p.bitflip_probability
-            masks = (flips * (1 << np.arange(n, dtype=np.uint64))).sum(axis=1)
-            samples = samples ^ masks.astype(np.uint64)
+            samples ^= _flip_masks(samples.size, n, p.bitflip_probability, rng)
         uniq, counts = np.unique(samples, return_counts=True)
         record.histograms.append({int(b): int(c) for b, c in zip(uniq, counts)})
         record.state_seeds.append(int(children[k].entropy))

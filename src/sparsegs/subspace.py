@@ -15,7 +15,8 @@ is allocated at its exact size, then to fill it.  The all-pairs oracle it
 is tested against lives with the tests.  Expansion (connected_bits, the
 pool filter and the reachable closure) walks the off-diagonal groups one
 at a time and keeps only the members with a nonzero net element, so it
-never holds a groups x members array.
+never holds a groups x members array; SCI's scoring step walks the same
+pairs, with their elements.
 """
 
 from __future__ import annotations
@@ -288,16 +289,22 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
     return pieces
 
 
-def _nonzero_images(h: PauliSum, bits: np.ndarray):
-    """Yield (sources, images) for each off-diagonal x-mask group g, one
-    group at a time: the indices i of the members with a net element
-    |D_g(bits[i])| of at least ZERO_TOL, and their images bits[i] ^ x_g.
-    The diagonal group maps each member to itself, so it is skipped."""
+def _nonzero_images(h: PauliSum, bits: np.ndarray, within=None):
+    """Yield (sources, images, elements, kept) for each off-diagonal x-mask
+    group g, one group at a time: the indices i of the members with a net
+    element D_g(bits[i]) of magnitude at least ZERO_TOL, their images
+    bits[i] ^ x_g, the net elements of the members looked at, and the
+    sources' places among those, so elements[kept] are the sources' own (a
+    caller that reads them gathers them).  With `within`, a function of g
+    giving the indices of the members to look at, the others are skipped.
+    The diagonal group maps each member to itself, so it is skipped too."""
     for g, x in enumerate(h.x_groups[0]):
         if x:
-            d = group_elements(h, bits, slice(g, g + 1))[0]
-            src = np.flatnonzero(np.abs(d) >= ZERO_TOL)
-            yield src, bits[src] ^ x
+            look = None if within is None else within(g)
+            d = group_elements(h, bits if look is None else bits[look], slice(g, g + 1))[0]
+            kept = np.flatnonzero(np.abs(d) >= ZERO_TOL)
+            src = kept if look is None else look[kept]
+            yield src, bits[src] ^ x, d, kept
 
 
 def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
@@ -308,7 +315,7 @@ def connected_bits(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     time, so the scratch is O(len(bits) + output), not groups x
     len(bits)."""
     check_basis(h, bits)
-    found = [img for _, img in _nonzero_images(h, bits)]
+    found = [img for _, img, _, _ in _nonzero_images(h, bits)]
     if not found:
         return np.zeros(0, dtype=np.uint64)
     out_bits = unique_bits(np.concatenate(found))
@@ -353,7 +360,7 @@ def connectivity_filter(h: PauliSum, bits: np.ndarray) -> np.ndarray:
     """
     check_basis(h, bits)
     keep = np.zeros(bits.size, dtype=bool)
-    for src, img in _nonzero_images(h, bits):
+    for src, img, _, _ in _nonzero_images(h, bits):
         pos = index_in(bits, img)
         hits = pos >= 0
         # x connects out, and the partner connects back (H is Hermitian)

@@ -53,6 +53,28 @@ def pauli_sum_to_sparse(h: PauliSum) -> sp.csr_matrix:
                          shape=(dim, dim))
 
 
+def net_element_numerators(h: PauliSum, core: np.ndarray, amps: np.ndarray,
+                           bits: np.ndarray) -> np.ndarray:
+    """<x|H|psi> for psi = (core, amps) on each configuration x of `bits`,
+    as complex: one configuration at a time, the products D_g(x_i) c_i of
+    the core members x_i = x ^ x_g whose net element has magnitude at
+    least ZERO_TOL, added in ascending group order; the oracle of SCI's
+    CIPSI numerators."""
+    gx, _ = h.x_groups
+    d = group_elements(h, core)
+    prods = d * amps  # NumPy's array product: its scalar one can round complex products apart
+    member = {int(b): i for i, b in enumerate(core)}
+    out = np.zeros(bits.size, dtype=complex)
+    for j, x in enumerate(bits.tolist()):
+        acc = 0j
+        for g, xg in enumerate(gx.tolist()):
+            i = member.get(x ^ xg)
+            if i is not None and abs(d[g, i]) >= ZERO_TOL:
+                acc += prods[g, i]
+        out[j] = acc
+    return out
+
+
 def project_naive(h: PauliSum, bits: np.ndarray) -> sp.csr_matrix:
     """All-pairs matrix elements on the basis `bits`, the whole matrix,
     for any H; the quadratic-cost oracle of project_fast."""

@@ -616,6 +616,25 @@ def test_group_elements_fold_terms_in_order():
         assert empty.shape == (0,) and empty.dtype == hh.dtype
 
 
+def test_group_bounds_hold_in_floating_point():
+    # W_g sums |w_k| term by term in group_elements' order, so every real
+    # net element, rounded as the kernel rounds it, lies within it
+    rng = np.random.default_rng(27)
+    n = 6
+    base = without_odd_y(grouped_pauli_sum(rng, n, 4, 12))
+    h = PauliSum([(c * rng.uniform(0.5, 2.0), s) for c, s in base.terms], n)
+    assert h.dtype == np.float64
+    _, starts = h.x_groups
+    want = np.zeros(starts.size - 1)
+    for g in range(want.size):
+        for k in range(starts[g], starts[g + 1]):
+            want[g] += abs(h.terms[k][0])
+    bound = pl.group_bounds(h)
+    assert np.array_equal(bound, want)
+    d = group_elements(h, np.arange(1 << n, dtype=np.uint64))
+    assert np.all(np.abs(d) <= bound[:, None])
+
+
 def test_diagonal_element_is_dense_diagonal():
     rng = np.random.default_rng(24)
     h = random_pauli_sum(rng, 4, 30)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,9 +8,9 @@ import sparsegs.eigensolver as eigensolver
 import sparsegs.paulis as paulis
 import sparsegs.sci as sci
 import sparsegs.subspace as subspace
-from conftest import (grouped_pauli_sum, kron_dense, layout_instance, random_pauli_sum,
-                      support_covered)
-from oracles import matrix_element
+from conftest import (flagship_ball, grouped_pauli_sum, kron_dense, layout_instance,
+                      random_pauli_sum, support_covered, without_odd_y)
+from oracles import matrix_element, net_element_numerators
 from sparsegs.builder import CoreBlockParams, build_core_block
 from sparsegs.paulis import (
     Configuration,
@@ -143,26 +145,66 @@ def test_every_solve_is_the_lowest_eigenpair(p, monkeypatch):
                trim=TrimParams(2, 40, first_phase="hci")), True),
 ], ids=["cipsi", "hci", "asci", "trimci-cipsi", "trimci-hci"])
 def test_each_iteration_walks_the_core_images_once(p, heat_bath, monkeypatch):
-    # one image index per iteration, of the core; the candidates, the CIPSI
-    # numerators and the HCI maxima all come from it, so neither expansion
-    # kernel nor a second walk is called
+    # one walk of the nonzero (group, member) pairs per iteration, over the
+    # core; the candidates, the CIPSI numerators and the HCI maxima all come
+    # from it, so neither expansion kernel, the action nor a second walk is
+    # called
     h, cert = layout_instance("path16-coupled")
     walked, rules = [], set()
-    real, real_scores = sci.image_index, sci._scores
-    monkeypatch.setattr(sci, "image_index", lambda h, b: walked.append(b.size) or real(h, b))
+    real, real_scores = sci._nonzero_images, sci._scores
+    monkeypatch.setattr(sci, "_nonzero_images",
+                        lambda h, b, *a: walked.append(b.size) or real(h, b, *a))
     monkeypatch.setattr(sci, "_scores", lambda rule, *a: rules.add(rule) or real_scores(rule, *a))
 
     def second_walk(*args):
         raise AssertionError("SCI walked the core's images again")
 
     for mod in (paulis, subspace, sci, eigensolver):
-        for name in ("connected_bits", "apply_sum_to_vector"):
+        for name in ("connected_bits", "apply_sum_to_vector", "image_index", "fold_images"):
             monkeypatch.setattr(mod, name, second_walk, raising=False)
     _, trace, _ = run_sci(h, cert.initial_config, p)
     assert len(trace.rows) > 1
     cores = [min(r.subspace_dim, p.core_cap or r.subspace_dim) for r in trace.rows]
     assert walked == cores
     assert (rules == {"hci"}) if heat_bath else ("hci" not in rules)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+@pytest.mark.parametrize("layout, iters", [("path16", 30), ("path16-coupled", 30),
+                                           ("flagship", 6)])
+def test_hci_screening_keeps_every_basis(layout, iters, eps, monkeypatch):
+    # HCI skips the pairs with W_g |c_i| <= eps; every iteration's basis
+    # (HCI's core is the whole basis), its flops and the final basis equal
+    # a run's that walks every nonzero pair, and the screen does skip pairs
+    h, cert = layout_instance(layout)
+    real_scores, real_walk = sci._scores, sci._nonzero_images
+
+    def run(screened):
+        bases, pairs = [], []
+
+        def scores(rule, h, core, amps, e0, trace, screen=None):
+            bases.append(core)
+            return real_scores(rule, h, core, amps, e0, trace, screen if screened else None)
+
+        def walk(*args):
+            for group in real_walk(*args):
+                pairs.append(group[0].size)
+                yield group
+
+        monkeypatch.setattr(sci, "_scores", scores)
+        monkeypatch.setattr(sci, "_nonzero_images", walk)
+        eig, trace, basis = run_sci(h, cert.initial_config,
+                                    SciParams("hci", epsilon=eps, max_iters=iters))
+        rows = [(r.subspace_dim, r.flops) for r in trace.rows]
+        return eig.value, rows, bases + [basis], sum(pairs)
+
+    e_screened, rows_screened, screened, walked = run(True)
+    e_all, rows_all, every, walked_all = run(False)
+    assert rows_screened == rows_all
+    assert len(screened) == len(every)
+    assert all(np.array_equal(a, b) for a, b in zip(screened, every))
+    assert e_screened == e_all
+    assert walked < walked_all
 
 
 def test_cipsi_infinite_threshold_stops_at_reference(patch_instance):
@@ -241,7 +283,9 @@ def scored(rule, h, core, amps, e0=None):
 def test_one_pass_scores_match_oracles(seed, diagonal):
     # exact cancellations and complex amplitudes; core member 2 is left at
     # exactly zero, and without the x = 0 group no image is a core member
-    # by its own group
+    # by its own group.  Scaled by 0.7, a net element's product rounds
+    # apart from the sum of its terms' products, which the action folds;
+    # without odd-Y terms and with real amplitudes, the sums are real
     rng = np.random.default_rng(300 + seed)
     n = 5
     h = PauliSum([(c, s) for c, s in grouped_pauli_sum(rng, n, 5, 4).terms if s.x_mask], n)
@@ -253,25 +297,29 @@ def test_one_pass_scores_match_oracles(seed, diagonal):
     amps = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     amps[2] = 0
     e0 = -0.3
-    want_cands = connected_bits(h, core)
-    assert want_cands.size
-    hb, ha = apply_sum_to_vector(h, core, amps)
-    at = index_in(hb, want_cands)
-    num = np.where(at >= 0, np.abs(ha[at]), 0.0)
-    den = np.abs(diagonal_element(h, want_cands) - e0)
-    config = lambda b: Configuration(int(b), n)
-    heat = [max(abs(matrix_element(h, config(x), config(b)) * a) for b, a in zip(core, amps))
-            for x in want_cands]
-    for rule, want, flops in (("cipsi", num / den, (2 * core.size + want_cands.size) * len(h)),
-                              ("hci", heat, 2 * core.size * len(h))):
-        trace = SolverTrace("t")
-        cands, scores = sci._scores(rule, h, core, amps, e0, trace)
-        assert np.array_equal(cands, want_cands)
-        if rule == "cipsi":
-            assert np.array_equal(scores, want)  # the same fold, bit for bit
-        else:
-            assert np.abs(scores - want).max() < 1e-13
-        assert trace.flops == flops
+    scaled = h.scaled(0.7)
+    for h, amps in ((h, amps), (scaled, amps), (without_odd_y(scaled), amps.real)):
+        want_cands = connected_bits(h, core)
+        assert want_cands.size
+        num = np.abs(net_element_numerators(h, core, amps, want_cands))
+        hb, ha = apply_sum_to_vector(h, core, amps)
+        at = index_in(hb, want_cands)
+        action = np.where(at >= 0, np.abs(ha[at]), 0.0)
+        den = np.abs(diagonal_element(h, want_cands) - e0)
+        config = lambda b: Configuration(int(b), n)
+        heat = [max(abs(matrix_element(h, config(x), config(b)) * a) for b, a in zip(core, amps))
+                for x in want_cands]
+        for rule, want, flops in (("cipsi", num / den, (2 * core.size + want_cands.size) * len(h)),
+                                  ("hci", heat, 2 * core.size * len(h))):
+            trace = SolverTrace("t")
+            cands, scores = sci._scores(rule, h, core, amps, e0, trace)
+            assert np.array_equal(cands, want_cands)
+            if rule == "cipsi":
+                assert np.array_equal(scores, want)  # net elements summed by group, bit for bit
+                assert np.abs(scores - action / den).max() <= 1e-13 * np.abs(scores).max()
+            else:
+                assert np.abs(scores - want).max() < 1e-13
+            assert trace.flops == flops
     # a core closed under H has no candidates, and scoring is uncounted
     closed = np.arange(1 << n, dtype=np.uint64)
     for rule in ("cipsi", "hci"):
@@ -279,6 +327,26 @@ def test_one_pass_scores_match_oracles(seed, diagonal):
         cands, scores = sci._scores(rule, h, closed, np.ones(closed.size), e0, trace)
         assert cands.size == scores.size == 0 and cands.dtype == np.uint64
         assert trace.flops == closed.size * len(h)
+
+
+@pytest.mark.parametrize("rule", ["cipsi", "hci"])
+def test_scoring_holds_under_two_arrays_of_all_images(rule):
+    # a seeded 1,000-member core from the flagship's depth-4 ball: about one
+    # (group, member) pair in seven has a nonzero net element, so the walk
+    # and its index stay below two (groups x members) arrays of 8 bytes,
+    # where indexing every image took more than five
+    h, _ = layout_instance("flagship")
+    rng = np.random.default_rng(11)
+    core = np.sort(rng.choice(flagship_ball(4), size=1000, replace=False))
+    amps = rng.standard_normal(core.size)
+    amps /= np.linalg.norm(amps)
+    scored(rule, h, core, amps, 0.3)  # warm: first-call allocations are not the step's
+    tracemalloc.start()
+    cands, scores = scored(rule, h, core, amps, 0.3)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert cands.size > core.size
+    assert peak < 2 * len(h.x_groups[0]) * core.size * 8
 
 
 def test_select_cipsi_rejects_zero_numerator():

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.stats import chisquare
 
+import sparsegs.skqd as skqd
 import sparsegs.subspace as subspace
 from conftest import kron_dense, layout_instance, random_pauli_sum
 from oracles import evolve_exact, matrix_element, pauli_sum_to_sparse
@@ -208,6 +209,39 @@ def test_pool_accumulates_every_state(patch_instance, flip):
     assert [r.subspace_dim for r in trace.rows] == [d or 1 for d in dims]
     if flip == 0.0:
         assert dims[0] == 0  # state 0 is x0 alone: the fallback row
+
+
+def _flip_masks_at_once(shots, n, probability, rng):
+    # the bit-flip masks as they were built before the blocks: one shots x n draw
+    flips = rng.random((shots, n)) < probability
+    return (flips * (1 << np.arange(n, dtype=np.uint64))).sum(axis=1).astype(np.uint64)
+
+
+def test_bit_flips_drawn_in_blocks_keep_the_histograms(patch_instance, monkeypatch):
+    # 37 rows of 16 qubits a block: 500 shots take 13 whole blocks and a part
+    h, cert = patch_instance
+    p = SkqdParams(krylov_dim=3, shots_per_state=500, rng_seed=8, bitflip_probability=0.05)
+    monkeypatch.setattr(skqd, "_FLIP_BLOCK", 37 * 16)
+    _, _, blocked = run_skqd(h, cert.initial_config, p)
+    monkeypatch.setattr(skqd, "_flip_masks", _flip_masks_at_once)
+    _, _, whole = run_skqd(h, cert.initial_config, p)
+    assert blocked.histograms == whole.histograms
+    assert sum(len(hist) for hist in blocked.histograms) > 3
+
+
+def test_bit_flips_hold_one_block(monkeypatch):
+    # the masks and a few arrays of one block's size (the draws, the flips,
+    # their products and the reduction's scratch); one 20,000 x 49 draw
+    # would peak above 8 MB
+    block, shots = 1 << 12, 20_000
+    monkeypatch.setattr(skqd, "_FLIP_BLOCK", block)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    masks = skqd._flip_masks(shots, 49, 0.05, rng)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * shots + 4 * 8 * block
+    assert np.array_equal(masks, _flip_masks_at_once(shots, 49, 0.05, np.random.default_rng(0)))
 
 
 def test_support_coverage_edge_cases(patch_instance):
