@@ -462,17 +462,20 @@ def truncate_top(bits: np.ndarray, amps: np.ndarray, k: int):
     return bits[keep], amps[keep]
 
 
-def diagonal_element(h: PauliSum, bits) -> np.ndarray | float:
-    """<x|H|x> for one packed configuration or an array of them: D_0."""
-    scalar = not isinstance(bits, np.ndarray)
-    b = np.atleast_1d(np.asarray(bits, dtype=np.uint64))
+def _diagonal_elements(h: PauliSum, bits: np.ndarray) -> np.ndarray:
+    """D_0(x) on each configuration in h's dtype, as group_elements sums
+    it: group 0 when its x-mask is 0, zeros when H has no diagonal group."""
     gx, _ = h.x_groups
     if gx.size and gx[0] == 0:
-        out = group_elements(h, b, slice(0, 1))[0]
-    else:
-        out = np.zeros(b.size, dtype=h.dtype)
+        return group_elements(h, bits, slice(0, 1))[0]
+    return np.zeros(bits.size, dtype=h.dtype)
+
+
+def diagonal_element(h: PauliSum, bits) -> np.ndarray | float:
+    """<x|H|x> for one packed configuration or an array of them: D_0."""
+    out = _diagonal_elements(h, np.atleast_1d(np.asarray(bits, dtype=np.uint64)))
     res = out.real if np.abs(out.imag).max(initial=0.0) < 1e-9 else out
-    return float(res[0]) if scalar else res
+    return res if isinstance(bits, np.ndarray) else float(res[0])
 
 
 def conjugate_by_x_layer(h: PauliSum, mask: int) -> PauliSum:

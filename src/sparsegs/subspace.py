@@ -8,27 +8,26 @@ writes each group's net element on the image into a CSR matrix of the
 upper triangle, in place and in the Hamiltonian's dtype (real when H is).
 `ProjectedMatrix` holds that triangle and is the one Hermitian operator
 the eigensolvers and the propagator read.  One rule picks how the images
-are looked up, and one fill writes the CSR.  The pass over every group
-looks each pair {x, x ^ x_g} up from its smaller member, the entry's row,
-and walks the groups twice, first to count each row's entries, so the CSR
-is allocated at its exact size, then to fill it.  The all-pairs oracle it
-is tested against lives with the tests.  Expansion (connected_bits, the
-pool filter and the reachable closure) walks the off-diagonal groups one
-at a time and keeps only the members with a nonzero net element, so it
-never holds a groups x members array; SCI's scoring step walks the same
-pairs, with their elements.
+are looked up, and one fill writes the CSR.  One walk, `_nonzero_images`,
+keeps only the members with a nonzero net element, one off-diagonal group
+at a time, so nothing holds a groups x members array: expansion
+(connected_bits, the pool filter, the reachable closure) reads their
+images, SCI's scoring their elements too, and the projection's pass walks
+each pair {x, x ^ x_g} from its column, looking its row up only for a
+nonzero element.  Its all-pairs oracle lives with the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .paulis import PauliSum, check_basis, group_elements, index_in, pair_elements, unique_bits
+from .paulis import (PauliSum, _diagonal_elements, check_basis, group_elements, index_in,
+                     pair_elements, unique_bits)
 from .trace import BudgetExceeded
 
 if TYPE_CHECKING:
@@ -36,7 +35,9 @@ if TYPE_CHECKING:
 
 ZERO_TOL = 1e-14
 _LOOKUP_BLOCK = 1 << 16  # cap on the (groups x new members) images looked up per block
-_UPDATE_MAX_NEW = 0.85  # measured break-even share of new members, lookup against group pass
+# share of new members above which the group pass beats the lookup on ASCI's 4,000-member
+# flagship basis: 0.8-0.9 when the pass walked pairs from rows, 0.6-0.7 from columns
+_UPDATE_MAX_NEW = 0.85
 _ROW_SUM_BLOCK = 1 << 17  # entries of |H| summed at a time for the Gershgorin row sums
 
 
@@ -142,11 +143,11 @@ def project_fast(h: PauliSum, bits: np.ndarray,
     member costs its share of one pass over every group
     (`_group_entries`), so the pass is taken instead when more than
     `_UPDATE_MAX_NEW` of the members are new and their images fill more
-    than two lookup blocks.  The pass walks the groups twice, first to
-    count each row's entries and then to fill them, and holds one group's
-    entries at a time.  Either way the counts give `indptr`, `indices` and
-    `data` are allocated at their exact size, one loop fills the pieces in
-    place, and each row is sorted by column at the end."""
+    than two lookup blocks.  The pass walks each pair from its column,
+    looks its row up only for a nonzero element, and holds one group's
+    entries at a time.  Either way the counts give `indptr`, so `indices`
+    and `data` are allocated at their exact size, one loop fills the
+    pieces in place, and each row is sorted by column at the end."""
     import scipy.sparse as sp  # on first use: generate, verify and info never load SciPy
 
     check_basis(h, bits)
@@ -196,50 +197,45 @@ def _index_dtype(dim: int, groups: int):
 def _group_entries(h: PauliSum, bits: np.ndarray, idx):
     """(counts, pieces): each row's number of entries in the upper
     triangle of H projected onto `bits`, and a generator of those entries
-    as pieces (rows, 1, cols, values) of index dtype `idx`, one per group.
-    The groups are walked twice by `_upper_pairs`.  The first walk, here,
-    looks every member up, counts the rows' entries and packs, for each
-    group, a bit per looked-up member that gave one; the second, as the
-    generator is drawn, looks up only those members and recomputes their
-    elements.  So besides the CSR and the bits only one group's entries
-    are alive.  A group gives each row at most one column, and distinct
-    groups distinct columns, so no entry comes twice."""
-    counts = np.zeros(bits.size, dtype=idx)
+    as pieces (rows, 1, cols, values) of index dtype `idx`: the diagonal's,
+    then one per off-diagonal group.  The first walk over the pairs from
+    their columns counts the rows' entries and packs, per group, a bit per
+    walked member whose row is in the basis; the second, as the generator
+    is drawn, walks only those.  A group gives a row at most one column,
+    and distinct groups distinct ones, so no entry comes twice."""
+    counts = (np.abs(_diagonal_elements(h, bits)) >= ZERO_TOL).astype(idx)
     found = []
-    for rows, _, _, kept in _upper_pairs(h, bits, idx):
-        counts[rows] += 1
-        found.append(np.packbits(kept))
-    return counts, ((rows, 1, cols, d) for rows, cols, d, _ in _upper_pairs(h, bits, idx, found))
+    for _, images, d, kept in _nonzero_images(h, bits, _columns(h, bits, idx)):
+        rows = index_in(bits, images)
+        counts[rows[rows >= 0]] += 1
+        walked = np.zeros(d.size, dtype=bool)
+        walked[kept[rows >= 0]] = True
+        found.append(np.packbits(walked))
+
+    def pieces():
+        d = _diagonal_elements(h, bits)
+        diag = np.flatnonzero(np.abs(d) >= ZERO_TOL).astype(idx)
+        yield diag, 1, diag, d[diag]
+        del d, diag
+        for cols, images, d, kept in _nonzero_images(h, bits, _columns(h, bits, idx, found)):
+            yield index_in(bits, images).astype(idx), 1, cols, d[kept]
+
+    return counts, pieces()
 
 
-def _upper_pairs(h: PauliSum, bits: np.ndarray, idx, found=None):
-    """Yield (rows, cols, values, kept) for each x-mask group g in turn:
-    the pairs {x, x ^ x_g} in the basis, each looked up once, from its
-    member x whose bit at x_g's highest set bit is clear, which is the
-    smaller and so the pair's row; its column is x ^ x_g and its value
-    D_g(x ^ x_g), kept when at least ZERO_TOL.  The diagonal group's pairs
-    are the members themselves.  Rows and columns are of index dtype
-    `idx`, and `kept` marks the looked-up members that gave an entry.
-    With `found`, each group's `kept` bits packed by an earlier walk, only
-    those members are looked up."""
-    top = -1
-    for g, x in enumerate(h.x_groups[0].tolist()):
-        if x.bit_length() != top:  # x-masks ascend: groups sharing a highest bit are adjacent
-            top = x.bit_length()
-            lower = np.flatnonzero((bits & np.uint64((1 << top) >> 1)) == 0).astype(idx)
-            xs = bits[lower]
-        pick = slice(None) if found is None else np.unpackbits(
-            found[g], count=lower.size).view(bool)
-        lo = lower[pick]
-        hi = index_in(bits, xs[pick] ^ np.uint64(x)) if x else lo  # x = 0: a member is its pair
-        kept = hi >= 0
-        lo, hi = lo[kept], hi[kept].astype(idx)
-        d = group_elements(h, bits[hi], slice(g, g + 1))[0]
-        keep = np.abs(d) >= ZERO_TOL
-        kept[kept] = keep
-        entries = lo[keep], hi[keep], d[keep], kept
-        del lo, hi, d, keep  # the walk holds no more than the entries while they are read
-        yield entries
+def _columns(h: PauliSum, bits: np.ndarray, idx, found=None):
+    """`within` for `_nonzero_images`: the columns, the members whose bit at
+    x_g's highest set bit is set, in dtype `idx`; with `found`, the marked ones."""
+    gx, packed = h.x_groups[0].tolist(), iter(found or ())
+
+    @lru_cache(maxsize=1)  # x-masks ascend: groups sharing a highest bit are adjacent
+    def upper(top):
+        return np.flatnonzero(bits & np.uint64(1 << top)).astype(idx)
+
+    def within(g):
+        cols = upper(gx[g].bit_length() - 1)
+        return cols if found is None else cols[np.unpackbits(next(packed), count=cols.size) > 0]
+    return within
 
 
 def _shared_entries(old_rows: sp.csr_matrix, at: np.ndarray):
@@ -291,13 +287,13 @@ def _new_entries(h: PauliSum, bits: np.ndarray, old: np.ndarray, idx) -> list:
 
 def _nonzero_images(h: PauliSum, bits: np.ndarray, within=None):
     """Yield (sources, images, elements, kept) for each off-diagonal x-mask
-    group g, one group at a time: the indices i of the members with a net
+    group g in ascending order: the indices i of the members with a net
     element D_g(bits[i]) of magnitude at least ZERO_TOL, their images
-    bits[i] ^ x_g, the net elements of the members looked at, and the
-    sources' places among those, so elements[kept] are the sources' own (a
-    caller that reads them gathers them).  With `within`, a function of g
-    giving the indices of the members to look at, the others are skipped.
-    The diagonal group maps each member to itself, so it is skipped too."""
+    bits[i] ^ x_g, the elements of the members looked at, and the sources'
+    places among those (elements[kept] are the sources' own).  `within`, a
+    function of g called once per such group before it is yielded, gives
+    the indices of the members to look at; without it, all are.  The
+    diagonal group maps each member to itself, so it is skipped."""
     for g, x in enumerate(h.x_groups[0]):
         if x:
             look = None if within is None else within(g)

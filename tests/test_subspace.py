@@ -447,14 +447,6 @@ def _assert_update_matches(h, pairs):
         _assert_same_csr(project_fast(h, new).rows, want)
 
 
-def _flagship_balls(h, cert):
-    """The initial configuration and its first four neighbourhoods."""
-    balls = [np.array([cert.initial_config.bits], dtype=np.uint64)]
-    for _ in range(4):
-        balls.append(np.union1d(balls[-1], connected_bits(h, balls[-1])))
-    return balls
-
-
 # max_new 2/3 sends the flagship ball's mostly new bases to the group pass,
 # and 1.0 looks up the new members of every pair and every fresh basis,
 # however few members they share
@@ -487,8 +479,8 @@ def test_incremental_projection_is_bit_identical(seed, kind, max_new, monkeypatc
 @pytest.mark.parametrize("max_new", [2 / 3, 1.0])
 def test_incremental_projection_on_the_flagship_ball(max_new, monkeypatch):
     monkeypatch.setattr(subspace, "_UPDATE_MAX_NEW", max_new)
-    h, cert = layout_instance("flagship")
-    balls = _flagship_balls(h, cert)
+    h, _ = layout_instance("flagship")
+    balls = [flagship_ball(d) for d in range(5)]
     assert [b.size for b in balls[-2:]] == [580, 2531]
     rng = np.random.default_rng(350)
     pairs = list(zip(balls, balls[1:])) + [(balls[-1], balls[-2])]
@@ -500,8 +492,8 @@ def test_a_mostly_new_basis_is_projected_afresh(monkeypatch):
     # the empty basis: the pass over every group when more than
     # _UPDATE_MAX_NEW of the members are new and their images fill more than
     # two lookup blocks, block-wise lookups of the new members otherwise
-    h, cert = layout_instance("flagship")
-    balls = _flagship_balls(h, cert)
+    h, _ = layout_instance("flagship")
+    balls = [flagship_ball(d) for d in range(5)]
     small, bits = balls[3], balls[4]
     groups = h.x_groups[0].size
     assert small.size * groups <= 2 * subspace._LOOKUP_BLOCK < bits.size * groups
@@ -592,9 +584,82 @@ def test_group_pass_looks_each_pair_up_once_bit_identically(seed):
 
 
 def test_group_pass_on_the_flagship_ball_is_bit_identical():
-    h, cert = layout_instance("flagship")
-    ball = _flagship_balls(h, cert)[-1]
+    h, _ = layout_instance("flagship")
+    ball = flagship_ball(4)
     _assert_same_csr(_projected_by_groups(h, ball).rows, _projected_before_the_pair_rule(h, ball))
+
+
+@pytest.mark.parametrize("case", ["path16-coupled", "flagship"])
+def test_group_pass_looks_a_row_up_only_for_a_nonzero_element(case, monkeypatch):
+    # the first walk looks up the row of each (off-diagonal group, column
+    # member) pair whose element is at least ZERO_TOL, the column being
+    # the member with x_g's highest bit set; the second walk only the rows
+    # of the stored entries.  Looking up every row member of a pair, as a
+    # walk from the rows does, fails the first.
+    h, cert = layout_instance(case)
+    if case == "flagship":
+        bits = flagship_ball(4)
+    else:
+        bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
+    gx = h.x_groups[0]
+    d = group_elements(h, bits)
+    first, second = [], []
+    stored = _projected_before_the_pair_rule(h, bits).tocoo()
+    for g, x in enumerate(gx.tolist()):
+        if x:
+            cols = np.flatnonzero((bits & np.uint64(1 << (x.bit_length() - 1))) != 0)
+            first.append(bits[cols[np.abs(d[g, cols]) >= ZERO_TOL]] ^ np.uint64(x))
+            mine = np.flatnonzero(bits[stored.row] ^ bits[stored.col] == x)
+            mine = mine[np.argsort(stored.col[mine])]
+            second.append(bits[stored.row[mine]])
+    del d
+    looked, real = [], subspace.index_in
+    monkeypatch.setattr(subspace, "index_in", lambda m, b: looked.append(b.copy()) or real(m, b))
+    _projected_by_groups(h, bits)
+    assert len(looked) == len(first) + len(second)
+    for got, want in zip(looked, first + second):
+        assert np.array_equal(got, want)
+    assert sum(w.size for w in second) == stored.nnz - np.count_nonzero(stored.row == stored.col)
+
+
+def _diagonal_piece_cases():
+    """5-qubit sums by name: without a diagonal group, with nothing but Z
+    strings, and with one term; real, and with an odd number of Y factors."""
+    pick = lambda *labels: PauliSum([(c, PauliString.from_label(s)) for c, s in labels], 5)
+    return {
+        "hops only, real": pick((0.7, "XXIII"), (0.7, "YYIII"), (-0.4, "IIXXI"), (-0.4, "IIYYI"),
+                                (0.25, "XZZXI")),
+        "hops only, odd Y": pick((0.7, "XYIII"), (-0.7, "YXIII"), (0.3, "IXYZI"), (0.5, "YIIIX")),
+        "Z strings only": pick((1.0, "ZIIII"), (-0.5, "ZZIII"), (0.25, "IIZIZ"), (-1.0, "IIIII"),
+                               (0.5, "IZIZI")),
+        "Z strings only, cancelling": pick((1.0, "ZIIII"), (-1.0, "IZIII"), (1.0, "IIZZI"),
+                                           (-1.0, "IIIIZ")),
+        "one identity term": pick((2.0, "IIIII")),
+        "one Z term": pick((-1.5, "IZZIZ")),
+        "one X term": pick((0.5, "XIIXI")),
+        "one odd-Y term": pick((0.5, "IYIZI")),
+        "one odd-Y term, three Y": pick((-0.75, "YYYII")),
+    }
+
+
+@pytest.mark.parametrize("name", list(_diagonal_piece_cases()))
+def test_group_pass_writes_the_diagonal_piece_bit_identically(name):
+    # the walk skips the diagonal group, so the pass writes its piece from
+    # D_0 on every member, or none when H has no diagonal group
+    h = _diagonal_piece_cases()[name]
+    has_diagonal = h.x_groups[0][0] == 0
+    assert has_diagonal == (name.startswith("Z") or name in ("one identity term", "one Z term"))
+    assert (h.dtype == np.complex128) == ("odd" in name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    full = np.arange(32, dtype=np.uint64)
+    stored = []
+    for b in (full, full[:1], np.sort(rng.choice(full, size=13, replace=False))):
+        got = _projected_by_groups(h, b).rows
+        _assert_same_csr(got, _projected_before_the_pair_rule(h, b))
+        u = got.tocoo()
+        stored.append(np.count_nonzero(u.row == u.col))
+        assert stored[-1] == np.count_nonzero(np.abs(diagonal_element(h, b)) >= ZERO_TOL)
+    assert (stored[0] > 0) == has_diagonal
 
 
 def _traced_peak_over_the_csr(call):
@@ -618,10 +683,8 @@ def test_fresh_group_pass_peaks_under_twice_the_csr():
     bits = reachable_bits(h, np.array([cert.initial_config.bits], dtype=np.uint64), 1 << 16)
     m, ratio = _traced_peak_over_the_csr(lambda: project_fast(h, bits))
     assert m.nnz == 1_753_087 and ratio <= 2.0
-    hf, cf = layout_instance("flagship")
-    ball = _flagship_balls(hf, cf)[-1]
-    for _ in range(2):
-        ball = np.union1d(ball, connected_bits(hf, ball))
+    hf, _ = layout_instance("flagship")
+    ball = flagship_ball(6)
     assert ball.size == 37_385
     m, ratio = _traced_peak_over_the_csr(lambda: project_fast(hf, ball))
     assert m.nnz == 659_923 and ratio <= 1.6
