@@ -223,7 +223,7 @@ def _run(h, cert, meta: dict, solver: str, opts: dict, dim_cap: int):
     trace, shots = out[1], (out[-1] if isinstance(out[-1], ShotRecord) else None)
     run = {"final_energy": trace.final_energy, "energy_error": trace.final_energy - cert.energy,
            "final_dim": trace.final_dim, "status": trace.status, "converged": trace.converged,
-           "flops": trace.total_flops}
+           "flops": trace.flops}
     if shots is not None:
         run["support_coverage"] = int(support_coverage(shots, cert)[-1])
         run["support_size"] = len(cert.support)
@@ -276,10 +276,12 @@ def _run_one(job):
 def _sweep(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
     bundle = spec["bundle"]
+    budget = dict(spec.get("budget", {}))
+    dim_cap = int(budget.pop("dim_cap", DEFAULT_DIM_CAP))
+    if budget:
+        raise ValueError(f"a sweep's budget takes dim_cap only, not {', '.join(sorted(budget))}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    dim_cap = int(spec.get("budget", {}).get("dim_cap", DEFAULT_DIM_CAP))
-    max_wall = spec.get("budget", {}).get("max_wall_s")
     base_seed = int(spec.get("seed", 0))
 
     jobs = []
@@ -296,10 +298,6 @@ def _sweep(args) -> int:
             summaries = list(pool.map(_run_one, jobs))
     else:
         summaries = [_run_one(j) for j in jobs]
-
-    for s in summaries:
-        if max_wall is not None and s.get("wall_s") and s["wall_s"] > max_wall:
-            s["status"] = "wall_budget_exceeded"
 
     cols = ["solver", "params", "final_energy", "energy_error", "final_dim", "flops", "status",
             "converged", "wall_s", "peak_rss_mb", "seed", "instance_hash", "version"]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .eigensolver import BasisSolver, EigResult
 from .paulis import (Configuration, PauliSum, _merge_bases, add_scaled, apply_sum_to_vector,
-                     diagonal_element, index_in, sparse_vdot, truncate_top)
+                     diagonal_element, sparse_vdot, top_k, truncate_top)
 from .subspace import connected_bits
 from .trace import DEFAULT_DIM_CAP, STATUS_CONVERGED, STATUS_STALLED, SolverTrace
 
@@ -39,11 +39,6 @@ class DiagRankParams:
             raise ValueError("iters must be >= 1")
 
 
-def _rank_by_energy(bits: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Ascending energy; ties broken by ascending bit value."""
-    return np.lexsort((bits, energies))
-
-
 def run_diag_ranking(
     h: PauliSum, x0: Configuration, p: DiagRankParams
 ) -> tuple[EigResult, SolverTrace]:
@@ -51,9 +46,10 @@ def run_diag_ranking(
 
     A working set drives the expansion, a larger reservoir remembers every
     configuration seen with its energy, and both are trimmed to their caps
-    each iteration; the working set is kept sorted.  Only the final working
-    set is diagonalized (the per-iteration energies are an optional
-    diagnostic).
+    each iteration by paulis.top_k on the negated energies.  Both are kept
+    in bit order, so ties at a cut go to the lower bits.  Only the final
+    working set is diagonalized (the per-iteration energies are an
+    optional diagnostic).
     """
     if x0.n_qubits != h.n_qubits:
         raise ValueError("qubit-count mismatch")
@@ -69,15 +65,14 @@ def run_diag_ranking(
         t0 = time.perf_counter()
         reachable = connected_bits(h, work_bits)
         trace.count(work_bits.size * len(h))
-        new_bits = reachable[index_in(np.sort(res_bits), reachable) < 0]
+        res_bits, new, pos = _merge_bases(res_bits, reachable)
+        new_bits = reachable[new]
         if new_bits.size:
             new_energy = np.asarray(diagonal_element(h, new_bits), dtype=float)
             trace.count(new_bits.size * len(h))
-            res_bits = np.concatenate([res_bits, new_bits])
-            res_energy = np.concatenate([res_energy, new_energy])
-        order = _rank_by_energy(res_bits, res_energy)
-        next_work = np.sort(res_bits[order[: p.working_cap]])
-        res_keep = order[: p.reservoir_cap]
+            res_energy = np.insert(res_energy, pos[new], new_energy)
+        next_work = res_bits[top_k(-res_energy, p.working_cap)]
+        res_keep = top_k(-res_energy, p.reservoir_cap)
         res_bits, res_energy = res_bits[res_keep], res_energy[res_keep]
 
         same_work = np.array_equal(next_work, work_bits)

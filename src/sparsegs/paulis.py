@@ -449,16 +449,24 @@ def sparse_vdot(ba: np.ndarray, aa: np.ndarray, bb: np.ndarray, ab: np.ndarray) 
     return complex(np.vdot(aa[hit], ab[idx[hit]]))
 
 
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The ascending positions of the k largest scores, ties broken by
+    position: the one keep-the-k-best rule.  A partition finds the k-th
+    largest score; every position above it is kept, and the first
+    positions at it fill up to k.  Scores must not be NaN."""
+    n = scores.size
+    if n <= k:
+        return np.arange(n)
+    cut = np.partition(scores, n - k)[n - k]
+    keep = scores > cut
+    keep[np.flatnonzero(scores == cut)[: k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 def truncate_top(bits: np.ndarray, amps: np.ndarray, k: int):
-    """The k largest-magnitude entries, ties broken by ascending bit value,
-    kept in bit order.  A partition finds the k-th largest magnitude; every
-    entry above it is kept, and the lowest-bit entries at it fill up to k."""
-    if bits.size <= k:
-        return bits, amps
-    mags = np.abs(amps)
-    cut = np.partition(mags, bits.size - k)[bits.size - k]
-    keep = mags > cut
-    keep[np.flatnonzero(mags == cut)[: k - np.count_nonzero(keep)]] = True
+    """The k largest-magnitude entries of a sparse vector, in bit order:
+    top_k of the magnitudes, so ties go to the lower bits."""
+    keep = top_k(np.abs(amps), k)
     return bits[keep], amps[keep]
 
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eigensolver import BasisSolver, EigResult
-from .paulis import (Configuration, PauliSum, diagonal_element, group_bounds, index_in,
-                     unique_bits, unique_inverse)
+from .paulis import (Configuration, PauliSum, _merge_bases, diagonal_element, group_bounds,
+                     index_in, top_k, unique_bits, unique_inverse)
 from .subspace import _nonzero_images
 from .trace import DEFAULT_DIM_CAP, STATUS_STALLED, SolverTrace
 
@@ -83,11 +83,6 @@ class SciParams:
                 raise ValueError("ASCI requires core_cap < d_cap")
         if self.variant == "trimci" and self.trim is None:
             raise ValueError("TrimCI requires trim parameters")
-
-
-def _sort_by_amplitude(bits: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Descending |amplitude|, ties broken by ascending bit value."""
-    return np.lexsort((bits, -np.abs(amps)))
 
 
 def _scores(rule: str, h: PauliSum, core_bits: np.ndarray, core_amps: np.ndarray,
@@ -171,11 +166,11 @@ def select_threshold(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.nd
 def select_asci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarray,
                 core_amps: np.ndarray, d_cap: int) -> np.ndarray:
     """Rank core amplitudes and candidate perturbative estimates on equal
-    footing; keep the top d_cap."""
-    all_bits = np.concatenate([core_bits, cand_bits])
-    all_scores = np.concatenate([np.abs(core_amps), scores])
-    order = _sort_by_amplitude(all_bits, all_scores)[:d_cap]
-    return np.sort(all_bits[order])
+    footing; keep the top d_cap (paulis.top_k, ties to the lower bits).
+    The two are disjoint, so one merge inserts every candidate into the
+    core at its place in bit order, and its score into the amplitudes."""
+    all_bits, _, pos = _merge_bases(core_bits, cand_bits)
+    return all_bits[top_k(np.insert(np.abs(core_amps), pos, scores), d_cap)]
 
 
 def select_trimci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarray,
@@ -222,7 +217,7 @@ def select_trimci(cand_bits: np.ndarray, scores: np.ndarray, core_bits: np.ndarr
             continue
         sub = np.sort(sub)
         eig = BasisSolver(h, trace).solve(sub)
-        kept.append(sub[_sort_by_amplitude(sub, eig.vector)[: trim.keep_per_subset]])
+        kept.append(sub[top_k(np.abs(eig.vector), trim.keep_per_subset)])
     if not kept:
         return np.zeros(0, dtype=np.uint64)
     return unique_bits(np.concatenate(kept))
@@ -252,9 +247,8 @@ def run_sci(
         eig = solver.solve(current)
         amps = eig.vector
 
-        order = _sort_by_amplitude(current, amps)
-        core_idx = np.sort(order if p.core_cap is None else order[: p.core_cap])
-        core_bits, core_amps = current[core_idx], amps[core_idx]  # in bit order
+        core = top_k(np.abs(amps), current.size if p.core_cap is None else p.core_cap)
+        core_bits, core_amps = current[core], amps[core]  # in bit order
 
         rule = p.trim.first_phase if p.variant == "trimci" else p.variant
         cands, scores = _scores(rule, h, core_bits, core_amps, eig.value, trace,

@@ -49,7 +49,6 @@ class SolverTrace:
     flops: float = 0.0
     final_energy: float = float("nan")
     final_dim: int = 0
-    total_flops: float = 0.0
     converged: bool | None = None  # the final eigenpair's flag; None without one
 
     def count(self, n: float) -> None:
@@ -70,7 +69,6 @@ class SolverTrace:
         """Record the final fields; an unconverged final eigenpair sets `unconverged`."""
         self.final_energy = energy
         self.final_dim = dim
-        self.total_flops = self.flops
         self.converged = None if converged is None else bool(converged)
         if self.converged is False:
             self.status = STATUS_UNCONVERGED

@@ -467,6 +467,17 @@ def test_sweep_empty_grid(tmp_path, patch_bundle):
     assert len(rows) == 1  # header only
 
 
+def test_sweep_budget_takes_dim_cap_only(tmp_path, patch_bundle, capsys):
+    # a wall-time budget would stop nothing, only relabel finished runs
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"bundle": str(patch_bundle), "budget": {"max_wall_s": 1},
+                                     "runs": [{"solver": "tpm", "params": {"k": 2}}]}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out)]) == EXIT_INVALID
+    assert "budget takes dim_cap only, not max_wall_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_reproducible_energy(tmp_path, patch_bundle):
     spec = {"bundle": str(patch_bundle),
             "runs": [{"solver": "skqd", "grid": {"d": [3]}, "params": {"shots": 500}}]}

@@ -78,6 +78,46 @@ def test_diag_ranking_variational():
     assert eig.value >= e0 - 1e-9
 
 
+def _diag_ranking_work_sets(h, x0, p):
+    """Diagonal ranking's work sets with the reservoir ranked by a full
+    lexsort, ascending energy then ascending bit, and whether a cut at
+    the working and at the reservoir cap fell inside tied energies."""
+    res_bits = np.array([x0.bits], dtype=np.uint64)
+    res_e = np.array([diagonal_element(h, np.uint64(x0.bits))])
+    work, sets, tied = res_bits, [], {p.working_cap: False, p.reservoir_cap: False}
+    for _ in range(p.iters):
+        reached = connected_bits(h, work)
+        new = reached[~np.isin(reached, res_bits)]
+        res_bits = np.concatenate([res_bits, new])
+        res_e = np.concatenate([res_e, np.asarray(diagonal_element(h, new), dtype=float)])
+        order = np.lexsort((res_bits, res_e))
+        for cap in tied:
+            tied[cap] |= cap < order.size and res_e[order[cap - 1]] == res_e[order[cap]]
+        work = np.sort(res_bits[order[: p.working_cap]])
+        res_bits, res_e = res_bits[order[: p.reservoir_cap]], res_e[order[: p.reservoir_cap]]
+        sets.append(work)
+    return sets, all(tied.values())
+
+
+@pytest.mark.parametrize("layout, caps", [("path16", (5, 7)), ("path16-coupled", (40, 60))])
+def test_diag_ranking_ties_go_to_the_lower_bits(layout, caps, monkeypatch):
+    # both cuts split runs of equal diagonal energies, and the reservoir
+    # evicts tied members: every work set is the lexsort's
+    h, cert = layout_instance(layout)
+    p = DiagRankParams(*caps, iters=12, per_iteration_energies=True)
+    want, tied = _diag_ranking_work_sets(h, cert.initial_config, p)
+    assert tied
+    solved = []
+    real = BasisSolver.solve
+    monkeypatch.setattr(BasisSolver, "solve", lambda self, bits: solved.append(bits.copy())
+                        or real(self, bits))
+    _, trace = run_diag_ranking(h, cert.initial_config, p)
+    assert len(solved) == len(trace.rows) + 1 and np.array_equal(solved[-1], solved[-2])
+    assert len(trace.rows) == p.iters
+    for got, w in zip(solved, want):
+        assert np.array_equal(got, w)
+
+
 # -- truncated Arnoldi --------------------------------------------------------
 
 
@@ -347,7 +387,7 @@ def test_params_defaults():
 def test_flop_accounting_present(patch_instance):
     h, cert = patch_instance
     _, trace, _ = run_tpm(h, cert.initial_config, TpmParams(8, 5, mode="expectation"))
-    assert trace.total_flops > 0
+    assert trace.flops > 0
     assert all(r.flops > 0 for r in trace.rows)
 
 
@@ -393,4 +433,4 @@ def test_the_final_basis_is_not_solved_twice(run, n_bases, monkeypatch):
              for b in projected}
     assert {r.energy for r in trace.rows} == fresh
     assert trace.final_energy == trace.rows[-1].energy
-    assert trace.total_flops == trace.rows[-1].flops
+    assert trace.flops == trace.rows[-1].flops

@@ -24,6 +24,7 @@ from sparsegs.paulis import (
     image_index,
     pauli_signs,
     sparse_vdot,
+    top_k,
     truncate_top,
 )
 
@@ -565,6 +566,13 @@ def test_truncate_top_bit_identical_to_lexsort(integer):
     for a in amps:
         for k in (1, 2, 5, 8, 12, 17, n - 1, n, n + 3):
             _assert_same(truncate_top(bits, a, k), _truncate_top_by_sort(bits, a, k))
+    # top_k itself on the other sites' signed scores: negated diagonal
+    # energies with exact ties, +0.0 mixed with -0.0, and ASCI's +inf gaps
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    for s in (1.0 - 0.5 * tied, 0.5 * tied - 1.0, zeros, np.where(tied == 3, zeros, tied - 3.0),
+              np.where(tied > 3, np.inf, tied / 7), np.full(n, np.inf)):
+        for k in range(1, n + 4):
+            assert np.array_equal(top_k(s, k), np.sort(np.lexsort((np.arange(n), -s))[:k]))
 
 
 def test_group_elements_match_matrix_element():

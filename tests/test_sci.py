@@ -55,7 +55,7 @@ def test_cipsi_stalls_on_patch(patch_instance):
         assert trace.status == "stalled"
         # the stalled basis is the last row's and is not solved again
         assert eig.value == trace.rows[-1].energy
-        assert trace.total_flops == trace.rows[-1].flops
+        assert trace.flops == trace.rows[-1].flops
         support_found = support_covered(basis, cert)
         assert support_found < 8  # never exhausts the support
 
@@ -66,9 +66,9 @@ def test_run_sci_counts_flops(patch_instance):
               SciParams("asci", d_cap=8, core_cap=4, max_iters=4)):
         _, trace, _ = run_sci(h, cert.initial_config, p)
         flops = [r.flops for r in trace.rows]
-        assert trace.total_flops > 0
+        assert trace.flops > 0
         assert flops[0] > 0 and all(b >= a for a, b in zip(flops, flops[1:]))
-        assert trace.total_flops >= flops[-1]
+        assert trace.flops >= flops[-1]
 
 
 @pytest.mark.parametrize("p, final", [

@@ -545,4 +545,4 @@ def test_run_skqd_flops_formula(cli_patch):
             solved = kept
         want.append((want[-1] if want else 0.0) + evolve[k] + solve)
     assert [r.flops for r in trace.rows] == want
-    assert trace.total_flops == want[-1]
+    assert trace.flops == want[-1]

@@ -35,8 +35,8 @@ def test_finish_sets_the_three_final_fields():
     assert trace.status == STATUS_MAX_ITERS and math.isnan(trace.final_energy)
     trace.count(7)
     trace.finish(-0.25, 12)
-    assert (trace.final_energy, trace.final_dim, trace.total_flops) == (-0.25, 12, 7.0)
-    assert type(trace.total_flops) is float
+    assert (trace.final_energy, trace.final_dim, trace.flops) == (-0.25, 12, 7.0)
+    assert type(trace.flops) is float
 
 
 def test_finish_records_the_final_eigenpairs_flag(tmp_path):
